@@ -24,15 +24,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .counting import count_box_scan, dilation_counter, oracle_for
+from .counting import dilation_counter, scan_counter
 from .ehrhart import EhrhartPolynomial, ehrhart_of
-from .exact import Polynomial
 from .polytopes import (
     Family,
     FamilyTag,
@@ -63,8 +61,6 @@ from .roots import (
 )
 from .verification import run_all
 
-DEFAULT_MAX_BOX_POINTS = 10**8
-
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
@@ -79,9 +75,8 @@ class CommandRequest:
     a: Fraction = Fraction(2)
     tol: float = 1e-7
     fmt: str = "plain"
-    max_box_points: int = DEFAULT_MAX_BOX_POINTS
+    max_box_points: int = 10**8
     method: str = "auto"
-    threads: int = 1
 
 
 class SpecError(ValueError):
@@ -171,7 +166,10 @@ class _SpecParser:
 
 
 def parse_polytope_spec(text: str) -> LatticePolytope:
-    return _SpecParser(text).parse()
+    try:
+        return _SpecParser(text).parse()
+    except RecursionError:
+        raise SpecError("spec error: nesting too deep") from None
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +209,19 @@ def _family_to_json(fam: Family) -> dict[str, Any]:
     return {"tag": fam.tag.value, "params": params}
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false decode to bool, which isinstance(..., int) accepts.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_vector(value: Any, dimension: int) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == dimension
+        and all(_is_int(c) for c in value)
+    )
+
+
 _FAMILY_CTORS = {
     "cube": cube,
     "crosspolytope": crosspolytope,
@@ -231,7 +242,7 @@ def polytope_from_json(obj: Any, path: str = "$") -> LatticePolytope:
         _check_consistent(obj, rebuilt, path)
         return rebuilt
     dimension = obj.get("dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    if not _is_int(dimension) or dimension < 1:
         raise ValueError(f"{path}.dimension: expected a positive integer")
     vertices = obj.get("vertices")
     if not isinstance(vertices, list) or not vertices:
@@ -239,9 +250,7 @@ def polytope_from_json(obj: Any, path: str = "$") -> LatticePolytope:
             f"{path}.vertices: required (only a family tag may replace them)"
         )
     for i, v in enumerate(vertices):
-        if not isinstance(v, list) or len(v) != dimension or not all(
-            isinstance(c, int) for c in v
-        ):
+        if not _is_int_vector(v, dimension):
             raise ValueError(
                 f"{path}.vertices[{i}]: expected {dimension} integers"
             )
@@ -257,13 +266,9 @@ def polytope_from_json(obj: Any, path: str = "$") -> LatticePolytope:
                 raise ValueError(f"{hp}: expected an object")
             normal = h.get("normal")
             rhs = h.get("rhs")
-            if (
-                not isinstance(normal, list)
-                or len(normal) != dimension
-                or not all(isinstance(c, int) for c in normal)
-            ):
+            if not _is_int_vector(normal, dimension):
                 raise ValueError(f"{hp}.normal: expected {dimension} integers")
-            if not isinstance(rhs, int):
+            if not _is_int(rhs):
                 raise ValueError(f"{hp}.rhs: expected an integer")
             try:
                 halfspaces.append(Halfspace(tuple(normal), rhs))
@@ -282,10 +287,12 @@ def polytope_from_json(obj: Any, path: str = "$") -> LatticePolytope:
 def _polytope_from_family_json(
     family: Any, path: str
 ) -> LatticePolytope | None:
-    if not isinstance(family, dict) or "tag" not in family:
-        raise ValueError(f"{path}: expected an object with a 'tag'")
+    if not isinstance(family, dict) or not isinstance(family.get("tag"), str):
+        raise ValueError(f"{path}: expected an object with a string 'tag'")
     tag = family["tag"]
     params = family.get("params", {}) or {}
+    if not isinstance(params, dict):
+        raise ValueError(f"{path}.params: expected an object")
     if tag == "generic":
         return None
     if tag == "product":
@@ -298,16 +305,16 @@ def _polytope_from_family_json(
         )
     elif tag in _FAMILY_CTORS:
         n = params.get("n")
-        if not isinstance(n, int):
+        if not _is_int(n):
             raise ValueError(f"{path}.params.n: expected an integer")
         try:
             built = _FAMILY_CTORS[tag](n)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     else:
-        raise ValueError(f"{path}.tag: unknown family '{tag}'")
+        raise ValueError(f"{path}.tag: unknown family {tag!r}")
     scale = params.get("scale", 1)
-    if not isinstance(scale, int) or scale < 1:
+    if not _is_int(scale) or scale < 1:
         raise ValueError(f"{path}.params.scale: expected a positive integer")
     if scale > 1:
         built = dilate(built, scale)
@@ -315,14 +322,19 @@ def _polytope_from_family_json(
 
 
 def _check_consistent(obj: dict, rebuilt: LatticePolytope, path: str) -> None:
-    if "dimension" in obj and obj["dimension"] != rebuilt.dimension:
+    dimension = obj.get("dimension", rebuilt.dimension)
+    if not _is_int(dimension) or dimension != rebuilt.dimension:
         raise ValueError(
-            f"{path}.dimension: {obj['dimension']} does not match the family "
+            f"{path}.dimension: {dimension!r} does not match the family "
             f"({rebuilt.dimension})"
         )
     if "vertices" in obj:
-        given = {tuple(v) for v in obj["vertices"]}
-        if given != set(rebuilt.vertices):
+        vertices = obj["vertices"]
+        if (
+            not isinstance(vertices, list)
+            or not all(_is_int_vector(v, dimension) for v in vertices)
+            or {tuple(v) for v in vertices} != set(rebuilt.vertices)
+        ):
             raise ValueError(
                 f"{path}.vertices: inconsistent with the family construction"
             )
@@ -333,20 +345,6 @@ def ehrhart_to_json(ehr: EhrhartPolynomial) -> dict[str, Any]:
         "dimension": ehr.dimension,
         "coefficients": [fraction_str(c) for c in ehr.coefficients],
     }
-
-
-def ehrhart_from_json(obj: Any, path: str = "$") -> EhrhartPolynomial:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected an object")
-    dimension = obj.get("dimension")
-    coeffs = obj.get("coefficients")
-    if not isinstance(dimension, int):
-        raise ValueError(f"{path}.dimension: expected an integer")
-    if not isinstance(coeffs, list):
-        raise ValueError(f"{path}.coefficients: expected a list")
-    return EhrhartPolynomial(
-        dimension, Polynomial([Fraction(c) for c in coeffs])
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +419,12 @@ def _load_polytope(req: CommandRequest) -> LatticePolytope:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed JSON in {req.json_path}: {exc}") from exc
-    return polytope_from_json(data)
+        except RecursionError:
+            raise ValueError(f"JSON in {req.json_path} is nested too deeply") from None
+    p = polytope_from_json(data)
+    if p.family is None or p.family.tag is FamilyTag.GENERIC:
+        return _polygonize(p)
+    return p
 
 
 def _polygonize(p: LatticePolytope) -> LatticePolytope:
@@ -433,15 +436,7 @@ def _polygonize(p: LatticePolytope) -> LatticePolytope:
 
 def _counter(req: CommandRequest, p: LatticePolytope):
     if req.method == "box":
-        return lambda k: (
-            1
-            if k == 0
-            else count_box_scan(
-                oracle_for(dilate(p, k)),
-                chunks=req.threads,
-                max_points=req.max_box_points,
-            )
-        )
+        return scan_counter(p, req.max_box_points)
     return dilation_counter(p, max_box_points=req.max_box_points)
 
 
@@ -625,7 +620,20 @@ def run(req: CommandRequest, out=None) -> int:
     return status
 
 
+def _positive_fraction(text: str) -> Fraction:
+    """argparse type for ``-a``: a rational number a > 0."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Flags without defaults: an omitted flag leaves the CommandRequest
+    field at its default."""
     parser = argparse.ArgumentParser(
         prog="ehrhartlab",
         description="Exact Ehrhart polynomials and coefficient-bound checks "
@@ -636,28 +644,22 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp, polytope_source=True):
         if polytope_source:
             group = sp.add_mutually_exclusive_group(required=True)
-            group.add_argument("--family", help="family spec, e.g. pn:7")
+            group.add_argument("--family", dest="family_spec", metavar="FAMILY",
+                               help="family spec, e.g. pn:7")
             group.add_argument("--json", dest="json_path", help="polytope JSON file")
-        sp.add_argument(
-            "--format",
-            dest="fmt",
-            choices=("plain", "json", "csv"),
-            default="plain",
-        )
+        sp.add_argument("--format", dest="fmt", choices=("plain", "json", "csv"))
         sp.add_argument(
             "--max-box-points",
             type=int,
-            default=DEFAULT_MAX_BOX_POINTS,
             help="refuse box scans beyond this many candidate points",
         )
 
     sp = sub.add_parser("count", help="lattice points in the k-fold dilate")
     add_common(sp)
-    sp.add_argument("-k", type=int, default=1, help="dilation factor")
+    sp.add_argument("-k", type=int, help="dilation factor")
     sp.add_argument(
         "--method",
         choices=("auto", "box"),
-        default="auto",
         help="'box' forces the brute-force scan (oracle / debugging)",
     )
 
@@ -666,21 +668,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("roots", help="roots and real-part diagnostics")
     add_common(sp)
-    sp.add_argument("-a", type=Fraction, default=Fraction(2),
+    sp.add_argument("-a", type=_positive_fraction,
                     help="test the root line Re = -1/a (default 2)")
-    sp.add_argument("--tol", type=float, default=1e-7)
+    sp.add_argument("--tol", type=float)
 
     sp = sub.add_parser("wills", help="coefficient bound verdicts")
     add_common(sp)
 
     sp = sub.add_parser("bounds", help="inequality suite for a given a")
     add_common(sp)
-    sp.add_argument("-a", type=Fraction, default=Fraction(2))
-    sp.add_argument("--tol", type=float, default=1e-7)
+    sp.add_argument("-a", type=_positive_fraction)
+    sp.add_argument("--tol", type=float)
 
     sp = sub.add_parser("reflexive", help="l-reflexivity report")
     add_common(sp)
-    sp.add_argument("--tol", type=float, default=1e-7)
+    sp.add_argument("--tol", type=float)
 
     sp = sub.add_parser("verify-all", help="run the verification table")
     add_common(sp, polytope_source=False)
@@ -689,25 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def request_from_args(args: argparse.Namespace) -> CommandRequest:
-    threads = 1
-    env = os.environ.get("EHRHART_THREADS")
-    if env:
-        try:
-            threads = max(1, int(env))
-        except ValueError:
-            threads = 1
-    return CommandRequest(
-        subcommand=args.subcommand,
-        family_spec=getattr(args, "family", None),
-        json_path=getattr(args, "json_path", None),
-        k=getattr(args, "k", 1),
-        a=getattr(args, "a", Fraction(2)),
-        tol=getattr(args, "tol", 1e-7),
-        fmt=getattr(args, "fmt", "plain"),
-        max_box_points=getattr(args, "max_box_points", DEFAULT_MAX_BOX_POINTS),
-        method=getattr(args, "method", "auto"),
-        threads=threads,
-    )
+    return CommandRequest(**{k: v for k, v in vars(args).items() if v is not None})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -71,7 +71,7 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
                 return _deficiency_within(x[:-1], s - h, h)
 
             return MembershipOracle(p.dimension, inside_pn, s)
-        if fam.tag in (FamilyTag.QN_FAMILY, FamilyTag.BIPYRAMID):
+        if fam.tag is FamilyTag.QN_FAMILY:
 
             def inside_qn(x: Point) -> bool:
                 h = abs(x[-1])
@@ -109,17 +109,10 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
     )
 
 
-def count_box_scan(
-    oracle: MembershipOracle,
-    chunks: int = 1,
-    max_points: int | None = None,
-) -> int:
+def count_box_scan(oracle: MembershipOracle, max_points: int | None = None) -> int:
     """Exact point count by scanning the bounding box.
 
-    ``chunks`` partitions the first coordinate into contiguous ranges that
-    are counted independently and summed in order, so the total does not
-    depend on the partition.  ``max_points`` refuses scans whose box
-    exceeds the budget.
+    ``max_points`` refuses scans whose box exceeds the budget.
     """
     r = oracle.bounding_radius
     dim = oracle.dimension
@@ -129,30 +122,7 @@ def count_box_scan(
             f"box scan of {side}^{dim} points exceeds the budget of {max_points}; "
             "use a family counter instead"
         )
-    if dim == 0:
-        return 1
-    contains = oracle.contains
-    first_axis = range(-r, r + 1)
-    if chunks <= 1:
-        starts = [list(first_axis)]
-    else:
-        chunks = min(chunks, side)
-        starts = [list(first_axis)[i::chunks] for i in range(chunks)]
-
-    def scan(first_values: list[int]) -> int:
-        count = 0
-        if dim == 1:
-            for x0 in first_values:
-                if contains((x0,)):
-                    count += 1
-            return count
-        for x0 in first_values:
-            for rest in iter_product(range(-r, r + 1), repeat=dim - 1):
-                if contains((x0,) + rest):
-                    count += 1
-        return count
-
-    return sum(scan(chunk) for chunk in starts)
+    return sum(map(oracle.contains, iter_product(range(-r, r + 1), repeat=dim)))
 
 
 def count_minkowski_dp(m: int, a: int, b: int) -> int:
@@ -208,11 +178,18 @@ def count_pn_sliced(n: int, k: int) -> int:
     return total
 
 
-def count_product(
-    count_p: Callable[[int], int], count_q: Callable[[int], int], k: int
-) -> int:
-    """Point count of a product at dilation k: the product of the counts."""
-    return count_p(k) * count_q(k)
+def scan_counter(
+    p: LatticePolytope, max_box_points: int | None = None
+) -> Callable[[int], int]:
+    """Counter k -> #(kP cap Z^n) by a box scan of each dilate (guarded by
+    ``max_box_points``)."""
+
+    def counter(k: int) -> int:
+        if k == 0:
+            return 1  # every polytope here contains the origin
+        return count_box_scan(oracle_for(dilate(p, k)), max_points=max_box_points)
+
+    return counter
 
 
 def dilation_counter(
@@ -232,7 +209,7 @@ def dilation_counter(
             return lambda k: count_minkowski_dp(p.dimension, 0, s * k)
         if fam.tag is FamilyTag.PN_FAMILY:
             return lambda k: count_pn_sliced(fam.n, s * k)
-        if fam.tag in (FamilyTag.QN_FAMILY, FamilyTag.BIPYRAMID):
+        if fam.tag is FamilyTag.QN_FAMILY:
             return lambda k: count_qn_closed(fam.n, s * k)
         if fam.tag is FamilyTag.PRODUCT:
             subs = [
@@ -248,9 +225,4 @@ def dilation_counter(
 
             return counter
 
-    def scan_counter(k: int) -> int:
-        if k == 0:
-            return 1  # every polytope here contains the origin
-        return count_box_scan(oracle_for(dilate(p, k)), max_points=max_box_points)
-
-    return scan_counter
+    return scan_counter(p, max_box_points)

@@ -1,6 +1,5 @@
-"""Exact rational numerics: Bernoulli numbers, Faulhaber sums, binomials,
-elementary symmetric polynomials, and dense univariate polynomial algebra
-over the rationals.
+"""Exact rational numerics: Bernoulli numbers, binomials, and dense
+univariate polynomial algebra over the rationals.
 
 Everything in this module is exact.  Rationals are ``fractions.Fraction``
 (always canonical: positive denominator, reduced), integers are Python's
@@ -9,7 +8,8 @@ arbitrary-precision ints, and no operation ever rounds.
 Bernoulli convention
 --------------------
 ``bernoulli(1) == Fraction(-1, 2)``.  This is the convention forced by the
-Faulhaber identity used throughout::
+Faulhaber identity behind the bipyramid closed forms in
+:mod:`ehrhartlab.ehrhart`::
 
     sum_{j=0}^{k-1} j^i  =  (1/(i+1)) * sum_{j=1}^{i+1} C(i+1, j) B_{i-j+1} k^j
 
@@ -50,38 +50,11 @@ def bernoulli(j: int) -> Fraction:
     return -total / (j + 1)
 
 
-def faulhaber_sum(i: int, k: int) -> Fraction:
-    """Return sum_{j=0}^{k-1} j^i via the closed Bernoulli form (exact)."""
-    if i < 0 or k < 0:
-        raise ValueError("faulhaber_sum requires nonnegative arguments")
-    total = Fraction(0)
-    kf = Fraction(k)
-    for j in range(1, i + 2):
-        total += comb(i + 1, j) * bernoulli(i - j + 1) * kf**j
-    return total / (i + 1)
-
-
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); 0 when k > n, error on negatives."""
     if n < 0 or k < 0:
         raise ValueError("binomial requires nonnegative arguments")
     return comb(n, k)
-
-
-def elementary_symmetric(values: Sequence[RationalLike], j: int) -> Fraction:
-    """Return the j-th elementary symmetric polynomial of ``values``.
-
-    sigma_0 is 1 by convention; j may not exceed the number of values.
-    """
-    if j < 0 or j > len(values):
-        raise ValueError(f"symmetric degree {j} out of range 0..{len(values)}")
-    # Coefficient DP for prod (t + v): e[m] accumulates sigma_m.
-    e = [Fraction(1)] + [Fraction(0)] * j
-    for v in values:
-        vf = Fraction(v)
-        for m in range(min(j, len(e) - 1), 0, -1):
-            e[m] += vf * e[m - 1]
-    return e[j]
 
 
 def bernoulli_magnitude_bounds(j: int) -> tuple[Fraction, Fraction]:
@@ -154,12 +127,6 @@ class Polynomial:
             acc = acc * xf + c
         return acc
 
-    def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * z + complex(c)
-        return acc
-
     def __add__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         other = _coerce(other)
         n = max(len(self.coefficients), len(other.coefficients))
@@ -190,19 +157,6 @@ class Polynomial:
         return Polynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = Polynomial([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def shift(self, c: RationalLike) -> "Polynomial":
         """Return q with q(t) = p(t + c), computed exactly."""
@@ -326,8 +280,3 @@ def interpolate(points: Sequence[tuple[RationalLike, RationalLike]]) -> Polynomi
     for i in range(n - 2, -1, -1):
         poly = poly * Polynomial([-xs[i], 1]) + coef[i]
     return poly
-
-
-def poly_shift(p: Polynomial, c: RationalLike) -> Polynomial:
-    """Functional alias for :meth:`Polynomial.shift`."""
-    return p.shift(c)

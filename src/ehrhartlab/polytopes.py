@@ -32,7 +32,6 @@ class FamilyTag(str, Enum):
     PN_FAMILY = "pn"
     QN_FAMILY = "qn"
     PRODUCT = "product"
-    BIPYRAMID = "bipyramid"
     GENERIC = "generic"
 
 
@@ -121,10 +120,6 @@ class LatticePolytope:
                     raise ValueError(
                         f"half-space {hs.normal}.x <= {hs.rhs} is tight at no vertex"
                     )
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
 
     def bounding_radius(self) -> int:
         """Max |coordinate| over vertices; points beyond are outside."""

@@ -30,7 +30,6 @@ from .ehrhart import EhrhartPolynomial
 from .exact import Polynomial, binomial, squarefree_decomposition
 
 DEFAULT_REAL_PART_TOL = 1e-7
-DEFAULT_CONJUGATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -253,37 +252,3 @@ def point_count_bound(ehr: EhrhartPolynomial, a: Fraction | int) -> BoundVerdict
         af + 1
     ) ** (n - 2)
     return BoundVerdict(lhs <= rhs, lhs == rhs, lhs, rhs)
-
-
-def gamma_sum_identity_check(ehr: EhrhartPolynomial) -> bool:
-    """Vieta self-test: c_{n-1}/c_n equals minus the root sum, i.e. the
-    second-highest monic coefficient.  A tautology on exact coefficients;
-    it guards the plumbing, not the mathematics."""
-    if ehr.dimension < 1:
-        raise ValueError("needs degree >= 1")
-    monic = ehr.poly.monic()
-    return ehr.coefficient(ehr.dimension - 1) / ehr.volume == monic.coefficient(
-        ehr.dimension - 1
-    )
-
-
-def conjugation_closed(
-    rs: RootSet, tol: float = DEFAULT_CONJUGATION_TOL
-) -> bool:
-    """Every root with nonzero imaginary part has a matching conjugate."""
-    pending = [z for z in rs.roots if abs(z.imag) > tol]
-    for z in list(pending):
-        if z.imag <= 0:
-            continue
-        match = next(
-            (w for w in pending if abs(w - z.conjugate()) <= 10 * tol * max(1, abs(z))),
-            None,
-        )
-        if match is None:
-            return False
-    return True
-
-
-def nonreal_pair_count(rs: RootSet, tol: float = DEFAULT_CONJUGATION_TOL) -> int:
-    """Number of conjugate pairs with nonzero imaginary part."""
-    return sum(1 for z in rs.roots if z.imag > tol)

@@ -9,7 +9,6 @@ from ehrhartlab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     SpecError,
-    ehrhart_from_json,
     ehrhart_to_json,
     main,
     parse_polytope_spec,
@@ -93,7 +92,6 @@ def test_ehrhart_json_round_trip():
     e = ehrhart_of(qn_family(3), dilation_counter(qn_family(3)))
     encoded = ehrhart_to_json(e)
     assert encoded["coefficients"] == ["1", "10/3", "4", "8/3"]
-    assert ehrhart_from_json(encoded).coefficients == e.coefficients
 
 
 def test_cli_ehrhart_hybrid7(capsys):
@@ -262,10 +260,9 @@ def test_cli_box_budget_guard(capsys):
     assert code == EXIT_USAGE
 
 
-def test_cli_output_is_deterministic(capsys, monkeypatch):
+def test_cli_output_is_deterministic(capsys):
     runs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("EHRHART_THREADS", threads)
+    for _ in range(2):
         code, out = run_cli(
             capsys,
             "count",
@@ -314,3 +311,113 @@ def test_cli_verify_all_passes(capsys):
     assert payload["overall"] is True
     assert [row["number"] for row in payload["rows"]] == list(range(1, 12))
     assert all(row["status"] == "PASS" for row in payload["rows"])
+
+
+@pytest.mark.parametrize("cmd", ["roots", "bounds"])
+@pytest.mark.parametrize("a", ["0", "-1", "1/0"])
+def test_cli_rejects_nonpositive_or_undefined_a(capsys, cmd, a):
+    code = main([cmd, "--family", "cube:2", "-a", a])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "argument -a" in err and "Traceback" not in err
+
+
+SQUARE_HALFSPACES = [
+    {"normal": [1, 0], "rhs": 1},
+    {"normal": [-1, 0], "rhs": 1},
+    {"normal": [0, 1], "rhs": 1},
+    {"normal": [0, -1], "rhs": 1},
+]
+
+
+@pytest.mark.parametrize(
+    "document,field",
+    [
+        (
+            {
+                "dimension": True,
+                "vertices": [[-1], [1]],
+                "halfspaces": [{"normal": [1], "rhs": 1}, {"normal": [-1], "rhs": 1}],
+            },
+            "$.dimension",
+        ),
+        (
+            {
+                "dimension": 2,
+                "vertices": [[-1, -1], [-1, 1], [1, -1], [True, True]],
+                "halfspaces": SQUARE_HALFSPACES,
+            },
+            "$.vertices[3]",
+        ),
+        (
+            {
+                "dimension": 2,
+                "vertices": [[-1, -1], [-1, 1], [1, -1], [1, 1]],
+                "halfspaces": [{"normal": [True, 0], "rhs": 1}] + SQUARE_HALFSPACES[1:],
+            },
+            "$.halfspaces[0].normal",
+        ),
+        (
+            {
+                "dimension": 2,
+                "vertices": [[-1, -1], [-1, 1], [1, -1], [1, 1]],
+                "halfspaces": [{"normal": [1, 0], "rhs": True}] + SQUARE_HALFSPACES[1:],
+            },
+            "$.halfspaces[0].rhs",
+        ),
+        ({"family": {"tag": "cube", "params": {"n": True}}}, "$.family.params.n"),
+        (
+            {"family": {"tag": "cube", "params": {"n": 1, "scale": True}}},
+            "$.family.params.scale",
+        ),
+        (
+            {"dimension": True, "family": {"tag": "cube", "params": {"n": 1}}},
+            "$.dimension",
+        ),
+    ],
+)
+def test_cli_json_booleans_are_not_integers(tmp_path, capsys, document, field):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(document))
+    code = main(["ehrhart", "--json", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {field}") and len(err.splitlines()) == 1
+
+
+def test_cli_deep_spec_nesting_exits_2(capsys):
+    spec = "dilate(" * 1200 + "cube:1" + ",1)" * 1200
+    code = main(["ehrhart", "--family", spec])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: spec error") and len(err.splitlines()) == 1
+
+
+def test_cli_deep_json_nesting_exits_2(tmp_path, capsys):
+    leaf = '{"family": {"tag": "cube", "params": {"n": 1}}}'
+    head = '{"family": {"tag": "product", "params": {"factors": [' + leaf + ", "
+    path = tmp_path / "deep.json"
+    path.write_text(head * 3000 + leaf + "]}}}" * 3000)
+    code = main(["ehrhart", "--json", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "nested too deeply" in err and len(err.splitlines()) == 1
+
+
+def test_cli_vertex_only_polygon_json(tmp_path, capsys):
+    triangle = hull2d([(-1, -1), (-1, 2), (2, -1)])
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps(polytope_to_json(triangle)))
+    bare = tmp_path / "bare.json"
+    bare.write_text(
+        json.dumps({"dimension": 2, "vertices": [[2, -1], [-1, 2], [-1, -1], [0, 0]]})
+    )
+    for cmd in ("ehrhart", "count", "roots", "wills", "bounds", "reflexive"):
+        expected = run_cli(capsys, cmd, "--json", str(full), "--format", "json")
+        assert run_cli(capsys, cmd, "--json", str(bare), "--format", "json") == expected
+    # A family without half-spaces keeps its tag and closed-form counter.
+    pn2 = tmp_path / "pn2.json"
+    pn2.write_text(json.dumps({"family": {"tag": "pn", "params": {"n": 2}}}))
+    code, out = run_cli(capsys, "ehrhart", "--json", str(pn2), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["polytope"]["family"]["tag"] == "pn"

@@ -1,0 +1,229 @@
+"""Property tests of the CLI boundary, in process through ``main(argv)``.
+
+Random family specs, JSON documents and flag values.  Every run must end
+with exit 0, 1 or 2 and no traceback; a run that argparse accepted and the
+program then refused prints exactly one line on stderr (argparse's own
+usage block is not held to that); and a JSON document with a non-integer
+(a boolean included) in an integer field that the loader reads exits 2.
+
+Sizes stay small: family parameters up to 6, dilation factors up to 2
+and at most two of them, ``-k`` up to 50, and every run passes
+``--max-box-points`` of at most 10^4.  Output goes through
+``contextlib.redirect_stdout``/``redirect_stderr`` because Hypothesis
+rejects the function-scoped ``capsys``.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ehrhartlab.cli import EXIT_USAGE, build_parser, main
+
+FLAGS = {
+    "-k": st.one_of(st.integers(-2, 50).map(str), st.sampled_from(["x", "1.5"])),
+    "-a": st.sampled_from(["0", "-1", "1/0", "0/3", "x", "2", "4", "3/2", "1/3"]),
+    "--tol": st.sampled_from(["1e-7", "1e-3", "0", "-1", "nan", "inf", "x"]),
+    "--method": st.sampled_from(["auto", "box", "grid"]),
+}
+SUBCOMMAND_FLAGS = {
+    "count": ("-k", "--method"),
+    "ehrhart": (),
+    "roots": ("-a", "--tol"),
+    "wills": (),
+    "bounds": ("-a", "--tol"),
+    "reflexive": ("--tol",),
+}
+
+
+@st.composite
+def command(draw):
+    """Subcommand plus flags (without the polytope source)."""
+    sub = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    argv = [sub, "--max-box-points", str(draw(st.integers(-1, 10**4)))]
+    argv += ["--format", draw(st.sampled_from(["plain", "json", "csv", "xml"]))]
+    for flag in SUBCOMMAND_FLAGS[sub]:
+        if draw(st.booleans()):
+            argv += [flag, draw(FLAGS[flag])]
+    return argv
+
+
+# --- family specs ---------------------------------------------------------
+
+leaf_spec = st.builds(
+    "{}:{}".format, st.sampled_from(["cube", "cross", "pn", "qn"]), st.integers(0, 6)
+)
+
+
+def maybe_dilated(inner):
+    return st.one_of(
+        inner, st.builds("dilate({},{})".format, inner, st.integers(0, 2))
+    )
+
+
+factor_spec = maybe_dilated(leaf_spec)
+well_formed_spec = maybe_dilated(
+    st.one_of(factor_spec, st.builds("product({},{})".format, factor_spec, factor_spec))
+)
+# Grammar pieces in random order; the spaces keep two numbers from fusing
+# into one large family parameter.
+token = st.one_of(
+    st.sampled_from(
+        ["cube", "cross", "pn", "qn", "product", "dilate", "moebius", "é",
+         "(", ")", ",", ":", "-", ""]
+    ),
+    st.integers(0, 6).map(str),
+)
+garbage_spec = st.lists(token, max_size=8).map(" ".join)
+deep_spec = st.sampled_from([2, 5000]).map(
+    lambda d: "dilate(" * d + "cube:1" + ",1)" * d
+)
+spec = st.one_of(well_formed_spec, garbage_spec, deep_spec)
+
+
+# --- JSON documents -------------------------------------------------------
+# Strategies below return (document, bad), where bad says that a
+# non-integer sits in an integer field the loader reads.
+
+NOT_INT = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.integers(0, 1), max_size=1),
+)
+
+
+def int_field(low, high):
+    return st.one_of(
+        st.integers(low, high).map(lambda v: (v, False)),
+        NOT_INT.map(lambda v: (v, True)),
+    )
+
+
+@st.composite
+def generic_doc(draw):
+    dimension, bad = draw(int_field(0, 3))
+    size = dimension if isinstance(dimension, int) and 1 <= dimension <= 3 else 2
+    doc = {"dimension": dimension, "vertices": []}
+    for _ in range(draw(st.integers(0, 4))):
+        vertex = []
+        for _ in range(size):
+            c, b = draw(int_field(-2, 2))
+            vertex.append(c)
+            bad |= b
+        doc["vertices"].append(vertex)
+    if draw(st.booleans()):
+        doc["halfspaces"] = []
+        for _ in range(draw(st.integers(0, 3))):
+            normal = []
+            for _ in range(size):
+                c, b = draw(int_field(-1, 1))
+                normal.append(c)
+                bad |= b
+            rhs, b = draw(int_field(-1, 2))
+            bad |= b
+            doc["halfspaces"].append({"normal": normal, "rhs": rhs})
+    if draw(st.booleans()):
+        doc["family"] = {"tag": "generic"}
+    return doc, bad
+
+
+@st.composite
+def family_doc(draw, nested=True):
+    tags = ["cube", "crosspolytope", "pn", "qn", "bipyramid", "moebius"]
+    tag = draw(st.sampled_from(tags + ["product"] if nested else tags))
+    params = {}
+    bad = False
+    if tag == "product":
+        params["factors"] = []
+        for _ in range(draw(st.sampled_from([2, 2, 1]))):
+            factor, b = draw(st.one_of(family_doc(nested=False), generic_doc()))
+            params["factors"].append(factor)
+            bad |= b
+    else:
+        params["n"], bad = draw(int_field(0, 6))
+    if draw(st.booleans()):
+        scale, b = draw(int_field(0, 2))
+        params["scale"] = scale
+        bad |= b
+    doc = {"family": {"tag": tag, "params": params}}
+    if draw(st.booleans()):
+        doc["dimension"], b = draw(int_field(0, 12))
+        bad |= b
+    return doc, bad
+
+
+json_tree = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(
+            ["dimension", "vertices", "halfspaces", "family", "tag", "params",
+             "n", "scale", "factors", "normal", "rhs"]
+        ),
+        children,
+        max_size=4,
+    ),
+    max_leaves=10,
+)
+
+
+def deep_product_json(depth):
+    """``depth`` nested product families, built as text: json.dumps would
+    itself recurse too deeply."""
+    leaf = '{"family": {"tag": "cube", "params": {"n": 1}}}'
+    head = '{"family": {"tag": "product", "params": {"factors": [' + leaf + ", "
+    return head * depth + leaf + "]}}}" * depth
+
+
+json_text = st.one_of(
+    st.one_of(generic_doc(), family_doc()).map(lambda d: (json.dumps(d[0]), d[1])),
+    json_tree.map(lambda tree: (json.dumps(tree), False)),
+    st.sampled_from([1, 3000]).map(lambda d: (deep_product_json(d), False)),
+)
+
+
+# --- the properties -------------------------------------------------------
+
+
+def argparse_accepts(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            return False
+    return True
+
+
+def check_boundary(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+    if code == EXIT_USAGE and argparse_accepts(argv):
+        assert len(err.splitlines()) == 1, (argv, err)
+    return code
+
+
+@given(command(), spec)
+@settings(max_examples=150, deadline=None)
+def test_family_specs_end_cleanly(argv, text):
+    check_boundary(argv + ["--family", text])
+
+
+@given(command(), json_text)
+@settings(max_examples=200, deadline=None)
+def test_json_documents_end_cleanly(tmp_path_factory, argv, document):
+    text, bad = document
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text)
+    code = check_boundary(argv + ["--json", str(path)])
+    if bad:
+        assert code == EXIT_USAGE, text

@@ -10,7 +10,6 @@ from ehrhartlab.counting import (
     count_box_scan,
     count_minkowski_dp,
     count_pn_sliced,
-    count_product,
     count_qn_closed,
     dilation_counter,
     oracle_for,
@@ -66,13 +65,6 @@ def test_box_scan_examples():
     assert count_box_scan(oracle_for(cube(2))) == 9
     assert count_box_scan(oracle_for(crosspolytope(3))) == 7
     assert count_box_scan(oracle_for(dilate(qn_family(3), 2))) == 45
-
-
-def test_box_scan_chunking_is_deterministic():
-    oracle = oracle_for(dilate(pn_family(3), 2))
-    baseline = count_box_scan(oracle)
-    for chunks in (2, 3, 4, 7, 100):
-        assert count_box_scan(oracle, chunks=chunks) == baseline
 
 
 def test_box_scan_budget_guard():
@@ -205,14 +197,6 @@ def test_oracle_midpoint_convexity():
             if all((a + b) % 2 == 0 for a, b in zip(x, y)):
                 mid = tuple((a + b) // 2 for a, b in zip(x, y))
                 assert oracle.contains(mid)
-
-
-def test_count_product_examples():
-    count_segment = dilation_counter(cube(1))
-    assert count_product(count_segment, count_segment, 1) == 9
-    hybrid = dilation_counter(pn_family(7))
-    assert count_product(hybrid, count_segment, 1) == count_pn_sliced(7, 1) * 3
-    assert count_product(hybrid, lambda k: 1, 4) == hybrid(4)
 
 
 def test_product_counter_equals_box_scan():

@@ -33,14 +33,14 @@ def test_cube_segment():
 
 def test_cube_square():
     c2 = cube(2)
-    assert c2.vertex_count == 4
+    assert len(c2.vertices) == 4
     assert len(c2.halfspaces) == 4
     assert all(h.rhs == 1 for h in c2.halfspaces)
 
 
 def test_cube_seven():
     c7 = cube(7)
-    assert c7.vertex_count == 128
+    assert len(c7.vertices) == 128
 
 
 def test_crosspolytope_matches_cube_in_dim_one():
@@ -60,7 +60,7 @@ def test_crosspolytope_diamond():
 
 def test_crosspolytope_octahedron():
     x3 = crosspolytope(3)
-    assert x3.vertex_count == 6
+    assert len(x3.vertices) == 6
     assert len(x3.halfspaces) == 8
 
 
@@ -77,13 +77,13 @@ def test_family_constructors_reject_degenerate_dimensions():
 
 def test_hybrid_generator_counts():
     p7 = pn_family(7)
-    assert p7.vertex_count == 64 + 2 * 12
+    assert len(p7.vertices) == 64 + 2 * 12
     assert p7.halfspaces is None
 
 
 def test_bipyramid_generators_and_facets():
     q3 = qn_family(3)
-    assert q3.vertex_count == 4 + 2
+    assert len(q3.vertices) == 4 + 2
     assert len(q3.halfspaces) == 8
     assert all(h.rhs == 1 for h in q3.halfspaces)
 
@@ -107,7 +107,7 @@ def test_product_without_halfspaces():
     pr = product(pn_family(3), cube(2))
     assert pr.dimension == 5
     assert pr.halfspaces is None
-    assert pr.vertex_count == pn_family(3).vertex_count * 4
+    assert len(pr.vertices) == len(pn_family(3).vertices) * 4
 
 
 def test_dilate_scales_vertices_and_rhs():
