@@ -45,11 +45,9 @@ from .polytopes import (
     product,
     qn_family,
 )
-from .reflexivity import (
-    reflexivity_equivalence,
-    root_line_reflexivity_consequence,
-)
+from .reflexivity import reflexivity_equivalence, root_line_reflexivity_consequence
 from .roots import (
+    DEFAULT_REAL_PART_TOL,
     braun_disc_check,
     coefficient_ratio_bound,
     common_real_part,
@@ -73,7 +71,7 @@ class CommandRequest:
     json_path: str | None = None
     k: int = 1
     a: Fraction = Fraction(2)
-    tol: float = 1e-7
+    tol: float | Fraction = DEFAULT_REAL_PART_TOL
     fmt: str = "plain"
     max_box_points: int = 10**8
     method: str = "auto"
@@ -251,42 +249,49 @@ def polytope_from_json(obj: Any, path: str = "$") -> LatticePolytope:
         )
     for i, v in enumerate(vertices):
         if not _is_int_vector(v, dimension):
-            raise ValueError(
-                f"{path}.vertices[{i}]: expected {dimension} integers"
-            )
-    halfspaces = None
-    raw_hs = obj.get("halfspaces")
-    if raw_hs is not None:
-        if not isinstance(raw_hs, list):
-            raise ValueError(f"{path}.halfspaces: expected a list")
-        halfspaces = []
-        for i, h in enumerate(raw_hs):
-            hp = f"{path}.halfspaces[{i}]"
-            if not isinstance(h, dict):
-                raise ValueError(f"{hp}: expected an object")
-            normal = h.get("normal")
-            rhs = h.get("rhs")
-            if not _is_int_vector(normal, dimension):
-                raise ValueError(f"{hp}.normal: expected {dimension} integers")
-            if not _is_int(rhs):
-                raise ValueError(f"{hp}.rhs: expected an integer")
-            try:
-                halfspaces.append(Halfspace(tuple(normal), rhs))
-            except ValueError as exc:
-                raise ValueError(f"{hp}: {exc}") from exc
-        halfspaces = tuple(halfspaces)
+            raise ValueError(f"{path}.vertices[{i}]: expected {dimension} integers")
+    halfspaces = _halfspaces_from_json(obj.get("halfspaces"), dimension, path)
     fam = Family(FamilyTag.GENERIC) if family is not None else None
     try:
-        return LatticePolytope(
-            dimension, tuple(tuple(v) for v in vertices), halfspaces, fam
-        )
+        p = LatticePolytope(dimension, tuple(map(tuple, vertices)), halfspaces, fam)
+        hull = hull2d(p.vertices) if dimension == 2 else None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    # A polygon's half-spaces are its hull's edges (others may cut out a
+    # polygon with rational vertices); the hull supplies them if missing.
+    if hull is None or halfspaces is None:
+        return hull or p
+    if set(halfspaces) != set(hull.halfspaces):
+        raise ValueError(f"{path}.halfspaces: inconsistent with the vertices' hull")
+    return p
 
 
-def _polytope_from_family_json(
-    family: Any, path: str
-) -> LatticePolytope | None:
+def _halfspaces_from_json(
+    raw: Any, dimension: int, path: str
+) -> tuple[Halfspace, ...] | None:
+    if raw is None:
+        return None
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}.halfspaces: expected a list")
+    halfspaces = []
+    for i, h in enumerate(raw):
+        hp = f"{path}.halfspaces[{i}]"
+        if not isinstance(h, dict):
+            raise ValueError(f"{hp}: expected an object")
+        normal = h.get("normal")
+        rhs = h.get("rhs")
+        if not _is_int_vector(normal, dimension):
+            raise ValueError(f"{hp}.normal: expected {dimension} integers")
+        if not _is_int(rhs):
+            raise ValueError(f"{hp}.rhs: expected an integer")
+        try:
+            halfspaces.append(Halfspace(tuple(normal), rhs))
+        except ValueError as exc:
+            raise ValueError(f"{hp}: {exc}") from exc
+    return tuple(halfspaces)
+
+
+def _polytope_from_family_json(family: Any, path: str) -> LatticePolytope | None:
     if not isinstance(family, dict) or not isinstance(family.get("tag"), str):
         raise ValueError(f"{path}: expected an object with a string 'tag'")
     tag = family["tag"]
@@ -338,6 +343,11 @@ def _check_consistent(obj: dict, rebuilt: LatticePolytope, path: str) -> None:
             raise ValueError(
                 f"{path}.vertices: inconsistent with the family construction"
             )
+    halfspaces = _halfspaces_from_json(obj.get("halfspaces"), dimension, path)
+    if halfspaces is not None and set(halfspaces) != set(rebuilt.halfspaces or ()):
+        raise ValueError(
+            f"{path}.halfspaces: inconsistent with the family construction"
+        )
 
 
 def ehrhart_to_json(ehr: EhrhartPolynomial) -> dict[str, Any]:
@@ -421,34 +431,33 @@ def _load_polytope(req: CommandRequest) -> LatticePolytope:
             raise ValueError(f"malformed JSON in {req.json_path}: {exc}") from exc
         except RecursionError:
             raise ValueError(f"JSON in {req.json_path} is nested too deeply") from None
-    p = polytope_from_json(data)
-    if p.family is None or p.family.tag is FamilyTag.GENERIC:
-        return _polygonize(p)
-    return p
-
-
-def _polygonize(p: LatticePolytope) -> LatticePolytope:
-    """Polygons without half-spaces get them from the 2D hull."""
-    if p.halfspaces is None and p.dimension == 2:
-        return hull2d(p.vertices)
-    return p
-
-
-def _counter(req: CommandRequest, p: LatticePolytope):
-    if req.method == "box":
-        return scan_counter(p, req.max_box_points)
-    return dilation_counter(p, max_box_points=req.max_box_points)
+    return polytope_from_json(data)
 
 
 def _ehrhart_for(req: CommandRequest, p: LatticePolytope) -> EhrhartPolynomial:
-    return ehrhart_of(p, _counter(req, p))
+    return ehrhart_of(p, dilation_counter(p, max_box_points=req.max_box_points))
+
+
+def _is_lattice(p: LatticePolytope) -> bool:
+    """Known to have integral vertices: families, polygons (the loader checks
+    their half-spaces) and intervals (normals +-1).  Half-spaces given in
+    dimension >= 3 may cut out a rational polytope: its counts are no polynomial."""
+    fam = p.family
+    if fam is not None and fam.tag is FamilyTag.PRODUCT:
+        return all(map(_is_lattice, fam.factors))
+    return p.dimension <= 2 or fam is not None and fam.tag is not FamilyTag.GENERIC
 
 
 def _cmd_count(req: CommandRequest) -> tuple[dict, int]:
     p = _load_polytope(req)
     if req.k < 0:
         raise SpecError("dilation must be nonnegative")
-    value = _counter(req, p)(req.k)
+    if req.method == "box":  # the oracle scans at k itself
+        value = scan_counter(p, req.max_box_points)(req.k)
+    elif req.k <= p.dimension or not _is_lattice(p):
+        value = dilation_counter(p, max_box_points=req.max_box_points)(req.k)
+    else:  # L_P is integer-valued, and its values at k = 0..n fix it
+        value = int(_ehrhart_for(req, p)(req.k))
     report = {
         "polytope": polytope_to_json(p),
         "k": req.k,
@@ -552,7 +561,7 @@ def _cmd_bounds(req: CommandRequest) -> tuple[dict, int]:
 
 
 def _cmd_reflexive(req: CommandRequest) -> tuple[dict, int]:
-    p = _polygonize(_load_polytope(req))
+    p = _load_polytope(req)
     if p.halfspaces is None:
         raise SpecError(
             "reflexivity needs a half-space representation (2D hulls are "
@@ -620,12 +629,15 @@ def run(req: CommandRequest, out=None) -> int:
     return status
 
 
-def _positive_fraction(text: str) -> Fraction:
-    """argparse type for ``-a``: a rational number a > 0."""
+def _positive_number(text: str) -> Fraction:
+    """argparse type for ``-a`` and ``--tol``: a finite number > 0, read
+    exactly (``3/2``, ``1e-7``); ``nan`` and ``inf`` are refused."""
+    if len(text.lower().partition("e")[2].lstrip("+-")) > 3:  # Fraction builds 10**e
+        raise argparse.ArgumentTypeError(f"exponent out of range: {text!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return value
@@ -668,21 +680,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("roots", help="roots and real-part diagnostics")
     add_common(sp)
-    sp.add_argument("-a", type=_positive_fraction,
+    sp.add_argument("-a", type=_positive_number,
                     help="test the root line Re = -1/a (default 2)")
-    sp.add_argument("--tol", type=float)
+    sp.add_argument("--tol", type=_positive_number)
 
     sp = sub.add_parser("wills", help="coefficient bound verdicts")
     add_common(sp)
 
     sp = sub.add_parser("bounds", help="inequality suite for a given a")
     add_common(sp)
-    sp.add_argument("-a", type=_positive_fraction)
-    sp.add_argument("--tol", type=float)
+    sp.add_argument("-a", type=_positive_number)
+    sp.add_argument("--tol", type=_positive_number)
 
     sp = sub.add_parser("reflexive", help="l-reflexivity report")
     add_common(sp)
-    sp.add_argument("--tol", type=float)
+    sp.add_argument("--tol", type=_positive_number)
 
     sp = sub.add_parser("verify-all", help="run the verification table")
     add_common(sp, polytope_source=False)

@@ -6,7 +6,8 @@ Three layers, from slow-and-universal to fast-and-specialized:
   predicate.  Ground truth for everything else; kept to desk scale.
 * :func:`count_minkowski_dp` - dynamic programming for the Minkowski sums
   a*C_m + b*C_m* that arise as slices of the cube-crosspolytope hybrid.
-  Cost O(m * b^2), which makes the degree-7 interpolation instantaneous.
+  Cost O(m * b) per call, so the hybrid's slice sum at dilation k costs
+  O(m * k^2), which makes the degree-7 interpolation instantaneous.
 * closed forms - :func:`count_qn_closed` for the bipyramid family.
 
 All counts are exact Python ints; (2k+1)^(n-1) at n = 13 already exceeds

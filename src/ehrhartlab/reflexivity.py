@@ -49,7 +49,7 @@ from .polytopes import (
     polar_scaled,
     vertex_content,
 )
-from .roots import RootSet, common_real_part
+from .roots import DEFAULT_REAL_PART_TOL, RootSet, common_real_part
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def root_line_reflexivity_consequence(
     p: LatticePolytope,
     ehr: EhrhartPolynomial,
     rs: RootSet,
-    tol: float = 1e-7,
+    tol: float = DEFAULT_REAL_PART_TOL,
 ) -> bool:
     """If all roots have real part -1/(2l) with l = index(p), assert the
     coefficient identity c_{n-1} = (n/2l) vol.

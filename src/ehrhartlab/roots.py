@@ -30,6 +30,7 @@ from .ehrhart import EhrhartPolynomial
 from .exact import Polynomial, binomial, squarefree_decomposition
 
 DEFAULT_REAL_PART_TOL = 1e-7
+_DISC_ROUNDOFF = 1e-9  # slack on Braun's disc radius
 
 
 @dataclass(frozen=True)
@@ -178,11 +179,11 @@ def parity_necessary_check(ehr: EhrhartPolynomial, a: Fraction | int) -> bool:
     )
 
 
-def braun_disc_check(rs: RootSet, n: int, tol: float = 1e-9) -> bool:
-    """True iff every root lies in the disc |z + 1/2| <= n(n - 1/2) + tol,
-    the region that must contain all Ehrhart roots in dimension n.  A
-    failure signals a counting or interpolation bug, not new mathematics."""
-    radius = n * (n - 0.5) + tol
+def braun_disc_check(rs: RootSet, n: int) -> bool:
+    """True iff every root lies in the disc |z + 1/2| <= n(n - 1/2), up to
+    round-off: every Ehrhart root in dimension n lies there, so a failure
+    signals a counting or interpolation bug, not new mathematics."""
+    radius = n * (n - 0.5) + _DISC_ROUNDOFF
     return all(abs(z + 0.5) <= radius for z in rs.roots)
 
 

@@ -191,7 +191,7 @@ def check_inequality_suite() -> tuple[bool, str]:
             ehr_poly = ehrhart_of(body, dilation_counter(body))
             ok &= parity_necessary_check(ehr_poly, 2)
             rs = find_roots(ehr_poly.poly)
-            ok &= common_real_part(rs, Fraction(1, 2), tol=1e-7)
+            ok &= common_real_part(rs, Fraction(1, 2))
             for s in range(n + 1):
                 for t in range(s + 1, n + 1):
                     verdict = coefficient_ratio_bound(ehr_poly, 2, s, t)

@@ -1,9 +1,12 @@
 """CLI: grammar, JSON schemas, subcommands, exit codes, determinism."""
 
 import json
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from ehrhartlab import cli
 from ehrhartlab.cli import (
     EXIT_FINDING,
     EXIT_OK,
@@ -86,6 +89,26 @@ def test_polytope_json_family_vertex_consistency_checked():
     bad["vertices"] = [[0, 0]]
     with pytest.raises(ValueError, match="inconsistent"):
         polytope_from_json(bad)
+    # Half-spaces next to a family tag are checked as a set as well.
+    square = {"family": {"tag": "cube", "params": {"n": 2}}}
+    for halfspaces, message in (
+        ([{"normal": [7, 7], "rhs": -3}], r"\$\.halfspaces\[0\]: .*not primitive"),
+        ([{"normal": [1, 1], "rhs": 2}], r"\$\.halfspaces: inconsistent"),
+        (SQUARE_HALFSPACES[:3], r"\$\.halfspaces: inconsistent"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            polytope_from_json({**square, "halfspaces": halfspaces})
+    assert polytope_from_json(
+        {**square, "halfspaces": SQUARE_HALFSPACES[::-1]}
+    ) == cube(2)
+    # pn has no half-spaces, so any given one is inconsistent.
+    with pytest.raises(ValueError, match=r"\$\.halfspaces: inconsistent"):
+        polytope_from_json(
+            {
+                "family": {"tag": "pn", "params": {"n": 2}},
+                "halfspaces": [{"normal": [1, 0], "rhs": 1}],
+            }
+        )
 
 
 def test_ehrhart_json_round_trip():
@@ -121,24 +144,184 @@ def test_cli_count(capsys):
 
 
 def test_cli_count_box_method_agrees(capsys):
-    code, fast = run_cli(
-        capsys, "count", "--family", "pn:3", "-k", "2", "--format", "json"
+    # k = 2 is an interpolation node of pn:3; k = 5 is read off L(k).
+    for k in ("2", "5"):
+        code, fast = run_cli(
+            capsys, "count", "--family", "pn:3", "-k", k, "--format", "json"
+        )
+        assert code == EXIT_OK
+        code, slow = run_cli(
+            capsys,
+            "count",
+            "--family",
+            "pn:3",
+            "-k",
+            k,
+            "--method",
+            "box",
+            "--format",
+            "json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(fast)["count"] == json.loads(slow)["count"]
+
+
+PENTAGON = [(-1, -1), (1, -1), (2, 0), (0, 2), (-1, 1)]
+
+
+def pick_count(vertices, k):
+    """Pick's theorem: L(k) = A k^2 + (B/2) k + 1 for a lattice polygon."""
+    edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+    area = Fraction(abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges)), 2)
+    boundary = sum(gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in edges)
+    return area * k * k + Fraction(boundary, 2) * k + 1
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "cube:3",
+        "cross:3",
+        "pn:4",
+        "qn:3",
+        "product(pn:3,cube:2)",
+        "dilate(qn:3,2)",
+        "pentagon.json",
+    ],
+)
+def test_cli_count_runs_counters_only_at_nodes(monkeypatch, tmp_path, capsys, source):
+    if source.endswith(".json"):
+        (tmp_path / source).write_text(
+            json.dumps({"dimension": 2, "vertices": [list(v) for v in PENTAGON]})
+        )
+        argv = ["--json", str(tmp_path / source)]
+        poly = hull2d(PENTAGON)
+    else:
+        argv = ["--family", source]
+        poly = parse_polytope_spec(source)
+    n = poly.dimension
+    seen = []
+
+    def recording_counter(*args, **kwargs):
+        counter = dilation_counter(*args, **kwargs)
+
+        def record(k):
+            seen.append(k)
+            return counter(k)
+
+        return record
+
+    monkeypatch.setattr(cli, "dilation_counter", recording_counter)
+    for k in (0, n, n + 1, 23):
+        code, out = run_cli(capsys, "count", *argv, "-k", str(k), "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["count"] == dilation_counter(poly)(k)
+    assert seen and max(seen) <= n
+
+
+def test_cli_count_beyond_nodes_needs_only_the_node_boxes(tmp_path, capsys):
+    # The 77-fold box has 309^2 points; the node boxes up to k = 2 have 81.
+    path = tmp_path / "pentagon.json"
+    path.write_text(
+        json.dumps({"dimension": 2, "vertices": [list(v) for v in PENTAGON]})
+    )
+    code, out = run_cli(
+        capsys, "count", "--json", str(path), "-k", "77",
+        "--max-box-points", "1000", "--format", "json",
     )
     assert code == EXIT_OK
-    code, slow = run_cli(
-        capsys,
-        "count",
-        "--family",
-        "pn:3",
-        "-k",
-        "2",
-        "--method",
-        "box",
-        "--format",
-        "json",
+    assert json.loads(out)["count"] == pick_count(PENTAGON, 77) == 35883
+    code, _ = run_cli(
+        capsys, "count", "--json", str(path), "-k", "77",
+        "--max-box-points", "1000", "--method", "box",
     )
-    assert code == EXIT_OK
-    assert json.loads(fast)["count"] == json.loads(slow)["count"]
+    assert code == EXIT_USAGE
+
+
+def test_cli_count_beyond_nodes_refuses_what_ehrhart_refuses(tmp_path, capsys):
+    # Under a budget of 50 points the pentagon's node box at k = 1 (5^2)
+    # fits and the one at k = 2 (9^2) does not, so count at k = 5 refuses
+    # with ehrhart's message; the k = 5 box itself would be 21^2.
+    path = tmp_path / "pentagon.json"
+    path.write_text(
+        json.dumps({"dimension": 2, "vertices": [list(v) for v in PENTAGON]})
+    )
+    budget = ["--json", str(path), "--max-box-points", "50"]
+    assert main(["count", "-k", "1", *budget]) == EXIT_OK
+    capsys.readouterr()
+    errors = []
+    for argv in (["count", "-k", "5"], ["ehrhart"]):
+        assert main(argv + budget) == EXIT_USAGE
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: box scan of 9^2 points exceeds the budget")
+    assert len(errors[0].splitlines()) == 1
+
+
+def halfspaces_json(*pairs):
+    return [{"normal": list(normal), "rhs": rhs} for normal, rhs in pairs]
+
+
+def test_polygon_json_halfspaces_are_the_hull_edges(tmp_path, capsys):
+    """Half-spaces given with a polygon must be the edges of its hull: other
+    ones may cut out a polygon with rational vertices, whose counts are no
+    polynomial, so L(k) read off the nodes k = 0, 1, 2 would be wrong."""
+    vertices = [[0, 0], [1, 0], [0, 1]]
+    # x + 2y <= 2 and 2x + y <= 2 meet at (2/3, 2/3): the counts at
+    # k = 0, 1, 2 are 1, 3, 6, so the quadratic says 10 at k = 3, but the
+    # dilate by 3 holds 11 points.
+    kite = halfspaces_json(((-1, 0), 0), ((0, -1), 0), ((1, 2), 2), ((2, 1), 2))
+    # Vertices that do not span the plane have no hull.  A point pinned to
+    # a line counts 1, 2, 4, 5 at k = 0..3; the quadratic says 7 at k = 3.
+    segment = halfspaces_json(((1, 0), 1), ((-1, 0), 1), ((0, 1), 0), ((0, -1), 0))
+    line = halfspaces_json(((2, -3), 6), ((-2, 3), -6))
+    path = tmp_path / "polygon.json"
+    for document, message in (
+        ({"vertices": vertices, "halfspaces": kite},
+         "error: $.halfspaces: inconsistent with the vertices' hull"),
+        ({"vertices": [[-1, 0], [0, 0], [1, 0]], "halfspaces": segment}, "collinear"),
+        ({"vertices": [[3, 0]], "halfspaces": line}, "three distinct points"),
+    ):
+        path.write_text(json.dumps({"dimension": 2, **document}))
+        for argv in (
+            ["count", "-k", "3"],
+            ["count", "-k", "3", "--method", "box"],
+            ["count", "-k", "1"],
+            ["ehrhart"],
+        ):
+            assert main(argv + ["--json", str(path)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert message in err and len(err.splitlines()) == 1
+    # The hull's own edges are accepted in any order, and kept as given.
+    edges = hull2d(vertices).halfspaces[::-1]
+    given = {"dimension": 2, "vertices": vertices,
+             "halfspaces": halfspaces_json(*((h.normal, h.rhs) for h in edges))}
+    assert polytope_from_json(given).halfspaces == edges
+
+
+def test_cli_count_scans_at_k_when_halfspaces_are_unchecked(tmp_path, capsys):
+    # In dimension 3 the loader cannot check half-spaces against the hull.
+    # These cut out the unit simplex plus the vertex (2/5, 2/5, 2/5): the
+    # dilate by 5 holds 57 points, the cubic through k = 0..3 says 56.
+    path = tmp_path / "simplex.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dimension": 3,
+                "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "halfspaces": halfspaces_json(
+                    ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0),
+                    ((1, 2, 2), 2), ((2, 1, 2), 2), ((2, 2, 1), 2),
+                ),
+            }
+        )
+    )
+    for method in ("auto", "box"):
+        code, out = run_cli(
+            capsys, "count", "--json", str(path), "-k", "5",
+            "--method", method, "--format", "json",
+        )
+        assert code == EXIT_OK and json.loads(out)["count"] == 57
 
 
 def test_cli_wills_violation_exit_code(capsys):
@@ -313,13 +496,17 @@ def test_cli_verify_all_passes(capsys):
     assert all(row["status"] == "PASS" for row in payload["rows"])
 
 
-@pytest.mark.parametrize("cmd", ["roots", "bounds"])
-@pytest.mark.parametrize("a", ["0", "-1", "1/0"])
+@pytest.mark.parametrize("cmd", ["roots", "bounds", "reflexive"])
+@pytest.mark.parametrize("a", ["0", "-1", "1/0", "nan", "inf", "1e10000000"])
 def test_cli_rejects_nonpositive_or_undefined_a(capsys, cmd, a):
-    code = main([cmd, "--family", "cube:2", "-a", a])
-    err = capsys.readouterr().err
-    assert code == EXIT_USAGE
-    assert "argument -a" in err and "Traceback" not in err
+    """``-a`` (roots, bounds) and ``--tol`` (all three) take finite numbers
+    > 0; an exponent of more than three digits is refused before ``Fraction``
+    spends seconds on 10**exponent."""
+    for flag in ("--tol",) if cmd == "reflexive" else ("-a", "--tol"):
+        code = main([cmd, "--family", "cube:2", flag, a])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"argument {flag}:" in err and "Traceback" not in err
 
 
 SQUARE_HALFSPACES = [

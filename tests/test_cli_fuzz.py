@@ -3,8 +3,12 @@
 Random family specs, JSON documents and flag values.  Every run must end
 with exit 0, 1 or 2 and no traceback; a run that argparse accepted and the
 program then refused prints exactly one line on stderr (argparse's own
-usage block is not held to that); and a JSON document with a non-integer
-(a boolean included) in an integer field that the loader reads exits 2.
+usage block is not held to that); a JSON document with a non-integer
+(a boolean included) in an integer field that the loader reads exits 2;
+and ``count`` gives the same answer with ``--method auto`` (which reads
+L(k) off the Ehrhart polynomial beyond the interpolation nodes) as with
+the ``--method box`` scan whenever both answer, on family specs and on
+polygons given with their hull's edges or with random half-spaces.
 
 Sizes stay small: family parameters up to 6, dilation factors up to 2
 and at most two of them, ``-k`` up to 50, and every run passes
@@ -16,11 +20,13 @@ rejects the function-scoped ``capsys``.
 import contextlib
 import io
 import json
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrhartlab.cli import EXIT_USAGE, build_parser, main
+from ehrhartlab.polytopes import hull2d
 
 FLAGS = {
     "-k": st.one_of(st.integers(-2, 50).map(str), st.sampled_from(["x", "1.5"])),
@@ -227,3 +233,68 @@ def test_json_documents_end_cleanly(tmp_path_factory, argv, document):
     code = check_boundary(argv + ["--json", str(path)])
     if bad:
         assert code == EXIT_USAGE, text
+
+
+small_leaf_spec = st.builds(
+    "{}:{}".format, st.sampled_from(["cube", "cross", "pn", "qn"]), st.integers(1, 4)
+)
+small_spec = st.one_of(
+    small_leaf_spec,
+    st.builds("dilate({},{})".format, small_leaf_spec, st.integers(1, 2)),
+    st.builds("product({},{})".format, small_leaf_spec, small_leaf_spec),
+)
+
+
+PRIMITIVE_NORMAL = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda v: math.gcd(*v) == 1
+)
+
+
+@st.composite
+def small_polygon_json(draw):
+    """Random vertices with no half-spaces, with their hull's edges in
+    random order, or with random supporting half-spaces (each holds at
+    every vertex and is tight at one) added or alone."""
+    points = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           min_size=1, max_size=6))
+    document = {"dimension": 2, "vertices": [list(p) for p in points]}
+    try:
+        edges = [(list(h.normal), h.rhs) for h in hull2d(points).halfspaces]
+    except ValueError:  # the points do not span the plane
+        edges = []
+    choice = draw(st.sampled_from(["none", "hull", "hull+random", "random"]))
+    if choice != "none":
+        edges = edges if choice.startswith("hull") else []
+        if "random" in choice:
+            for a, b in draw(st.lists(PRIMITIVE_NORMAL, min_size=1, max_size=4)):
+                edges.append(([a, b], max(a * x + b * y for x, y in points)))
+        document["halfspaces"] = [
+            {"normal": n, "rhs": r} for n, r in draw(st.permutations(edges))
+        ]
+    return json.dumps(document)
+
+
+count_source = st.one_of(
+    small_spec.map(lambda text: ("--family", text)),
+    small_polygon_json().map(lambda text: ("--json", text)),
+)
+
+
+@given(count_source, st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_count_auto_agrees_with_box_scan(tmp_path_factory, source, k):
+    flag, value = source
+    if flag == "--json":
+        path = tmp_path_factory.getbasetemp() / "polygon.json"
+        path.write_text(value)
+        value = str(path)
+    counts = []
+    for method in ("box", "auto"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["count", flag, value, "-k", str(k), "--method", method,
+                         "--max-box-points", "10000", "--format", "json"])
+        if code != 0:
+            return
+        counts.append(json.loads(out.getvalue())["count"])
+    assert counts[0] == counts[1], (source, k, counts)
