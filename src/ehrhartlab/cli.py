@@ -32,7 +32,6 @@ from typing import Any
 from .counting import dilation_counter, scan_counter
 from .ehrhart import EhrhartPolynomial, ehrhart_of
 from .polytopes import (
-    Family,
     FamilyTag,
     Halfspace,
     LatticePolytope,
@@ -41,6 +40,7 @@ from .polytopes import (
     cube,
     dilate,
     hull2d,
+    list_sizes,
     pn_family,
     product,
     qn_family,
@@ -62,6 +62,10 @@ from .verification import run_all
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
+
+# reflexive refuses a family whose vertex or half-space list is longer:
+# cross:15 (2^15 facets) takes about 2 s, cross:16 twice that.
+_MAX_LISTED = 2**15
 
 
 @dataclass(frozen=True)
@@ -174,37 +178,28 @@ def parse_polytope_spec(text: str) -> LatticePolytope:
 # JSON schemas
 
 
-def fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
 def polytope_to_json(p: LatticePolytope) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "dimension": p.dimension,
-        "vertices": [list(v) for v in p.vertices],
-    }
-    if p.halfspaces is not None:
-        out["halfspaces"] = [
-            {"normal": list(h.normal), "rhs": h.rhs} for h in p.halfspaces
-        ]
-    if p.family is not None:
-        out["family"] = _family_to_json(p.family)
-    return out
-
-
-def _family_to_json(fam: Family) -> dict[str, Any]:
-    params: dict[str, Any] = {}
+    """A family polytope is written as its recipe, any other as its lists."""
+    out: dict[str, Any] = {"dimension": p.dimension}
+    fam = p.family
+    if fam is None:
+        out["vertices"] = [list(v) for v in p.vertices]
+        if p.halfspaces is not None:
+            out["halfspaces"] = [
+                {"normal": list(h.normal), "rhs": h.rhs} for h in p.halfspaces
+            ]
+        return out
     if fam.tag is FamilyTag.PRODUCT:
-        params["scale"] = fam.scale
-        params["factors"] = [polytope_to_json(f) for f in fam.factors]
-    elif fam.tag is not FamilyTag.GENERIC:
-        params["n"] = fam.n
-        params["scale"] = fam.scale
-    return {"tag": fam.tag.value, "params": params}
+        factors = [polytope_to_json(f) for f in fam.factors]
+        params = {"scale": fam.scale, "factors": factors}
+    else:
+        params = {"n": p.dimension, "scale": fam.scale}
+    out["family"] = {"tag": fam.tag.value, "params": params}
+    return out
 
 
 def _is_int(value: Any) -> bool:
@@ -232,13 +227,11 @@ _FAMILY_CTORS = {
 def polytope_from_json(obj: Any, path: str = "$") -> LatticePolytope:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected an object")
-    family = obj.get("family")
-    rebuilt: LatticePolytope | None = None
-    if family is not None:
-        rebuilt = _polytope_from_family_json(family, f"{path}.family")
-    if rebuilt is not None:
-        _check_consistent(obj, rebuilt, path)
-        return rebuilt
+    if obj.get("family") is not None:
+        rebuilt = _polytope_from_family_json(obj["family"], f"{path}.family")
+        if rebuilt is not None:  # None: the tag "generic", which names no family
+            _check_consistent(obj, rebuilt, path)
+            return rebuilt
     dimension = obj.get("dimension")
     if not _is_int(dimension) or dimension < 1:
         raise ValueError(f"{path}.dimension: expected a positive integer")
@@ -251,9 +244,8 @@ def polytope_from_json(obj: Any, path: str = "$") -> LatticePolytope:
         if not _is_int_vector(v, dimension):
             raise ValueError(f"{path}.vertices[{i}]: expected {dimension} integers")
     halfspaces = _halfspaces_from_json(obj.get("halfspaces"), dimension, path)
-    fam = Family(FamilyTag.GENERIC) if family is not None else None
     try:
-        p = LatticePolytope(dimension, tuple(map(tuple, vertices)), halfspaces, fam)
+        p = LatticePolytope(dimension, tuple(map(tuple, vertices)), halfspaces)
         hull = hull2d(p.vertices) if dimension == 2 else None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -327,16 +319,19 @@ def _polytope_from_family_json(family: Any, path: str) -> LatticePolytope | None
 
 
 def _check_consistent(obj: dict, rebuilt: LatticePolytope, path: str) -> None:
+    """Lists given with a family tag must be its lists: lengths first, then sets."""
     dimension = obj.get("dimension", rebuilt.dimension)
     if not _is_int(dimension) or dimension != rebuilt.dimension:
         raise ValueError(
             f"{path}.dimension: {dimension!r} does not match the family "
             f"({rebuilt.dimension})"
         )
+    n_vertices, n_halfspaces = list_sizes(rebuilt)
     if "vertices" in obj:
         vertices = obj["vertices"]
         if (
             not isinstance(vertices, list)
+            or len(vertices) != n_vertices
             or not all(_is_int_vector(v, dimension) for v in vertices)
             or {tuple(v) for v in vertices} != set(rebuilt.vertices)
         ):
@@ -344,7 +339,10 @@ def _check_consistent(obj: dict, rebuilt: LatticePolytope, path: str) -> None:
                 f"{path}.vertices: inconsistent with the family construction"
             )
     halfspaces = _halfspaces_from_json(obj.get("halfspaces"), dimension, path)
-    if halfspaces is not None and set(halfspaces) != set(rebuilt.halfspaces or ()):
+    if halfspaces is not None and (
+        len(halfspaces) != (n_halfspaces or 0)
+        or set(halfspaces) != set(rebuilt.halfspaces or ())
+    ):
         raise ValueError(
             f"{path}.halfspaces: inconsistent with the family construction"
         )
@@ -353,7 +351,7 @@ def _check_consistent(obj: dict, rebuilt: LatticePolytope, path: str) -> None:
 def ehrhart_to_json(ehr: EhrhartPolynomial) -> dict[str, Any]:
     return {
         "dimension": ehr.dimension,
-        "coefficients": [fraction_str(c) for c in ehr.coefficients],
+        "coefficients": [str(c) for c in ehr.coefficients],
     }
 
 
@@ -373,19 +371,18 @@ def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
 
 
 def _polytope_summary(poly_json: dict[str, Any]) -> str:
-    fam = poly_json.get("family", {}).get("tag", "generic")
-    params = poly_json.get("family", {}).get("params", {})
-    label = fam
-    if "n" in params:
+    """Family label and dimension; a vertex count only for explicit lists."""
+    dimension = poly_json["dimension"]
+    if "family" not in poly_json:
+        return f"generic, dimension {dimension}, {len(poly_json['vertices'])} vertices"
+    fam, params = poly_json["family"]["tag"], poly_json["family"]["params"]
+    if fam == "product":
+        label = f"product of {len(params['factors'])} factors"
+    else:
         label = f"{fam}:{params['n']}"
-        if params.get("scale", 1) != 1:
+        if params["scale"] != 1:
             label = f"dilate({label},{params['scale']})"
-    elif fam == "product":
-        label = f"product of {len(params.get('factors', []))} factors"
-    return (
-        f"{label}, dimension {poly_json['dimension']}, "
-        f"{len(poly_json['vertices'])} vertices"
-    )
+    return f"{label}, dimension {dimension}"
 
 
 def render_report(report: dict[str, Any], fmt: str) -> str:
@@ -396,9 +393,7 @@ def render_report(report: dict[str, Any], fmt: str) -> str:
             f"[{row['status']}] {row['number']:2d}  {row['name']:<34} {row['detail']}"
             for row in report["rows"]
         ]
-        lines.append(
-            f"overall: {'PASS' if report['overall'] else 'FAIL'}"
-        )
+        lines.append(f"overall: {'PASS' if report['overall'] else 'FAIL'}")
         return "\n".join(lines)
     if "polytope" in report:
         report = {**report, "polytope": _polytope_summary(report["polytope"])}
@@ -442,10 +437,8 @@ def _is_lattice(p: LatticePolytope) -> bool:
     """Known to have integral vertices: families, polygons (the loader checks
     their half-spaces) and intervals (normals +-1).  Half-spaces given in
     dimension >= 3 may cut out a rational polytope: its counts are no polynomial."""
-    fam = p.family
-    if fam is not None and fam.tag is FamilyTag.PRODUCT:
-        return all(map(_is_lattice, fam.factors))
-    return p.dimension <= 2 or fam is not None and fam.tag is not FamilyTag.GENERIC
+    fam = p.family  # a product's factors must be lattice polytopes too
+    return p.dimension <= 2 or fam is not None and all(map(_is_lattice, fam.factors))
 
 
 def _cmd_count(req: CommandRequest) -> tuple[dict, int]:
@@ -470,9 +463,7 @@ def _cmd_count(req: CommandRequest) -> tuple[dict, int]:
 def _cmd_ehrhart(req: CommandRequest) -> tuple[dict, int]:
     p = _load_polytope(req)
     ehr = _ehrhart_for(req, p)
-    report = {"polytope": polytope_to_json(p)}
-    report.update(ehrhart_to_json(ehr))
-    return report, EXIT_OK
+    return {"polytope": polytope_to_json(p), **ehrhart_to_json(ehr)}, EXIT_OK
 
 
 def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any]:
@@ -485,7 +476,7 @@ def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any
         "roots": [[_round12(z.real), _round12(z.imag)] for z in rs.roots],
         "residual_bound": _round12(rs.residual_bound),
         "source_degree": rs.source_degree,
-        "real_part_target": fraction_str(-target),
+        "real_part_target": str(-target),
         "common_real_part": common_real_part(rs, target, req.tol),
         "detected_common_real_part": detected,
         "parity_necessary_check": parity_necessary_check(ehr, req.a),
@@ -496,10 +487,8 @@ def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any
 def _cmd_roots(req: CommandRequest) -> tuple[dict, int]:
     p = _load_polytope(req)
     ehr = _ehrhart_for(req, p)
-    report = {"polytope": polytope_to_json(p)}
-    report.update(ehrhart_to_json(ehr))
-    report.update(_roots_payload(req, ehr))
-    return report, EXIT_OK
+    report = {"polytope": polytope_to_json(p), **ehrhart_to_json(ehr)}
+    return {**report, **_roots_payload(req, ehr)}, EXIT_OK
 
 
 def _cmd_wills(req: CommandRequest) -> tuple[dict, int]:
@@ -512,8 +501,8 @@ def _cmd_wills(req: CommandRequest) -> tuple[dict, int]:
         "per_index": [
             {
                 "i": row.index,
-                "coefficient": fraction_str(row.coefficient),
-                "bound": fraction_str(row.bound),
+                "coefficient": str(row.coefficient),
+                "bound": str(row.bound),
                 "holds": row.holds,
             }
             for row in verdict.per_index
@@ -528,8 +517,8 @@ def _bound_json(verdict) -> dict[str, Any]:
     return {
         "holds": verdict.holds,
         "is_equality": verdict.is_equality,
-        "lhs": fraction_str(verdict.lhs),
-        "rhs": fraction_str(verdict.rhs),
+        "lhs": str(verdict.lhs),
+        "rhs": str(verdict.rhs),
     }
 
 
@@ -548,7 +537,7 @@ def _cmd_bounds(req: CommandRequest) -> tuple[dict, int]:
     all_hold &= vol.holds
     report = {
         "polytope": polytope_to_json(p),
-        "a": fraction_str(req.a),
+        "a": str(req.a),
         "hypothesis": _roots_payload(req, ehr),
         "ratio_bounds": ratio_rows,
         "volume_bound": _bound_json(vol),
@@ -562,11 +551,14 @@ def _cmd_bounds(req: CommandRequest) -> tuple[dict, int]:
 
 def _cmd_reflexive(req: CommandRequest) -> tuple[dict, int]:
     p = _load_polytope(req)
-    if p.halfspaces is None:
+    n_vertices, n_halfspaces = list_sizes(p)
+    if n_halfspaces is None:
         raise SpecError(
             "reflexivity needs a half-space representation (2D hulls are "
             "built automatically; higher dimensions must supply halfspaces)"
         )
+    if max(n_vertices, n_halfspaces) > _MAX_LISTED:
+        raise SpecError(f"reflexivity would list over {_MAX_LISTED} vertices/facets")
     ehr = _ehrhart_for(req, p)
     try:
         report_obj = reflexivity_equivalence(p, ehr)
@@ -582,8 +574,8 @@ def _cmd_reflexive(req: CommandRequest) -> tuple[dict, int]:
         "coefficient_check": report_obj.coefficient_check,
         "coefficient_identity": report_obj.coefficient_identity,
         "vertices_primitive": report_obj.vertices_primitive,
-        "identity_lhs": fraction_str(report_obj.identity_lhs),
-        "identity_rhs": fraction_str(report_obj.identity_rhs),
+        "identity_lhs": str(report_obj.identity_lhs),
+        "identity_rhs": str(report_obj.identity_rhs),
         "agree": report_obj.agree,
         "root_line_consequence": consequence,
     }

@@ -53,7 +53,7 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
     oracle of ``dilate(pn_family(3), 2)`` answers for the dilated body.
     """
     fam = p.family
-    if fam is not None and fam.tag is not FamilyTag.GENERIC:
+    if fam is not None:
         s = fam.scale
         if fam.tag is FamilyTag.CUBE:
             return MembershipOracle(
@@ -104,7 +104,8 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
         def inside_hrep(x: Point) -> bool:
             return all(h.contains(x) for h in ordered)
 
-        return MembershipOracle(p.dimension, inside_hrep, p.bounding_radius())
+        radius = max(abs(c) for v in p.vertices for c in v)
+        return MembershipOracle(p.dimension, inside_hrep, radius)
     raise ValueError(
         "no membership oracle: polytope has neither a family tag nor half-spaces"
     )
@@ -202,16 +203,16 @@ def dilation_counter(
     to a box scan of the dilate (guarded by ``max_box_points``).
     """
     fam = p.family
-    if fam is not None and fam.tag is not FamilyTag.GENERIC:
+    if fam is not None:
         s = fam.scale
         if fam.tag is FamilyTag.CUBE:
             return lambda k: (2 * s * k + 1) ** p.dimension
         if fam.tag is FamilyTag.CROSSPOLYTOPE:
             return lambda k: count_minkowski_dp(p.dimension, 0, s * k)
         if fam.tag is FamilyTag.PN_FAMILY:
-            return lambda k: count_pn_sliced(fam.n, s * k)
+            return lambda k: count_pn_sliced(p.dimension, s * k)
         if fam.tag is FamilyTag.QN_FAMILY:
-            return lambda k: count_qn_closed(fam.n, s * k)
+            return lambda k: count_qn_closed(p.dimension, s * k)
         if fam.tag is FamilyTag.PRODUCT:
             subs = [
                 dilation_counter(dilate(f, s) if s > 1 else f, max_box_points)

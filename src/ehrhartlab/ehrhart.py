@@ -172,9 +172,9 @@ def second_coefficient_from_facets(p: LatticePolytope) -> Fraction:
         raise ValueError("facet formula implemented for polygons only")
     if p.halfspaces is None:
         raise ValueError("polygon needs its half-space (edge) representation")
-    total = Fraction(0)
+    total, verts = Fraction(0), p.vertices
     for hs in p.halfspaces:
-        tight = sorted(v for v in p.vertices if hs.is_tight_at(v))
+        tight = sorted(v for v in verts if hs.is_tight_at(v))
         if len(tight) < 2:
             raise ValueError(
                 f"edge {hs.normal}.x = {hs.rhs} touches fewer than two vertices"

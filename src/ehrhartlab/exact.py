@@ -141,9 +141,6 @@ class Polynomial:
             self.coefficient(i) - other.coefficient(i) for i in range(n)
         )
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coefficients)
-
     def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         other = _coerce(other)
         if self.is_zero or other.is_zero:
@@ -200,19 +197,6 @@ class Polynomial:
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
-
-    def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coefficients):
-            if c == 0 and self.degree > 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*k")
-            else:
-                terms.append(f"{c}*k^{i}")
-        return " + ".join(terms) if terms else "0"
 
 
 def _coerce(value: Polynomial | RationalLike) -> Polynomial:

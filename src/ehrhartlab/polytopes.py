@@ -1,18 +1,19 @@
 """Lattice polytopes: representations, named families, and constructions.
 
-A polytope always carries its vertex list (for the bipyramid and
-cube-crosspolytope hybrid families this is the generator list; generators
-may fail to be extreme in low dimensions - route through :func:`hull2d`
-when a minimal polygon description is needed).  Half-space representations
-use primitive integer normals.  There is deliberately no general-dimension
-vertex-to-facet conversion: every family here has either an explicit
-H-representation or a membership oracle, and polygons go through
-:func:`hull2d`.
+A family polytope is its recipe (:class:`Family`); its vertex and
+half-space lists are built each time they are read.  For the bipyramid and
+cube-crosspolytope hybrid families the vertex list is the generator list
+(generators may fail to be extreme in low dimensions - route through
+:func:`hull2d` when a minimal polygon description is needed).  Half-space
+representations use primitive integer normals.  There is deliberately no
+general-dimension vertex-to-facet conversion: every family here has either
+an explicit H-representation or a membership oracle, and polygons go
+through :func:`hull2d`.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import product as iter_product
@@ -32,19 +33,17 @@ class FamilyTag(str, Enum):
     PN_FAMILY = "pn"
     QN_FAMILY = "qn"
     PRODUCT = "product"
-    GENERIC = "generic"
 
 
 @dataclass(frozen=True)
 class Family:
-    """Construction recipe attached to a polytope for fast counting.
+    """Construction recipe of a family polytope, read by every counter.
 
     ``scale`` accumulates dilations, so ``dilate(cube(2), 3)`` is the cube
     family with scale 3 and all counters stay closed-form.
     """
 
     tag: FamilyTag
-    n: int | None = None
     scale: int = 1
     factors: tuple["LatticePolytope", ...] = field(default=())
 
@@ -62,11 +61,12 @@ class Halfspace:
     rhs: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "normal", tuple(int(c) for c in self.normal))
+        object.__setattr__(self, "normal", tuple(map(int, self.normal)))
         object.__setattr__(self, "rhs", int(self.rhs))
-        if not self.normal or all(c == 0 for c in self.normal):
+        content = gcd(*self.normal)  # 0 for an empty or zero normal
+        if content == 0:
             raise ValueError("half-space normal must be nonzero")
-        if gcd(*(abs(c) for c in self.normal)) != 1:
+        if content != 1:
             raise ValueError(f"half-space normal {self.normal} is not primitive")
 
     def contains(self, point: Sequence[int]) -> bool:
@@ -76,54 +76,118 @@ class Halfspace:
         return sum(n * x for n, x in zip(self.normal, point)) == self.rhs
 
 
+_Lists = tuple[tuple[IntVector, ...], tuple[Halfspace, ...] | None]
+
+
 @dataclass(frozen=True)
 class LatticePolytope:
-    """Integer vertex list, optional facet half-spaces, optional family tag.
+    """A family recipe, or explicit vertices and optional facet half-spaces.
 
-    ``check=False`` skips the O(vertices * halfspaces) consistency
-    validation; the family constructors use it because their output is
-    correct by construction (cube(20) has 2^20 vertices and validation
-    would dominate everything).  External data keeps the default.
+    ``LatticePolytope(n, family=...)`` stores nothing else: each read of its
+    ``vertices`` or ``halfspaces`` builds that one list from the recipe and
+    keeps nothing (cube(20) lists 2^20 vertices and 40 half-spaces), so a
+    caller that needs a list twice binds it once.  Explicit lists (JSON,
+    :func:`hull2d`, their dilates) are always validated.
     """
 
     dimension: int
-    vertices: tuple[IntVector, ...]
-    halfspaces: tuple[Halfspace, ...] | None = None
+    _vertices: tuple[IntVector, ...] | None = None
+    _halfspaces: tuple[Halfspace, ...] | None = None
     family: Family | None = None
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool) -> None:
-        object.__setattr__(
-            self, "vertices", tuple(tuple(int(c) for c in v) for v in self.vertices)
-        )
-        if self.halfspaces is not None:
-            object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
-        if not self.vertices:
-            raise ValueError("polytope needs at least one vertex")
-        if not check:
+    def __post_init__(self) -> None:
+        if self.family is not None:
             return
-        for v in self.vertices:
+        verts = tuple(tuple(int(c) for c in v) for v in self._vertices or ())
+        object.__setattr__(self, "_vertices", verts)
+        if self._halfspaces is not None:
+            object.__setattr__(self, "_halfspaces", tuple(self._halfspaces))
+        if not self._vertices:
+            raise ValueError("polytope needs at least one vertex")
+        for v in self._vertices:
             if len(v) != self.dimension:
                 raise ValueError(
                     f"vertex {v} has {len(v)} coordinates, expected {self.dimension}"
                 )
-        if self.halfspaces is not None:
-            for hs in self.halfspaces:
-                if len(hs.normal) != self.dimension:
-                    raise ValueError("half-space dimension mismatch")
-                for v in self.vertices:
-                    if not hs.contains(v):
-                        raise ValueError(
-                            f"vertex {v} violates half-space {hs.normal}.x <= {hs.rhs}"
-                        )
-                if not any(hs.is_tight_at(v) for v in self.vertices):
+        for hs in self._halfspaces or ():
+            if len(hs.normal) != self.dimension:
+                raise ValueError("half-space dimension mismatch")
+            for v in self._vertices:
+                if not hs.contains(v):
                     raise ValueError(
-                        f"half-space {hs.normal}.x <= {hs.rhs} is tight at no vertex"
+                        f"vertex {v} violates half-space {hs.normal}.x <= {hs.rhs}"
                     )
+            if not any(hs.is_tight_at(v) for v in self._vertices):
+                raise ValueError(
+                    f"half-space {hs.normal}.x <= {hs.rhs} is tight at no vertex"
+                )
 
-    def bounding_radius(self) -> int:
-        """Max |coordinate| over vertices; points beyond are outside."""
-        return max(abs(c) for v in self.vertices for c in v)
+    @property
+    def vertices(self) -> tuple[IntVector, ...]:
+        return self._vertices if self.family is None else _family_vertices(self)
+
+    @property
+    def halfspaces(self) -> tuple[Halfspace, ...] | None:
+        return self._halfspaces if self.family is None else _family_halfspaces(self)
+
+
+def _family_vertices(p: LatticePolytope) -> tuple[IntVector, ...]:
+    """The recipe's vertex list, scale applied."""
+    n, fam = p.dimension, p.family
+    if fam.tag is FamilyTag.CUBE:
+        verts = iter_product((-1, 1), repeat=n)
+    elif fam.tag is FamilyTag.CROSSPOLYTOPE:
+        verts = (_unit(n, i, s) for i in range(n) for s in (1, -1))
+    elif fam.tag is FamilyTag.PRODUCT:
+        vp, vq = (f.vertices for f in fam.factors)
+        verts = (a + b for a in vp for b in vq)
+    else:  # pn and qn: the (n-1)-cube at height 0, and
+        verts = [v + (0,) for v in iter_product((-1, 1), repeat=n - 1)]
+        if fam.tag is FamilyTag.PN_FAMILY:  # (n-1)-crosspolytopes at heights +-1
+            tips = crosspolytope(n - 1).vertices
+            verts += [v + (h,) for h in (-1, 1) for v in tips]
+        else:  # apexes +-e_n
+            verts += [_unit(n, n - 1, 1), _unit(n, n - 1, -1)]
+    return _scaled(verts, None, fam.scale)[0]
+
+
+def _family_halfspaces(p: LatticePolytope) -> tuple[Halfspace, ...] | None:
+    """The recipe's facet half-spaces, scale applied; None for pn."""
+    n, fam = p.dimension, p.family
+    if fam.tag is FamilyTag.CUBE:
+        hs = [Halfspace(_unit(n, i, s), 1) for i in range(n) for s in (1, -1)]
+    elif fam.tag is FamilyTag.CROSSPOLYTOPE:
+        hs = [Halfspace(s, 1) for s in iter_product((-1, 1), repeat=n)]
+    elif fam.tag is FamilyTag.QN_FAMILY:  # facets sigma_i e_i + sigma_n e_n . x <= 1
+        signs = iter_product(range(n - 1), (1, -1), (1, -1))
+        hs = [Halfspace(_unit(n - 1, i, si) + (sn,), 1) for i, si, sn in signs]
+    elif fam.tag is FamilyTag.PRODUCT:  # half-spaces lift if both factors have them
+        (p1, p2), (h1, h2) = fam.factors, (f.halfspaces for f in fam.factors)
+        if h1 is None or h2 is None:
+            return None
+        hs = [Halfspace(h.normal + (0,) * p2.dimension, h.rhs) for h in h1]
+        hs += [Halfspace((0,) * p1.dimension + h.normal, h.rhs) for h in h2]
+    else:
+        return None
+    return _scaled((), hs, fam.scale)[1]
+
+
+def list_sizes(p: LatticePolytope) -> tuple[int, int | None]:
+    """``(len(p.vertices), len(p.halfspaces))``, None for no half-spaces; in
+    closed form for a family, so its lists can be refused before they exist."""
+    fam, n = p.family, p.dimension
+    if fam is None:  # explicit lists are stored
+        return len(p.vertices), None if p.halfspaces is None else len(p.halfspaces)
+    if fam.tag is FamilyTag.CUBE:
+        return 2**n, 2 * n
+    if fam.tag is FamilyTag.CROSSPOLYTOPE:
+        return 2 * n, 2**n
+    if fam.tag is FamilyTag.PN_FAMILY:
+        return 2 ** (n - 1) + 4 * (n - 1), None
+    if fam.tag is FamilyTag.QN_FAMILY:
+        return 2 ** (n - 1) + 2, 4 * (n - 1)
+    (vp, hp), (vq, hq) = map(list_sizes, fam.factors)
+    return vp * vq, None if hp is None or hq is None else hp + hq
 
 
 def _unit(n: int, i: int, sign: int = 1) -> IntVector:
@@ -132,26 +196,27 @@ def _unit(n: int, i: int, sign: int = 1) -> IntVector:
     return tuple(v)
 
 
+def _scaled(
+    verts: Iterable[IntVector], hs: Iterable[Halfspace] | None, k: int
+) -> _Lists:
+    if k > 1:
+        verts = (tuple(k * c for c in v) for v in verts)
+        hs = None if hs is None else (Halfspace(h.normal, k * h.rhs) for h in hs)
+    return tuple(verts), None if hs is None else tuple(hs)
+
+
 def cube(n: int) -> LatticePolytope:
     """The cube [-1, 1]^n with its 2n facet half-spaces."""
     if n < 1:
         raise ValueError("cube requires dimension >= 1")
-    verts = tuple(iter_product((-1, 1), repeat=n))
-    hs = tuple(
-        Halfspace(_unit(n, i, s), 1) for i in range(n) for s in (1, -1)
-    )
-    return LatticePolytope(n, verts, hs, Family(FamilyTag.CUBE, n=n), check=False)
+    return LatticePolytope(n, family=Family(FamilyTag.CUBE))
 
 
 def crosspolytope(n: int) -> LatticePolytope:
     """conv{+-e_1, ..., +-e_n}; facets are all sign vectors sigma.x <= 1."""
     if n < 1:
         raise ValueError("crosspolytope requires dimension >= 1")
-    verts = tuple(_unit(n, i, s) for i in range(n) for s in (1, -1))
-    hs = tuple(Halfspace(sigma, 1) for sigma in iter_product((-1, 1), repeat=n))
-    return LatticePolytope(
-        n, verts, hs, Family(FamilyTag.CROSSPOLYTOPE, n=n), check=False
-    )
+    return LatticePolytope(n, family=Family(FamilyTag.CROSSPOLYTOPE))
 
 
 def pn_family(n: int) -> LatticePolytope:
@@ -164,52 +229,20 @@ def pn_family(n: int) -> LatticePolytope:
     """
     if n < 2:
         raise ValueError("this family requires dimension >= 2")
-    base = cube(n - 1).vertices
-    tips = crosspolytope(n - 1).vertices
-    verts = tuple(v + (0,) for v in base) + tuple(
-        v + (h,) for h in (-1, 1) for v in tips
-    )
-    return LatticePolytope(
-        n, verts, None, Family(FamilyTag.PN_FAMILY, n=n), check=False
-    )
+    return LatticePolytope(n, family=Family(FamilyTag.PN_FAMILY))
 
 
 def qn_family(n: int) -> LatticePolytope:
-    """Bipyramid over the (n-1)-cube: hull of cube x {0} and +-e_n.
-
-    Facets are sigma_i e_i + sigma_n e_n . x <= 1, so every facet lies at
-    lattice distance 1 from the origin.
-    """
+    """Bipyramid over the (n-1)-cube: hull of cube x {0} and +-e_n."""
     if n < 2:
         raise ValueError("this family requires dimension >= 2")
-    base = cube(n - 1).vertices
-    verts = tuple(v + (0,) for v in base) + (_unit(n, n - 1, 1), _unit(n, n - 1, -1))
-    hs = []
-    for i in range(n - 1):
-        for si in (1, -1):
-            for sn in (1, -1):
-                normal = [0] * n
-                normal[i] = si
-                normal[n - 1] = sn
-                hs.append(Halfspace(tuple(normal), 1))
-    return LatticePolytope(
-        n, verts, tuple(hs), Family(FamilyTag.QN_FAMILY, n=n), check=False
-    )
+    return LatticePolytope(n, family=Family(FamilyTag.QN_FAMILY))
 
 
 def product(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
     """Cartesian product; half-spaces are lifted when both factors have them."""
-    dim = p.dimension + q.dimension
-    verts = tuple(vp + vq for vp in p.vertices for vq in q.vertices)
-    hs: tuple[Halfspace, ...] | None = None
-    if p.halfspaces is not None and q.halfspaces is not None:
-        zero_q = (0,) * q.dimension
-        zero_p = (0,) * p.dimension
-        hs = tuple(Halfspace(h.normal + zero_q, h.rhs) for h in p.halfspaces) + tuple(
-            Halfspace(zero_p + h.normal, h.rhs) for h in q.halfspaces
-        )
     return LatticePolytope(
-        dim, verts, hs, Family(FamilyTag.PRODUCT, factors=(p, q)), check=False
+        p.dimension + q.dimension, family=Family(FamilyTag.PRODUCT, factors=(p, q))
     )
 
 
@@ -217,14 +250,10 @@ def dilate(p: LatticePolytope, k: int) -> LatticePolytope:
     """Scale every vertex (and rhs) by k >= 1; family scale accumulates."""
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
-    verts = tuple(tuple(k * c for c in v) for v in p.vertices)
-    hs = None
-    if p.halfspaces is not None:
-        hs = tuple(Halfspace(h.normal, k * h.rhs) for h in p.halfspaces)
-    fam = None
-    if p.family is not None:
-        fam = Family(p.family.tag, p.family.n, p.family.scale * k, p.family.factors)
-    return LatticePolytope(p.dimension, verts, hs, fam, check=False)
+    if p.family is None:
+        return LatticePolytope(p.dimension, *_scaled(p.vertices, p.halfspaces, k))
+    scaled = replace(p.family, scale=p.family.scale * k)
+    return LatticePolytope(p.dimension, family=scaled)
 
 
 def is_primitive(v: Sequence[int]) -> bool:
@@ -242,13 +271,14 @@ def vertex_content(v: Sequence[int]) -> int:
 
 
 def _require_interior_halfspaces(p: LatticePolytope) -> tuple[Halfspace, ...]:
-    if p.halfspaces is None:
+    hs = p.halfspaces
+    if hs is None:
         raise ValueError("operation requires a half-space representation")
-    if any(h.rhs < 1 for h in p.halfspaces):
+    if any(h.rhs < 1 for h in hs):
         raise OriginNotInteriorError(
             "origin is not strictly interior (some facet rhs < 1)"
         )
-    return p.halfspaces
+    return hs
 
 
 def index(p: LatticePolytope) -> int:
@@ -320,6 +350,4 @@ def hull2d(points: Iterable[Sequence[int]]) -> LatticePolytope:
         g = gcd(abs(nx), abs(ny))
         nx, ny = nx // g, ny // g
         hs.append(Halfspace((nx, ny), nx * v[0] + ny * v[1]))
-    return LatticePolytope(
-        2, tuple(hull), tuple(hs), Family(FamilyTag.GENERIC)
-    )
+    return LatticePolytope(2, tuple(hull), tuple(hs))

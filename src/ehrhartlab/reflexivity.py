@@ -21,7 +21,7 @@ the naive versions of the last two non-equivalent, and both are handled
   vertices of the original: a vertex v = c*w (w primitive, c the content)
   gives the polar facet {w . x <= l/c}, at integral distance l exactly
   when c = 1.  So the dual-side distance condition is vertex primitivity
-  of the original, computed here through the contents.
+  of the original, the same test the coefficient check conjoins.
 
 * The coefficient identity  c_{n-1} = (n/2l) * vol  holds exactly when
   all facet distances are equal; it is blind to vertex primitivity.
@@ -42,13 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ehrhart import EhrhartPolynomial
-from .polytopes import (
-    LatticePolytope,
-    index,
-    is_primitive,
-    polar_scaled,
-    vertex_content,
-)
+from .polytopes import LatticePolytope, index, is_primitive, polar_scaled
 from .roots import DEFAULT_REAL_PART_TOL, RootSet, common_real_part
 
 
@@ -79,11 +73,12 @@ def is_l_reflexive(p: LatticePolytope) -> tuple[bool, int | None]:
     Requires an (irredundant, primitive-normal) half-space representation.
     The returned l is the common facet distance when the verdict is true.
     """
-    if p.halfspaces is None:
+    hs = p.halfspaces
+    if hs is None:
         raise ValueError("l-reflexivity needs a half-space representation")
-    if any(h.rhs < 1 for h in p.halfspaces):
+    if any(h.rhs < 1 for h in hs):
         return False, None  # origin not strictly interior
-    distances = {h.rhs for h in p.halfspaces}
+    distances = {h.rhs for h in hs}
     if len(distances) != 1:
         return False, None
     if not all(is_primitive(v) for v in p.vertices):
@@ -110,15 +105,13 @@ def reflexivity_equivalence(
     vertices_primitive = all(is_primitive(v) for v in p.vertices)
 
     polar = polar_scaled(p, l)
-    polar_vertices_primitive = all(
-        c.denominator == 1 for v in polar.vertices for c in v
-    ) and all(
-        is_primitive(tuple(int(c) for c in v)) for v in polar.vertices
-    )
     # Dual facet distances: vertex v = content * w gives the polar facet
-    # {w . x <= l/content}; all at distance l  iff  every content is 1.
-    dual_distances_are_l = all(vertex_content(v) == 1 for v in p.vertices)
-    polar_check = polar.is_lattice and polar_vertices_primitive and dual_distances_are_l
+    # {w . x <= l/content}; all are l  iff  every vertex is primitive.
+    polar_check = (
+        polar.is_lattice
+        and all(is_primitive(tuple(int(c) for c in v)) for v in polar.vertices)
+        and vertices_primitive
+    )
 
     n = p.dimension
     identity_lhs = ehr.coefficient(n - 1)

@@ -1,6 +1,7 @@
 """CLI: grammar, JSON schemas, subcommands, exit codes, determinism."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -20,7 +21,15 @@ from ehrhartlab.cli import (
 )
 from ehrhartlab.counting import dilation_counter
 from ehrhartlab.ehrhart import ehrhart_of
-from ehrhartlab.polytopes import cube, dilate, hull2d, pn_family, product, qn_family
+from ehrhartlab.polytopes import (
+    crosspolytope,
+    cube,
+    dilate,
+    hull2d,
+    pn_family,
+    product,
+    qn_family,
+)
 
 
 def run_cli(capsys, *argv):
@@ -61,10 +70,80 @@ def test_polytope_json_round_trip():
         product(cube(1), qn_family(2)),
         hull2d([(-1, -1), (-1, 2), (2, -1)]),
         pn_family(3),
+        product(hull2d([(-1, -1), (-1, 2), (2, -1)]), cube(1)),
+        dilate(hull2d([(-1, -1), (-1, 2), (2, -1)]), 2),
+        dilate(product(cube(1), crosspolytope(2)), 2),
     ):
         encoded = polytope_to_json(poly)
         decoded = polytope_from_json(json.loads(json.dumps(encoded)))
         assert decoded == poly
+
+
+def test_polytope_json_writes_family_recipes_not_lists():
+    assert polytope_to_json(dilate(qn_family(3), 2)) == {
+        "dimension": 3,
+        "family": {"tag": "qn", "params": {"n": 3, "scale": 2}},
+    }
+    params = polytope_to_json(product(pn_family(2), cube(40)))["family"]["params"]
+    assert [f["family"]["params"]["n"] for f in params["factors"]] == [2, 40]
+
+
+def test_polytope_json_generic_tag_is_read_not_written():
+    triangle = {"dimension": 2, "vertices": [[-1, -1], [2, -1], [-1, 2]]}
+    tagged = polytope_from_json({**triangle, "family": {"tag": "generic"}})
+    assert tagged == polytope_from_json(triangle) == hull2d(triangle["vertices"])
+    assert tagged.family is None
+    assert "family" not in polytope_to_json(tagged)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"family": {"tag": "cube", "params": {"n": 20}}, "vertices": [[1] * 20]},
+        {
+            "family": {"tag": "crosspolytope", "params": {"n": 20}},
+            "halfspaces": [{"normal": [1] * 20, "rhs": 1}],
+        },
+    ],
+)
+def test_polytope_json_family_list_lengths_are_checked_first(document):
+    """A list next to a family tag is refused by its length before the
+    family's 2^20 entries are built to compare sets."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="inconsistent with the family"):
+            polytope_from_json(document)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def _units(n):
+    return [[s if j == i else 0 for j in range(n)] for i in range(n) for s in (1, -1)]
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {
+            "family": {"tag": "cube", "params": {"n": 20}},
+            "halfspaces": [{"normal": u, "rhs": 1} for u in reversed(_units(20))],
+        },
+        {"family": {"tag": "crosspolytope", "params": {"n": 20}}, "vertices": _units(20)},
+    ],
+)
+def test_polytope_json_family_short_list_is_compared_alone(document):
+    """The 40 half-spaces of cube:20 (or vertices of cross:20) are checked
+    without building the 2^20 entries of the other list."""
+    tracemalloc.start()
+    try:
+        p = polytope_from_json(document)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.dimension == 20 and p.family is not None
+    assert peak < 1_000_000
 
 
 def test_polytope_json_validation_errors_name_fields():
@@ -480,11 +559,49 @@ def test_cli_csv_format(capsys):
     assert "coefficients[2],4" in lines
 
 
-def test_cli_plain_format_summarizes_polytope(capsys):
+def test_cli_plain_format_summarizes_polytope(capsys, tmp_path):
     code, out = run_cli(capsys, "ehrhart", "--family", "qn:3")
     assert code == EXIT_OK
     assert "qn:3" in out
     assert "coefficients[1]" in out
+    # A vertex count only for explicit lists: pn:2's generators are no vertices.
+    code, out = run_cli(capsys, "ehrhart", "--family", "pn:2")
+    assert out.splitlines()[0] == "polytope         pn:2, dimension 2"
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"dimension": 2, "vertices": [[-1, -1], [2, 0], [0, 2]]}))
+    code, out = run_cli(capsys, "count", "--json", str(path), "--format", "csv")
+    assert 'polytope,"generic, dimension 2, 3 vertices"' in out.splitlines()
+
+
+def test_cli_family_report_is_its_recipe(capsys):
+    code, out = run_cli(capsys, "ehrhart", "--family", "qn:18", "--format", "json")
+    assert code == EXIT_OK
+    assert len(out) < 2000 and '"vertices"' not in out
+    assert json.loads(out)["polytope"]["family"]["params"] == {"n": 18, "scale": 1}
+    code, out = run_cli(capsys, "ehrhart", "--family", "cube:40", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["coefficients"][-1] == str(2**40)
+
+
+def test_cli_reflexive_refuses_long_family_lists(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_MAX_LISTED", 16)
+    code, _ = run_cli(capsys, "reflexive", "--family", "cube:4")  # 16 vertices
+    assert code == EXIT_OK
+    for spec in ("cube:5", "cross:5", "product(cube:4,cube:1)"):
+        code = main(["reflexive", "--family", spec])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == "error: reflexivity would list over 16 vertices/facets\n"
+
+
+def test_cli_reflexive_refuses_slow_family_lists(capsys):
+    code, _ = run_cli(capsys, "reflexive", "--family", "cross:3")
+    assert code == EXIT_OK
+    code = main(["reflexive", "--family", "cross:18"])  # 2^18 facets
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: reflexivity would list over {cli._MAX_LISTED} vertices/facets\n"
+    )
 
 
 def test_cli_verify_all_passes(capsys):

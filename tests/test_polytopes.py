@@ -16,6 +16,7 @@ from ehrhartlab.polytopes import (
     hull2d,
     index,
     is_primitive,
+    list_sizes,
     pn_family,
     polar_scaled,
     product,
@@ -261,6 +262,56 @@ def test_polar_requires_interior_origin():
         polar_scaled(unit_square, 1)
 
 
+@pytest.mark.parametrize(
+    "poly",
+    [
+        product(cube(2), crosspolytope(2)),
+        pn_family(3),
+        qn_family(3),
+        product(hull2d([(-1, -1), (-1, 2), (2, -1)]), pn_family(2)),
+    ],
+)
+def test_dilated_family_lists_are_scaled_lists(poly):
+    for s in (2, 3):
+        scaled = dilate(poly, s)
+        assert scaled.family.scale == s
+        assert scaled.vertices == tuple(
+            tuple(s * c for c in v) for v in poly.vertices
+        )
+        if poly.halfspaces is None:
+            assert scaled.halfspaces is None
+        else:
+            assert scaled.halfspaces == tuple(
+                Halfspace(h.normal, s * h.rhs) for h in poly.halfspaces
+            )
+
+
+def test_family_lists_are_built_per_read_and_not_kept():
+    for poly in (cube(3), qn_family(3), dilate(product(cube(1), pn_family(2)), 2)):
+        fields = dict(vars(poly))
+        assert poly.vertices == poly.vertices
+        assert poly.halfspaces == poly.halfspaces
+        assert vars(poly) == fields  # the polytope still holds only its recipe
+
+
+def test_list_sizes_match_the_built_lists():
+    triangle = hull2d([(-1, -1), (-1, 2), (2, -1)])
+    for poly in (
+        cube(3), crosspolytope(4), pn_family(2), pn_family(4), qn_family(4),
+        triangle, dilate(triangle, 2), product(triangle, cube(2)),
+        product(pn_family(3), cube(1)), dilate(product(qn_family(3), cube(2)), 2),
+    ):
+        hs = poly.halfspaces
+        assert list_sizes(poly) == (len(poly.vertices), hs and len(hs))
+
+
+def test_list_sizes_of_huge_families_build_no_lists():
+    big = dilate(product(cube(40), crosspolytope(40)), 3)  # 2^40 * 80 vertices
+    assert big.dimension == 80 and big.family.scale == 3
+    assert list_sizes(big) == (2**40 * 80, 80 + 2**40)
+    assert list_sizes(pn_family(60)) == (2**59 + 4 * 59, None)
+
+
 def test_family_halfspace_normals_are_primitive():
     for poly in (cube(3), crosspolytope(3), qn_family(4)):
         for h in poly.halfspaces:
@@ -268,7 +319,7 @@ def test_family_halfspace_normals_are_primitive():
 
 
 def test_family_halfspaces_are_valid_and_irredundant():
-    # constructors skip the generic validation pass, so check it here:
+    # family lists are built unvalidated, so check them here:
     # every vertex satisfies every half-space and each is tight somewhere
     for poly in (cube(3), crosspolytope(4), qn_family(4), dilate(cube(2), 3)):
         for h in poly.halfspaces:
