@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +48,6 @@ from .polytopes import (
 )
 from .reflexivity import reflexivity_equivalence, root_line_reflexivity_consequence
 from .roots import (
-    DEFAULT_REAL_PART_TOL,
     braun_disc_check,
     coefficient_ratio_bound,
     common_real_part,
@@ -75,7 +75,6 @@ class CommandRequest:
     json_path: str | None = None
     k: int = 1
     a: Fraction = Fraction(2)
-    tol: float | Fraction = DEFAULT_REAL_PART_TOL
     fmt: str = "plain"
     max_box_points: int = 10**8
     method: str = "auto"
@@ -468,17 +467,18 @@ def _cmd_ehrhart(req: CommandRequest) -> tuple[dict, int]:
 
 def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any]:
     rs = find_roots(ehr.poly)
-    reals = [z.real for z in rs.roots]
-    spread = max(reals) - min(reals) if reals else 0.0
-    detected = _round12(sum(reals) / len(reals)) if spread <= req.tol else None
     target = 1 / req.a
+    on_line = common_real_part(rs, target)
+    # The roots sum to -c_{n-1}/c_n, so a common real part is their mean.
+    mean = -ehr.coefficient(ehr.dimension - 1) / (ehr.dimension * ehr.volume)
+    on_mean = on_line if -mean == target else common_real_part(rs, -mean)
     return {
         "roots": [[_round12(z.real), _round12(z.imag)] for z in rs.roots],
         "residual_bound": _round12(rs.residual_bound),
-        "source_degree": rs.source_degree,
+        "source_degree": rs.poly.degree,
         "real_part_target": str(-target),
-        "common_real_part": common_real_part(rs, target, req.tol),
-        "detected_common_real_part": detected,
+        "common_real_part": on_line,
+        "detected_common_real_part": _round12(float(mean)) if on_mean else None,
         "parity_necessary_check": parity_necessary_check(ehr, req.a),
         "braun_disc_check": braun_disc_check(rs, ehr.dimension),
     }
@@ -565,7 +565,7 @@ def _cmd_reflexive(req: CommandRequest) -> tuple[dict, int]:
     except OriginNotInteriorError as exc:
         raise SpecError(f"hypothesis failure: {exc}") from exc
     rs = find_roots(ehr.poly)
-    consequence = root_line_reflexivity_consequence(p, ehr, rs, req.tol)
+    consequence = root_line_reflexivity_consequence(p, ehr, rs)
     report = {
         "polytope": polytope_to_json(p),
         "index_l": report_obj.index_l,
@@ -610,20 +610,25 @@ _COMMANDS = {
 }
 
 
-def run(req: CommandRequest, out=None) -> int:
+def run(req: CommandRequest) -> int:
     """Execute a validated request; prints the report, returns exit status."""
     try:
         report, status = _COMMANDS[req.subcommand](req)
     except (SpecError, OriginNotInteriorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(render_report(report, req.fmt), file=out if out is not None else sys.stdout)
+    try:
+        print(render_report(report, req.fmt))
+    except BrokenPipeError:
+        # The reader left early (``| head``); what it did not read goes to
+        # devnull, so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 
 def _positive_number(text: str) -> Fraction:
-    """argparse type for ``-a`` and ``--tol``: a finite number > 0, read
-    exactly (``3/2``, ``1e-7``); ``nan`` and ``inf`` are refused."""
+    """argparse type for ``-a``: a finite number > 0, read exactly
+    (``3/2``, ``1e-7``); ``nan`` and ``inf`` are refused."""
     if len(text.lower().partition("e")[2].lstrip("+-")) > 3:  # Fraction builds 10**e
         raise argparse.ArgumentTypeError(f"exponent out of range: {text!r}")
     try:
@@ -674,7 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("-a", type=_positive_number,
                     help="test the root line Re = -1/a (default 2)")
-    sp.add_argument("--tol", type=_positive_number)
 
     sp = sub.add_parser("wills", help="coefficient bound verdicts")
     add_common(sp)
@@ -682,11 +686,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bounds", help="inequality suite for a given a")
     add_common(sp)
     sp.add_argument("-a", type=_positive_number)
-    sp.add_argument("--tol", type=_positive_number)
 
     sp = sub.add_parser("reflexive", help="l-reflexivity report")
     add_common(sp)
-    sp.add_argument("--tol", type=_positive_number)
 
     sp = sub.add_parser("verify-all", help="run the verification table")
     add_common(sp, polytope_source=False)

@@ -31,7 +31,7 @@ from .exact import (
     binomial,
     interpolate,
 )
-from .polytopes import LatticePolytope, vertex_content
+from .polytopes import LatticePolytope
 
 
 @dataclass(frozen=True)
@@ -156,29 +156,3 @@ def qn_growth_check(k: int) -> bool:
     base = Fraction((-1) ** k * 4 * k)
     factor = 2 ** (2 * k + 1) - 4
     return base + factor * lower_mag < signed < base + factor * upper_mag
-
-
-def second_coefficient_from_facets(p: LatticePolytope) -> Fraction:
-    """Second-highest coefficient of a polygon from its edges.
-
-    In the plane the facet formula (half the sum over facets of the facet
-    volume normalized by the facet sublattice determinant) reduces to half
-    the total lattice length of the boundary, and the lattice length of an
-    edge is the gcd of the edge vector's coordinates.  Higher dimensions
-    would need facet triangulation machinery and are rejected; take the
-    coefficient from interpolation there.
-    """
-    if p.dimension != 2:
-        raise ValueError("facet formula implemented for polygons only")
-    if p.halfspaces is None:
-        raise ValueError("polygon needs its half-space (edge) representation")
-    total, verts = Fraction(0), p.vertices
-    for hs in p.halfspaces:
-        tight = sorted(v for v in verts if hs.is_tight_at(v))
-        if len(tight) < 2:
-            raise ValueError(
-                f"edge {hs.normal}.x = {hs.rhs} touches fewer than two vertices"
-            )
-        v, w = tight[0], tight[-1]
-        total += vertex_content((w[0] - v[0], w[1] - v[1]))
-    return total / 2

@@ -156,13 +156,13 @@ class Polynomial:
     __rmul__ = __mul__
 
     def shift(self, c: RationalLike) -> "Polynomial":
-        """Return q with q(t) = p(t + c), computed exactly."""
+        """Return q with q(t) = p(t + c): Horner's rule in t + c, in place."""
         cf = Fraction(c)
-        result = Polynomial([self.coefficients[-1]])
-        t_plus_c = Polynomial([cf, 1])
-        for coeff in reversed(self.coefficients[:-1]):
-            result = result * t_plus_c + coeff
-        return result
+        a = list(self.coefficients)
+        for i in range(len(a) - 2, -1, -1):
+            for j in range(i, len(a) - 1):
+                a[j] += cf * a[j + 1]
+        return Polynomial(a)
 
     def derivative(self) -> "Polynomial":
         if len(self.coefficients) == 1:
@@ -259,8 +259,9 @@ def interpolate(points: Sequence[tuple[RationalLike, RationalLike]]) -> Polynomi
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    # Horner expansion of the Newton form.
-    poly = Polynomial([coef[-1]])
+    # Horner expansion of the Newton form, in place: after step i, coef[i:]
+    # holds coef[i] + (t - xs[i]) * (the tail) in the power basis.
     for i in range(n - 2, -1, -1):
-        poly = poly * Polynomial([-xs[i], 1]) + coef[i]
-    return poly
+        for j in range(i, n - 1):
+            coef[j] -= xs[i] * coef[j + 1]
+    return Polynomial(coef)

@@ -263,13 +263,6 @@ def is_primitive(v: Sequence[int]) -> bool:
     return gcd(*(abs(c) for c in v)) == 1
 
 
-def vertex_content(v: Sequence[int]) -> int:
-    """gcd of |coordinates|: v = content * (primitive vector)."""
-    if all(c == 0 for c in v):
-        raise ValueError("the zero vector has no content")
-    return gcd(*(abs(c) for c in v))
-
-
 def _require_interior_halfspaces(p: LatticePolytope) -> tuple[Halfspace, ...]:
     hs = p.halfspaces
     if hs is None:

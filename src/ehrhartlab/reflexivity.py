@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .ehrhart import EhrhartPolynomial
 from .polytopes import LatticePolytope, index, is_primitive, polar_scaled
-from .roots import DEFAULT_REAL_PART_TOL, RootSet, common_real_part
+from .roots import RootSet, common_real_part
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,7 @@ def reflexivity_equivalence(
 
 
 def root_line_reflexivity_consequence(
-    p: LatticePolytope,
-    ehr: EhrhartPolynomial,
-    rs: RootSet,
-    tol: float = DEFAULT_REAL_PART_TOL,
+    p: LatticePolytope, ehr: EhrhartPolynomial, rs: RootSet
 ) -> bool:
     """If all roots have real part -1/(2l) with l = index(p), assert the
     coefficient identity c_{n-1} = (n/2l) vol.
@@ -153,7 +150,7 @@ def root_line_reflexivity_consequence(
     sum is c_{n-1}/vol).  Vacuously true when the hypothesis fails.
     """
     l = index(p)
-    if not common_real_part(rs, Fraction(1, 2 * l), tol):
+    if not common_real_part(rs, Fraction(1, 2 * l)):
         return True
     n = p.dimension
     return ehr.coefficient(n - 1) == Fraction(n, 2 * l) * ehr.volume

@@ -3,10 +3,13 @@
 Root finding is multiplicity-safe: the polynomial is first split into
 squarefree factors by exact rational arithmetic (Yun's algorithm), each
 factor's roots come from the companion-matrix eigenvalues, and a few
-Newton steps polish every simple root.  Residuals are then measured by
-evaluating the monic polynomial at the float roots in exact rational
-complex arithmetic, so the reported bound is the true residual of the
-returned approximations, not float evaluation noise.
+Newton steps polish every simple root.  The residual is the componentwise
+backward error max |p(z)| / sum |c_j| |z|^j (Higham).
+
+Whether all roots have real part -1/a is decided exactly: q(t) =
+p(t - 1/a) must satisfy q(-t) = (-1)^n q(t) (the parity condition), and
+then r(y) = i^-n q(iy) is real and must have only real roots, which
+Sturm's theorem counts on its squarefree part.
 
 The inequality checks themselves (coefficient ratios, the volume bound,
 and the point-count bound) are exact rational comparisons valid for
@@ -19,32 +22,27 @@ have roots off that line (the degree-9 bipyramid is such a case).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ne
 from typing import NamedTuple
 
 import numpy as np
 
 from .ehrhart import EhrhartPolynomial
-from .exact import Polynomial, binomial, squarefree_decomposition
+from .exact import Polynomial, binomial, polynomial_gcd, squarefree_decomposition
 
-DEFAULT_REAL_PART_TOL = 1e-7
 _DISC_ROUNDOFF = 1e-9  # slack on Braun's disc radius
 
 
 @dataclass(frozen=True)
 class RootSet:
-    """All complex roots (with multiplicity) of one polynomial.
-
-    ``residual_bound`` is max |p_monic(z)| over the returned roots,
-    measured exactly; ``roots`` are sorted by (real, imag) so output is
-    deterministic.
-    """
+    """All complex roots of ``poly`` with multiplicity, sorted by (real,
+    imag); ``residual_bound`` is their largest backward error."""
 
     roots: tuple[complex, ...]
     residual_bound: float
-    source_degree: int
+    poly: Polynomial
 
 
 class BoundVerdict(NamedTuple):
@@ -85,24 +83,24 @@ class WillsVerdict:
         )
 
 
+def _horner(cs: list[float], z: complex) -> complex:
+    acc = 0j
+    for c in reversed(cs):
+        acc = acc * z + c
+    return acc
+
+
 def _newton_polish(factor: Polynomial, roots: np.ndarray) -> list[complex]:
     coeffs = [float(c) for c in factor.coefficients]
     deriv = [float(c) for c in factor.derivative().coefficients]
-
-    def horner(cs: list[float], z: complex) -> complex:
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
     polished = []
     for raw in roots:
         z = complex(raw)
         for _ in range(8):
-            dv = horner(deriv, z)
+            dv = _horner(deriv, z)
             if dv == 0:
                 break
-            step = horner(coeffs, z) / dv
+            step = _horner(coeffs, z) / dv
             z -= step
             if abs(step) <= 1e-16 * max(1.0, abs(z)):
                 break
@@ -110,16 +108,13 @@ def _newton_polish(factor: Polynomial, roots: np.ndarray) -> list[complex]:
     return polished
 
 
-def _exact_monic_residual(p: Polynomial, roots: tuple[complex, ...]) -> float:
-    monic = p.monic().coefficients
-    worst = 0.0
-    for z in roots:
-        zr, zi = Fraction(z.real), Fraction(z.imag)
-        ar, ai = Fraction(0), Fraction(0)
-        for c in reversed(monic):
-            ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr
-        worst = max(worst, math.sqrt(float(ar * ar + ai * ai)))
-    return worst
+def _backward_error(p: Polynomial, roots: list[complex]) -> float:
+    """max |p(z)| / sum |c_j| |z|^j over the roots (0/0 reads as 0)."""
+    coeffs = [float(c) for c in p.coefficients]
+    sizes = [abs(c) for c in coeffs]
+    return max(
+        abs(_horner(coeffs, z)) / (_horner(sizes, abs(z)).real or 1.0) for z in roots
+    )
 
 
 def find_roots(p: Polynomial) -> RootSet:
@@ -146,20 +141,36 @@ def find_roots(p: Polynomial) -> RootSet:
         for z in _newton_polish(factor, companion_roots):
             roots.extend([z] * multiplicity)
     roots.sort(key=lambda z: (z.real, z.imag))
-    return RootSet(tuple(roots), _exact_monic_residual(p, tuple(roots)), p.degree)
+    return RootSet(tuple(roots), _backward_error(p, roots), p)
 
 
-def common_real_part(
-    rs: RootSet, target: Fraction | int, tol: float = DEFAULT_REAL_PART_TOL
-) -> bool:
-    """True iff every root's real part is within tol of -target.
+def _line_shift(p: Polynomial, target: Fraction | int) -> Polynomial | None:
+    """q(t) = p(t - target) if q(-t) = (-1)^n q(t), else None."""
+    q = p.shift(-Fraction(target))
+    return None if any(q.coefficients[j] for j in range(q.degree - 1, -1, -2)) else q
 
-    Callers pass the positive rational 1/a to test the line Re = -1/a.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    t = float(Fraction(target))
-    return all(abs(z.real + t) <= tol for z in rs.roots)
+
+def _real_root_count(f: Polynomial) -> int:
+    """Distinct real roots of a squarefree f by Sturm's theorem: the sign
+    changes of its Sturm sequence at -infinity minus those at +infinity."""
+    chain = [f, f.derivative()]
+    while chain[-1].degree > 0:
+        chain.append((chain[-2] % chain[-1]) * -1)
+    plus = [g.leading_coefficient > 0 for g in chain]
+    minus = [s == (g.degree % 2 == 0) for g, s in zip(chain, plus)]
+    return sum(map(ne, minus, minus[1:])) - sum(map(ne, plus, plus[1:]))
+
+
+def common_real_part(rs: RootSet, target: Fraction | int) -> bool:
+    """True iff every root of ``rs.poly`` has real part exactly -target
+    (callers pass 1/a), decided as the module docstring describes."""
+    q = _line_shift(rs.poly, target)
+    if q is None:
+        return False
+    n = q.degree
+    r = Polynomial(c if (n - j) % 4 == 0 else -c for j, c in enumerate(q.coefficients))
+    squarefree = r // polynomial_gcd(r, r.derivative())
+    return _real_root_count(squarefree) == squarefree.degree
 
 
 def parity_necessary_check(ehr: EhrhartPolynomial, a: Fraction | int) -> bool:
@@ -167,16 +178,12 @@ def parity_necessary_check(ehr: EhrhartPolynomial, a: Fraction | int) -> bool:
 
     Shifts the polynomial by -1/a and tests q(-t) == (-1)^n q(t)
     coefficient-wise.  Roots on the line force this symmetry; the
-    converse fails, so combine with :func:`find_roots` for sufficiency.
+    converse fails, so :func:`common_real_part` decides sufficiency.
     """
     af = Fraction(a)
     if af <= 0:
         raise ValueError("a must be positive")
-    q = ehr.poly.shift(-1 / af)
-    n = ehr.dimension
-    return all(
-        q.coefficient(i) == 0 for i in range(n + 1) if (n - i) % 2 == 1
-    )
+    return _line_shift(ehr.poly, 1 / af) is not None
 
 
 def braun_disc_check(rs: RootSet, n: int) -> bool:

@@ -239,7 +239,7 @@ def check_reflexivity() -> tuple[bool, str]:
     doubled_ehr = ehrhart_of(doubled, dilation_counter(doubled))
     doubled_roots = find_roots(doubled_ehr.poly)
     ok &= polytopes.index(doubled) == 2
-    ok &= common_real_part(doubled_roots, Fraction(1, 4), tol=1e-9)
+    ok &= common_real_part(doubled_roots, Fraction(1, 4))
     ok &= reflexivity.root_line_reflexivity_consequence(
         doubled, doubled_ehr, doubled_roots
     )

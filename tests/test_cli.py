@@ -1,6 +1,9 @@
 """CLI: grammar, JSON schemas, subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -420,6 +423,30 @@ def test_cli_wills_cube_passes(capsys):
     assert json.loads(out)["overall"] is True
 
 
+@pytest.mark.parametrize("spec", ["cross:20", "qn:18"])
+def test_cli_roots_residual_is_a_backward_error(capsys, spec):
+    code, out = run_cli(capsys, "roots", "--family", spec, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["residual_bound"] <= 1e-15
+
+
+def test_cli_survives_a_reader_that_leaves_early():
+    """``ehrhartlab reflexive ... | head -1``: no traceback, the report's status."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ehrhartlab", "reflexive", "--family", "cross:12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline().startswith(b"polytope ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_OK
+    assert err == b""
+
+
 def test_cli_roots_reports_common_real_part(capsys):
     code, out = run_cli(
         capsys,
@@ -616,14 +643,29 @@ def test_cli_verify_all_passes(capsys):
 @pytest.mark.parametrize("cmd", ["roots", "bounds", "reflexive"])
 @pytest.mark.parametrize("a", ["0", "-1", "1/0", "nan", "inf", "1e10000000"])
 def test_cli_rejects_nonpositive_or_undefined_a(capsys, cmd, a):
-    """``-a`` (roots, bounds) and ``--tol`` (all three) take finite numbers
-    > 0; an exponent of more than three digits is refused before ``Fraction``
-    spends seconds on 10**exponent."""
-    for flag in ("--tol",) if cmd == "reflexive" else ("-a", "--tol"):
-        code = main([cmd, "--family", "cube:2", flag, a])
+    """``-a`` (roots, bounds) takes finite numbers > 0; an exponent of more
+    than three digits is refused before ``Fraction`` spends seconds on
+    10**exponent.  reflexive reads ``a`` off the polytope and takes no ``-a``."""
+    code = main([cmd, "--family", "cube:2", "-a", a])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and "Traceback" not in err
+    if cmd == "reflexive":
+        assert err.splitlines()[-1] == (
+            f"ehrhartlab: error: unrecognized arguments: -a {a}"
+        )
+    else:
+        assert "argument -a:" in err
+
+
+def test_cli_has_no_tolerance_flag(capsys):
+    """The root line is decided exactly, so no tolerance can be set."""
+    for cmd in ("roots", "bounds", "reflexive"):
+        code = main([cmd, "--family", "cube:2", "--tol", "1e-7"])
         err = capsys.readouterr().err
-        assert code == EXIT_USAGE
-        assert f"argument {flag}:" in err and "Traceback" not in err
+        assert code == EXIT_USAGE and "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "ehrhartlab: error: unrecognized arguments: --tol 1e-7"
+        )
 
 
 SQUARE_HALFSPACES = [

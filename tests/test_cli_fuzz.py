@@ -31,16 +31,15 @@ from ehrhartlab.polytopes import hull2d
 FLAGS = {
     "-k": st.one_of(st.integers(-2, 50).map(str), st.sampled_from(["x", "1.5"])),
     "-a": st.sampled_from(["0", "-1", "1/0", "0/3", "x", "2", "4", "3/2", "1/3"]),
-    "--tol": st.sampled_from(["1e-7", "1e-3", "0", "-1", "nan", "inf", "x"]),
     "--method": st.sampled_from(["auto", "box", "grid"]),
 }
 SUBCOMMAND_FLAGS = {
     "count": ("-k", "--method"),
     "ehrhart": (),
-    "roots": ("-a", "--tol"),
+    "roots": ("-a",),
     "wills": (),
-    "bounds": ("-a", "--tol"),
-    "reflexive": ("--tol",),
+    "bounds": ("-a",),
+    "reflexive": (),
 }
 
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -19,7 +19,6 @@ from ehrhartlab.ehrhart import (
     qn_coefficients,
     qn_first_coefficient,
     qn_growth_check,
-    second_coefficient_from_facets,
 )
 from ehrhartlab.exact import Polynomial
 from ehrhartlab.polytopes import (
@@ -159,6 +158,18 @@ def test_counterexample_propagates_to_all_higher_dimensions():
         assert c1 > 2 * (7 + m)
         # the violation gap is constant in m
         assert c1 - 2 * (7 + m) == Fraction(1534, 105) - 14
+
+
+def second_coefficient_from_facets(polygon):
+    """Oracle for c_1 of a polygon: half the lattice length of its boundary,
+    an edge's lattice length being the gcd of its vector's coordinates."""
+    if polygon.dimension != 2:
+        raise ValueError("facet formula implemented for polygons only")
+    total = 0
+    for hs in polygon.halfspaces:
+        v, *_, w = sorted(v for v in polygon.vertices if hs.is_tight_at(v))
+        total += gcd(w[0] - v[0], w[1] - v[1])
+    return Fraction(total, 2)
 
 
 def test_facet_formula_examples():

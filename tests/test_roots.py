@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ehrhartlab.counting import dilation_counter
 from ehrhartlab.ehrhart import ehrhart_of, qn_coefficients
@@ -68,7 +70,7 @@ def test_find_roots_triple_root_is_exact():
     line = Polynomial([1, 2])
     rs = find_roots(line * line * line)
     assert rs.roots == (complex(-0.5),) * 3
-    assert rs.source_degree == 3
+    assert rs.poly.degree == 3
     assert rs.residual_bound == 0.0
 
 
@@ -117,6 +119,54 @@ def test_common_real_part_cases():
     assert not common_real_part(find_roots(triangle.poly), Fraction(1, 2))
     doubled = ehr(dilate(cube(2), 2))
     assert common_real_part(find_roots(doubled.poly), Fraction(1, 4))
+
+
+def line_pair(a, y, off=0):
+    """(t + 1/a + off)^2 + y^2: roots -1/a - off +- iy."""
+    c = 1 / Fraction(a) + off
+    return Polynomial([c * c + y * y, 2 * c, 1])
+
+
+def test_common_real_part_sees_a_billionth_off_the_line():
+    p = line_pair(2, 1) * line_pair(2, 1, Fraction(1, 10**9))
+    assert not common_real_part(find_roots(p), Fraction(1, 2))
+
+
+def test_common_real_part_holds_at_degree_40():
+    p = Polynomial([1])
+    for j in range(1, 21):
+        p = p * line_pair(2, j)
+    assert p.degree == 40
+    assert common_real_part(find_roots(p), Fraction(1, 2))
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@given(
+    st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(4)]),
+    st.lists(small_fractions, max_size=3),
+    st.integers(1, 2),
+    st.integers(0, 2),
+    st.sampled_from([None, "shifted", "real"]),
+    small_fractions.filter(bool),
+    small_fractions,
+)
+def test_common_real_part_is_no_off_line_factor(a, ys, mult, linear, off_line, off, y):
+    """Products of on-line pairs (each mult times), linear factors t + 1/a,
+    and at most one factor with its roots off Re = -1/a: a pair shifted off
+    the line, or two real roots -1/a +- off."""
+    on_line = [line_pair(a, y0) for y0 in ys] * mult + [Polynomial([1 / a, 1])] * linear
+    p = Polynomial([1])
+    for factor in on_line:
+        p = p * factor
+    if off_line == "shifted":
+        p = p * line_pair(a, y, off)
+    elif off_line == "real":
+        p = p * Polynomial([1 / a + off, 1]) * Polynomial([1 / a - off, 1])
+    if p.degree == 0:
+        p = Polynomial([1 / a, 1])
+    assert common_real_part(find_roots(p), 1 / a) == (off_line is None)
 
 
 def test_parity_check_on_cube_is_monomial():
