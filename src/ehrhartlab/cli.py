@@ -467,6 +467,7 @@ def _cmd_ehrhart(req: CommandRequest) -> tuple[dict, int]:
 
 def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any]:
     rs = find_roots(ehr.poly)
+    in_disc = braun_disc_check(rs, ehr.dimension)  # computes rs.roots, inside a check
     target = 1 / req.a
     on_line = common_real_part(rs, target)
     # The roots sum to -c_{n-1}/c_n, so a common real part is their mean.
@@ -480,7 +481,7 @@ def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any
         "common_real_part": on_line,
         "detected_common_real_part": _round12(float(mean)) if on_mean else None,
         "parity_necessary_check": parity_necessary_check(ehr, req.a),
-        "braun_disc_check": braun_disc_check(rs, ehr.dimension),
+        "braun_disc_check": in_disc,
     }
 
 

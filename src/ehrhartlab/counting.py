@@ -3,12 +3,15 @@
 Three layers, from slow-and-universal to fast-and-specialized:
 
 * :func:`count_box_scan` - iterate the bounding box against a membership
-  predicate.  Ground truth for everything else; kept to desk scale.
+  predicate.  Ground truth for everything else; kept to desk scale, and
+  the automatic counter only for JSON polytopes of dimension 1 or >= 3.
 * :func:`count_minkowski_dp` - dynamic programming for the Minkowski sums
   a*C_m + b*C_m* that arise as slices of the cube-crosspolytope hybrid.
   Cost O(m * b) per call, so the hybrid's slice sum at dilation k costs
   O(m * k^2), which makes the degree-7 interpolation instantaneous.
-* closed forms - :func:`count_qn_closed` for the bipyramid family.
+* closed forms - :func:`count_qn_closed` for the bipyramid family, and
+  Pick's theorem L(k) = A k^2 + (B/2) k + 1 for every lattice polygon
+  (area A, B lattice points on the boundary of its hull).
 
 All counts are exact Python ints; (2k+1)^(n-1) at n = 13 already exceeds
 64-bit ranges, so nothing here ever touches floats.
@@ -18,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from math import gcd
 from typing import Callable, Sequence
 
-from .polytopes import FamilyTag, LatticePolytope, dilate
+from .polytopes import FamilyTag, LatticePolytope, dilate, hull2d
 
 Point = tuple[int, ...]
 
@@ -199,8 +203,9 @@ def dilation_counter(
 ) -> Callable[[int], int]:
     """Best exact counter k -> #(kP cap Z^n) for the given polytope.
 
-    Family polytopes use their closed forms / DP; anything else falls back
-    to a box scan of the dilate (guarded by ``max_box_points``).
+    Family polytopes use their closed forms / DP and polygons Pick's
+    theorem; a JSON polytope of dimension 1 or >= 3 falls back to a box
+    scan of the dilate (guarded by ``max_box_points``).
     """
     fam = p.family
     if fam is not None:
@@ -226,5 +231,13 @@ def dilation_counter(
                 return total
 
             return counter
+    if p.dimension == 2:
+        # The hull's edges: a JSON vertex list may be out of order, repeat
+        # a point or list one that is not a vertex.
+        hull = hull2d(p.vertices).vertices
+        edges = list(zip(hull, hull[1:] + hull[:1]))
+        twice_area = sum(u[0] * v[1] - v[0] * u[1] for u, v in edges)
+        boundary = sum(gcd(v[0] - u[0], v[1] - u[1]) for u, v in edges)
+        return lambda k: (twice_area * k * k + boundary * k) // 2 + 1
 
     return scan_counter(p, max_box_points)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import ne
 from typing import NamedTuple
 
@@ -38,11 +39,34 @@ _DISC_ROUNDOFF = 1e-9  # slack on Braun's disc radius
 @dataclass(frozen=True)
 class RootSet:
     """All complex roots of ``poly`` with multiplicity, sorted by (real,
-    imag); ``residual_bound`` is their largest backward error."""
+    imag); ``residual_bound`` is their largest backward error.  Both are
+    computed on first read, so the exact checks, which read only ``poly``,
+    never pay for the floats.  Exact squarefree splitting comes first, so
+    multiple roots (the dilated-cube polynomials are the extreme case) come
+    out exact instead of scattered."""
 
-    roots: tuple[complex, ...]
-    residual_bound: float
     poly: Polynomial
+
+    @cached_property
+    def roots(self) -> tuple[complex, ...]:
+        roots: list[complex] = []
+        for factor, multiplicity in squarefree_decomposition(self.poly):
+            if factor.degree == 1:
+                # -c0/c1 exactly; keep the float conversion as the only loss.
+                value = complex(-factor.coefficient(0) / factor.coefficient(1))
+                roots.extend([value] * multiplicity)
+                continue
+            companion_roots = np.roots(
+                [float(c) for c in reversed(factor.coefficients)]
+            )
+            for z in _newton_polish(factor, companion_roots):
+                roots.extend([z] * multiplicity)
+        roots.sort(key=lambda z: (z.real, z.imag))
+        return tuple(roots)
+
+    @cached_property
+    def residual_bound(self) -> float:
+        return _backward_error(self.poly, self.roots)
 
 
 class BoundVerdict(NamedTuple):
@@ -108,7 +132,7 @@ def _newton_polish(factor: Polynomial, roots: np.ndarray) -> list[complex]:
     return polished
 
 
-def _backward_error(p: Polynomial, roots: list[complex]) -> float:
+def _backward_error(p: Polynomial, roots: tuple[complex, ...]) -> float:
     """max |p(z)| / sum |c_j| |z|^j over the roots (0/0 reads as 0)."""
     coeffs = [float(c) for c in p.coefficients]
     sizes = [abs(c) for c in coeffs]
@@ -118,30 +142,12 @@ def _backward_error(p: Polynomial, roots: list[complex]) -> float:
 
 
 def find_roots(p: Polynomial) -> RootSet:
-    """All complex roots of p with multiplicity.
-
-    Exact squarefree splitting first, so multiple roots (the dilated-cube
-    polynomials are the extreme case) come out exact instead of scattered.
-    Deterministic for a given input.
-    """
+    """All complex roots of p with multiplicity, as a :class:`RootSet`."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no root set")
     if p.degree < 1:
         raise ValueError("root finding requires degree >= 1")
-    roots: list[complex] = []
-    for factor, multiplicity in squarefree_decomposition(p):
-        if factor.degree == 1:
-            # -c0/c1 exactly; keep the float conversion as the only loss.
-            value = complex(-factor.coefficient(0) / factor.coefficient(1))
-            roots.extend([value] * multiplicity)
-            continue
-        companion_roots = np.roots(
-            [float(c) for c in reversed(factor.coefficients)]
-        )
-        for z in _newton_polish(factor, companion_roots):
-            roots.extend([z] * multiplicity)
-    roots.sort(key=lambda z: (z.real, z.imag))
-    return RootSet(tuple(roots), _backward_error(p, roots), p)
+    return RootSet(p)
 
 
 def _line_shift(p: Polynomial, target: Fraction | int) -> Polynomial | None:

@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from ehrhartlab import cli
+from ehrhartlab import cli, counting, verification
 from ehrhartlab.cli import (
     EXIT_FINDING,
     EXIT_OK,
@@ -321,23 +321,54 @@ def test_cli_count_beyond_nodes_needs_only_the_node_boxes(tmp_path, capsys):
 
 
 def test_cli_count_beyond_nodes_refuses_what_ehrhart_refuses(tmp_path, capsys):
-    # Under a budget of 50 points the pentagon's node box at k = 1 (5^2)
-    # fits and the one at k = 2 (9^2) does not, so count at k = 5 refuses
-    # with ehrhart's message; the k = 5 box itself would be 21^2.
+    # A polygon is counted by Pick's theorem, so under a budget of 50 points
+    # count at k = 5 and ehrhart both answer, although the pentagon's box at
+    # k = 2 (9^2) is over budget.  Only --method box scans: 21^2 at k = 5.
     path = tmp_path / "pentagon.json"
     path.write_text(
         json.dumps({"dimension": 2, "vertices": [list(v) for v in PENTAGON]})
     )
-    budget = ["--json", str(path), "--max-box-points", "50"]
-    assert main(["count", "-k", "1", *budget]) == EXIT_OK
-    capsys.readouterr()
-    errors = []
-    for argv in (["count", "-k", "5"], ["ehrhart"]):
-        assert main(argv + budget) == EXIT_USAGE
-        errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1]
-    assert errors[0].startswith("error: box scan of 9^2 points exceeds the budget")
-    assert len(errors[0].splitlines()) == 1
+    budget = ["--json", str(path), "--max-box-points", "50", "--format", "json"]
+    code, out = run_cli(capsys, "count", "-k", "5", *budget)
+    assert code == EXIT_OK
+    assert json.loads(out)["count"] == pick_count(PENTAGON, 5) == 171
+    code, out = run_cli(capsys, "ehrhart", *budget)
+    assert code == EXIT_OK
+    assert json.loads(out)["coefficients"] == ["1", "4", "6"]
+    assert main(["count", "-k", "5", "--method", "box", *budget]) == EXIT_USAGE
+    error = capsys.readouterr().err
+    assert error.startswith("error: box scan of 21^2 points exceeds the budget of 50")
+    assert len(error.splitlines()) == 1
+
+
+def test_no_polygon_reaches_the_box_scan(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polygon reached the box scan")
+
+    monkeypatch.setattr(counting, "count_box_scan", refuse)
+    samples = verification.RANDOM_POLYGON_SAMPLES
+    assert verification._random_polygon_agreement(samples) == samples
+    # The pentagon's vertex list out of order, with a repeat, an edge
+    # midpoint and an interior point, and its hull's edges.
+    vertices = [(0, 2), (-1, -1), (2, 0), (0, 0), (1, -1), (-1, 1), (0, 2), (1, 0)]
+    path = tmp_path / "pentagon.json"
+    edges = [(h.normal, h.rhs) for h in hull2d(PENTAGON).halfspaces]
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "vertices": [list(v) for v in vertices],
+        "halfspaces": halfspaces_json(*edges),
+    }))
+    source = ["--json", str(path), "--format", "json"]
+    expected = [
+        (["ehrhart"], EXIT_OK),
+        (["roots"], EXIT_OK),
+        (["reflexive"], EXIT_FINDING),
+        (["count", "-k", "77"], EXIT_OK),
+    ]
+    for argv, status in expected:
+        code, out = run_cli(capsys, *argv, *source)
+        assert code == status, (argv, capsys.readouterr().err)
+    assert json.loads(out)["count"] == pick_count(PENTAGON, 77)
 
 
 def halfspaces_json(*pairs):

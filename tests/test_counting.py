@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrhartlab.cli import polytope_from_json
 from ehrhartlab.counting import (
     count_box_scan,
     count_minkowski_dp,
@@ -13,6 +14,7 @@ from ehrhartlab.counting import (
     count_qn_closed,
     dilation_counter,
     oracle_for,
+    scan_counter,
 )
 from ehrhartlab.polytopes import (
     crosspolytope,
@@ -216,3 +218,42 @@ def test_dilation_counter_generic_hrep():
 def test_dilation_counter_scaled_family():
     counter = dilation_counter(dilate(cube(2), 2))
     assert [counter(k) for k in range(3)] == [1, 25, 81]
+
+
+@st.composite
+def polygons(draw):
+    """A random lattice polygon: a hull, its dilate, its product with the
+    interval [-1, 1], or a JSON document given with the hull's edges whose
+    vertex list is shuffled, repeats a point and lists a lattice point of
+    the polygon that may not be a vertex."""
+    kind = draw(st.sampled_from(["hull", "dilate", "product", "json"]))
+    r = 1 if kind == "product" else 2  # keeps the 3-dimensional scans small
+    coordinate = st.integers(-r, r)
+    points = draw(
+        st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=7)
+    )
+    try:
+        hull = hull2d(points)
+    except ValueError:  # the points do not span the plane
+        return draw(st.nothing())
+    if kind == "hull":
+        return hull
+    if kind == "dilate":
+        return dilate(hull, draw(st.integers(2, 3)))
+    if kind == "product":
+        return product(hull, cube(1))
+    inside = [q for q in itertools.product(range(-2, 3), repeat=2)
+              if all(h.contains(q) for h in hull.halfspaces)]
+    extra = [draw(st.sampled_from(points)), draw(st.sampled_from(inside))]
+    listed = draw(st.permutations(points + extra))
+    edges = [{"normal": list(h.normal), "rhs": h.rhs} for h in hull.halfspaces]
+    return polytope_from_json(
+        {"dimension": 2, "vertices": [list(v) for v in listed], "halfspaces": edges}
+    )
+
+
+@given(polygons())
+@settings(max_examples=40, deadline=None)
+def test_pick_counter_equals_box_scan(polygon):
+    fast, slow = dilation_counter(polygon), scan_counter(polygon)
+    assert [fast(k) for k in range(7)] == [slow(k) for k in range(7)]
