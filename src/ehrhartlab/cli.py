@@ -254,7 +254,9 @@ def polytope_from_json(obj: Any, path: str = "$") -> LatticePolytope:
         return hull or p
     if set(halfspaces) != set(hull.halfspaces):
         raise ValueError(f"{path}.halfspaces: inconsistent with the vertices' hull")
-    return p
+    # The hull's vertices: a listed point that is no vertex must not reach
+    # the reflexivity tests, which read every vertex.
+    return LatticePolytope(2, hull.vertices, halfspaces)
 
 
 def _halfspaces_from_json(

@@ -1,5 +1,6 @@
 """CLI: grammar, JSON schemas, subcommands, exit codes, determinism."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -580,6 +581,34 @@ def test_cli_box_budget_guard(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("k", ["1000000000000000000", "10000000000000000000"])
+def test_cli_box_too_large_to_index_exits_2(capsys, k):
+    # 2*10^18 + 1 and 2*10^19 + 1 points: no budget admits a box scan of them.
+    argv = ["count", "--family", "cube:1", "-k", k, "--method", "box",
+            "--max-box-points", "1" + "0" * 61]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "too large to index" in err and len(err.splitlines()) == 1
+
+
+def test_cli_box_scan_halfspaces_are_exact(tmp_path, capsys):
+    """(N, N, 1).x <= 2N - 1 with N = 2^62 cuts (1, 1, 0) and (1, 1, 1) off
+    the cube [-1, 1]^3; an int64 dot product wraps there and keeps both."""
+    n = 2**62
+    corners = [list(v) for v in itertools.product((-1, 1), repeat=3) if v != (1, 1, 1)]
+    cube_facets = [((1, 0, 0), 1), ((-1, 0, 0), 1), ((0, 1, 0), 1),
+                   ((0, -1, 0), 1), ((0, 0, 1), 1), ((0, 0, -1), 1)]
+    path = tmp_path / "cut_cube.json"
+    path.write_text(json.dumps({
+        "dimension": 3,
+        "vertices": corners + [[1, 0, 1], [0, 1, 1]],
+        "halfspaces": halfspaces_json(*cube_facets, ((n, n, 1), 2 * n - 1)),
+    }))
+    code, out = run_cli(capsys, "count", "--json", str(path), "-k", "1",
+                        "--method", "box", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["count"] == 25
+
+
 def test_cli_output_is_deterministic(capsys):
     runs = []
     for _ in range(2):
@@ -783,15 +812,23 @@ def test_cli_deep_json_nesting_exits_2(tmp_path, capsys):
 
 def test_cli_vertex_only_polygon_json(tmp_path, capsys):
     triangle = hull2d([(-1, -1), (-1, 2), (2, -1)])
-    full = tmp_path / "full.json"
-    full.write_text(json.dumps(polytope_to_json(triangle)))
-    bare = tmp_path / "bare.json"
-    bare.write_text(
-        json.dumps({"dimension": 2, "vertices": [[2, -1], [-1, 2], [-1, -1], [0, 0]]})
-    )
-    for cmd in ("ehrhart", "count", "roots", "wills", "bounds", "reflexive"):
-        expected = run_cli(capsys, cmd, "--json", str(full), "--format", "json")
-        assert run_cli(capsys, cmd, "--json", str(bare), "--format", "json") == expected
+    square = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
+    cases = [
+        (polytope_to_json(triangle),
+         {"dimension": 2, "vertices": [[2, -1], [-1, 2], [-1, -1], [0, 0]]}),
+        # A vertex list padded with the origin, next to the edges, is read
+        # as its hull: reflexive must not test the zero vector.
+        ({**polytope_to_json(hull2d(square)), "vertices": square + [[0, 0]]},
+         {"dimension": 2, "vertices": square}),
+    ]
+    full, bare = tmp_path / "full.json", tmp_path / "bare.json"
+    for given, vertex_only in cases:
+        full.write_text(json.dumps(given))
+        bare.write_text(json.dumps(vertex_only))
+        for cmd in ("ehrhart", "count", "roots", "wills", "bounds", "reflexive"):
+            expected = run_cli(capsys, cmd, "--json", str(full), "--format", "json")
+            assert expected[0] in (EXIT_OK, EXIT_FINDING), (cmd, given)
+            assert run_cli(capsys, cmd, "--json", str(bare), "--format", "json") == expected
     # A family without half-spaces keeps its tag and closed-form counter.
     pn2 = tmp_path / "pn2.json"
     pn2.write_text(json.dumps({"family": {"tag": "pn", "params": {"n": 2}}}))

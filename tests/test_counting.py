@@ -1,9 +1,12 @@
 """Counting kernels: box scan, slice decompositions, DP, closed forms."""
 
 import itertools
+from dataclasses import replace
+from math import gcd
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehrhartlab.cli import polytope_from_json
@@ -47,6 +50,7 @@ def test_hybrid_oracle_membership():
     assert oracle.contains((2, 0, 0))
     assert oracle.contains((2, 1, 1))  # deficiency 1 at height 1
     assert not oracle.contains((2, 2, 1))
+    assert not oracle.contains((0, 0, 3))  # above the apex
 
 
 def test_bipyramid_oracle_membership():
@@ -257,3 +261,69 @@ def polygons(draw):
 def test_pick_counter_equals_box_scan(polygon):
     fast, slow = dilation_counter(polygon), scan_counter(polygon)
     assert [fast(k) for k in range(7)] == [slow(k) for k in range(7)]
+
+
+FAMILIES = {"cube": (cube, 1), "cross": (crosspolytope, 1),
+            "pn": (pn_family, 2), "qn": (qn_family, 2)}
+
+
+@st.composite
+def families(draw, max_dim=4):
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    build, low = FAMILIES[name]
+    return build(draw(st.integers(low, max(low, max_dim))))
+
+
+@st.composite
+def scanned_polytopes(draw):
+    """A small family polytope, a product of two, or a 3-D JSON polytope
+    given with half-spaces (a polygon times [-1, 1], perhaps cut by one
+    more supporting half-space), dilated by 1 to 3."""
+    kind = draw(st.sampled_from(["family", "product", "json"]))
+    if kind == "family":
+        p = draw(families())
+    elif kind == "product":
+        left = draw(families(max_dim=3))
+        p = product(left, draw(families(max_dim=4 - left.dimension)))
+    else:
+        coordinate = st.integers(-2, 2)
+        points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=6))
+        try:
+            polygon = hull2d(points)
+        except ValueError:  # the points do not span the plane
+            return draw(st.nothing())
+        vertices = [v + (z,) for v in polygon.vertices for z in (-1, 1)]
+        normals = [h.normal + (0,) for h in polygon.halfspaces] + [(0, 0, 1), (0, 0, -1)]
+        normal = draw(st.tuples(coordinate, coordinate, coordinate))
+        if draw(st.booleans()) and gcd(*normal) == 1:
+            normals.append(normal)
+        halfspaces = [
+            {"normal": list(n), "rhs": max(sum(map(mul, n, v)) for v in vertices)}
+            for n in normals
+        ]
+        p = polytope_from_json({"dimension": 3, "vertices": [list(v) for v in vertices],
+                                "halfspaces": halfspaces})
+    scale = draw(st.integers(1, 3 if p.dimension < 4 else 2))
+    return dilate(p, scale) if scale > 1 else p
+
+
+@given(scanned_polytopes())
+@example(dilate(qn_family(5), 4))  # 9^5 points: 14 full blocks and a partial one
+@settings(max_examples=60, deadline=None)
+def test_box_scan_equals_the_point_by_point_loop(p):
+    """The block scan visits every box point once, in order, and each block's
+    answers are the oracle's answers for its points one at a time."""
+    oracle = oracle_for(p)
+    r, d = oracle.bounding_radius, oracle.dimension
+    box = list(itertools.product(range(-r, r + 1), repeat=d))
+    answers = [bool(oracle.contains(x)) for x in box]
+    blocks = []
+
+    def recording(x):
+        answer = oracle.contains(x)
+        blocks.append((x.tolist(), answer.tolist()))
+        return answer
+
+    assert count_box_scan(replace(oracle, contains=recording)) == sum(answers)
+    assert [tuple(x) for block, _ in blocks for x in block] == box
+    assert [a for _, block_answers in blocks for a in block_answers] == answers
