@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .exact import (
@@ -90,13 +91,13 @@ def ehrhart_of(
     counter-correctness tripwire.
     """
     n = p.dimension
-    points = []
+    values = []
     for k in range(n + 1):
         value = counter(k)
         if not isinstance(value, int) or value <= 0:
             raise ValueError(f"counter returned non-positive value {value} at k={k}")
-        points.append((k, value))
-    return EhrhartPolynomial(n, interpolate(points))
+        values.append(value)
+    return EhrhartPolynomial(n, interpolate(values))
 
 
 def product_coefficients(
@@ -114,18 +115,17 @@ def qn_coefficients(n: int) -> EhrhartPolynomial:
     (n-1)-cube; agrees with interpolation of the closed count."""
     if n < 2:
         raise ValueError("this family requires dimension >= 2")
+    # With B_m = b[m] / d over one common denominator d, each c_i is one
+    # integer over n d.
+    d = lcm(*(bernoulli(m).denominator for m in range(n)))
+    b = [bernoulli(m).numerator * (d // bernoulli(m).denominator) for m in range(n)]
     coeffs = [Fraction(1)]
     for i in range(1, n + 1):
-        value = Fraction(binomial(n - 1, i) * 2**i)
-        tail = Fraction(0)
-        for j in range(i - 1, n):
-            tail += (
-                binomial(n, j + 1)
-                * 2**j
-                * binomial(j + 1, i)
-                * bernoulli(j - i + 1)
-            )
-        coeffs.append(value + Fraction(2, n) * tail)
+        tail = sum(
+            binomial(n, j + 1) * 2**j * binomial(j + 1, i) * b[j - i + 1]
+            for j in range(i - 1, n)
+        )
+        coeffs.append(Fraction(binomial(n - 1, i) * 2**i * n * d + 2 * tail, n * d))
     return EhrhartPolynomial(n, Polynomial(coeffs))
 
 

@@ -5,6 +5,14 @@ Everything in this module is exact.  Rationals are ``fractions.Fraction``
 (always canonical: positive denominator, reduced), integers are Python's
 arbitrary-precision ints, and no operation ever rounds.
 
+A :class:`Polynomial` holds Fractions, but interpolation, shifts, Yun's
+algorithm and the Sturm count run on integer numerators over one common
+denominator and build one Fraction per output coefficient.  Gcds come from
+primitive pseudo-remainder sequences (Brown and Traub 1971): a step
+multiplies by |lc|, never by the signed lc, and divides out a positive
+content, so each member is a positive multiple of the true remainder.  By
+Gauss's lemma, dividing by a primitive factor stays exact in Z[t].
+
 Bernoulli convention
 --------------------
 ``bernoulli(1) == Fraction(-1, 2)``.  This is the convention forced by the
@@ -22,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
+from operator import ne
 from typing import Iterable, Sequence
 
 RationalLike = Fraction | int
@@ -79,7 +88,7 @@ def bernoulli_magnitude_bounds(j: int) -> tuple[Fraction, Fraction]:
 
 
 def _as_fraction_tuple(coefficients: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    coeffs = [Fraction(c) for c in coefficients]
+    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coefficients]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
@@ -127,22 +136,7 @@ class Polynomial:
             acc = acc * xf + c
         return acc
 
-    def __add__(self, other: "Polynomial | RationalLike") -> "Polynomial":
-        other = _coerce(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        return Polynomial(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
-        )
-
-    def __sub__(self, other: "Polynomial | RationalLike") -> "Polynomial":
-        other = _coerce(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        return Polynomial(
-            self.coefficient(i) - other.coefficient(i) for i in range(n)
-        )
-
-    def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
-        other = _coerce(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial([0])
         out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
@@ -153,20 +147,22 @@ class Polynomial:
                 out[i + j] += a * b
         return Polynomial(out)
 
-    __rmul__ = __mul__
-
     def shift(self, c: RationalLike) -> "Polynomial":
-        """Return q with q(t) = p(t + c): Horner's rule in t + c, in place."""
+        """Return q with q(t) = p(t + c).  With c = u/v and p = P/d, the
+        integer polynomial v^n P(s/v) is Taylor-shifted by u in s, in place
+        by Horner's rule, and q_j = (shifted)_j / (d v^(n-j))."""
         cf = Fraction(c)
-        a = list(self.coefficients)
-        for i in range(len(a) - 2, -1, -1):
-            for j in range(i, len(a) - 1):
-                a[j] += cf * a[j + 1]
-        return Polynomial(a)
+        u, v = cf.numerator, cf.denominator
+        a, d = _integer_form(self)
+        n = len(a) - 1
+        powers = [v**k for k in range(n + 1)]
+        a = [x * powers[n - j] for j, x in enumerate(a)]
+        for i in range(n - 1, -1, -1):
+            for j in range(i, n):
+                a[j] += u * a[j + 1]
+        return Polynomial(Fraction(x, d * powers[n - j]) for j, x in enumerate(a))
 
     def derivative(self) -> "Polynomial":
-        if len(self.coefficients) == 1:
-            return Polynomial([0])
         return Polynomial(i * c for i, c in enumerate(self.coefficients) if i > 0)
 
     def monic(self) -> "Polynomial":
@@ -175,43 +171,66 @@ class Polynomial:
         lead = self.leading_coefficient
         return Polynomial(c / lead for c in self.coefficients)
 
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        div = other.coefficients
-        if len(rem) < len(div):
-            return Polynomial([0]), Polynomial(rem)
-        quot = [Fraction(0)] * (len(rem) - len(div) + 1)
-        for top in range(len(rem) - 1, len(div) - 2, -1):
-            c = rem[top] / div[-1]
-            pos = top - (len(div) - 1)
-            quot[pos] = c
-            if c != 0:
-                for i, d in enumerate(div):
-                    rem[pos + i] -= c * d
-        return Polynomial(quot), Polynomial(rem[: len(div) - 1] or [0])
 
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
+# The integer kernel works on lists of Python ints, constant term first,
+# with no trailing zeros ([] is zero).
 
 
-def _coerce(value: Polynomial | RationalLike) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial([Fraction(value)])
+def _integer_form(p: Polynomial) -> tuple[list[int], int]:
+    """(a, d) with p_j = a_j / d, d the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in p.coefficients))
+    return [c.numerator * (d // c.denominator) for c in p.coefficients], d
 
 
-def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals (Euclidean algorithm)."""
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, which is taken positive: signs survive."""
+    g = gcd(*a)
+    return [x // g for x in a] if g > 1 else a
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [j * x for j, x in enumerate(a)][1:]
+
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of the pseudo-remainder of a by b: a positive multiple
+    of a mod b.  Each step multiplies by |lc(b)| (over a gcd), never by the
+    signed lc, so a Sturm chain built from it keeps every sign."""
+    a = a[:]
+    m = len(b) - 1
+    lead = b[-1]
+    while len(a) > m:
+        top = a.pop()
+        g = gcd(lead, top)
+        scale, c = abs(lead) // g, top // g if lead > 0 else -top // g
+        shift = len(a) - m
+        a = [scale * x for x in a]
+        for i in range(m):
+            a[shift + i] -= c * b[i]
+        while a and not a[-1]:
+            a.pop()
+    return _primitive(a) if a else a
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd of a and b by the primitive remainder sequence."""
+    while b:
+        a, b = b, _remainder(a, b)
+    return _primitive(a)
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a: by Gauss's lemma the
+    quotient has integer coefficients, so every division below is exact."""
+    a = a[:]
+    m = len(b) - 1
+    quotient = [0] * (len(a) - m)
+    for top in range(len(a) - 1, m - 1, -1):
+        c = quotient[top - m] = a[top] // b[-1]
+        if c:
+            for i in range(m):
+                a[top - m + i] -= c * b[i]
+    return quotient
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -219,49 +238,56 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     the f_i monic, squarefree, and pairwise coprime."""
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree decomposition")
-    if p.degree == 0:
-        return []
-    p = p.monic()
-    dp = p.derivative()
-    a = polynomial_gcd(p, dp)
-    if a.degree == 0:
-        return [(p, 1)]
+    b, _ = _integer_form(p)
+    c = _derivative(b)
+    a = _gcd(b, c)
+    b, c = _exact_quotient(b, a), _exact_quotient(c, a)
     out: list[tuple[Polynomial, int]] = []
-    b = p // a
-    c = dp // a
-    d = c - b.derivative()
     mult = 1
-    while b.degree > 0:
-        ai = polynomial_gcd(b, d)
-        if ai.degree > 0:
-            out.append((ai, mult))
-        b = b // ai
-        c = d // ai
-        d = c - b.derivative()
+    while len(b) > 1:
+        d = [x - y for x, y in zip(c, _derivative(b))]
+        while d and not d[-1]:
+            d.pop()
+        a = _gcd(b, d)
+        if len(a) > 1:
+            out.append((Polynomial(Fraction(x, a[-1]) for x in a), mult))
+        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
         mult += 1
     return out
 
 
-def interpolate(points: Sequence[tuple[RationalLike, RationalLike]]) -> Polynomial:
-    """Unique polynomial of degree < len(points) through all points.
+def distinct_root_counts(p: Polynomial) -> tuple[int, int]:
+    """(distinct real roots, distinct complex roots) of a nonconstant p.
 
-    Newton divided differences over Fraction; the result reproduces every
-    ordinate exactly.  Duplicate abscissae are rejected.
-    """
-    if not points:
-        raise ValueError("interpolation requires at least one point")
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate abscissae in interpolation input")
-    coef = ys[:]
-    n = len(points)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    # Horner expansion of the Newton form, in place: after step i, coef[i:]
-    # holds coef[i] + (t - xs[i]) * (the tail) in the power basis.
-    for i in range(n - 2, -1, -1):
-        for j in range(i, n - 1):
-            coef[j] -= xs[i] * coef[j + 1]
-    return Polynomial(coef)
+    Both come from one Sturm chain p, p', -rem, ...: the sign changes of
+    its leading terms at -infinity minus those at +infinity count the
+    distinct real roots (Sturm's theorem holds without squarefreeness),
+    and its last member is gcd(p, p')."""
+    f, _ = _integer_form(p)
+    chain = [f, _derivative(f)]
+    while chain[-1]:
+        chain.append([-x for x in _remainder(chain[-2], chain[-1])])
+    chain.pop()
+    plus = [g[-1] > 0 for g in chain]
+    minus = [s == (len(g) % 2 == 1) for g, s in zip(chain, plus)]
+    real = sum(map(ne, minus, minus[1:])) - sum(map(ne, plus, plus[1:]))
+    return real, len(f) - len(chain[-1])
+
+
+def interpolate(values: Sequence[int]) -> Polynomial:
+    """The p of degree < len(values) with p(k) = values[k]: with n the last
+    k and D_j = Delta^j p(0), n! p(t) = sum_j D_j (n!/j!) t(t-1)...(t-j+1)
+    is expanded in Z[t] by Horner's rule and divided by n! once."""
+    a = list(values)
+    n = len(a) - 1
+    for level in range(1, n + 1):
+        for i in range(n, level - 1, -1):
+            a[i] -= a[i - 1]
+    scale = 1
+    for j in range(n, -1, -1):
+        a[j] *= scale
+        scale *= j or 1
+    for i in range(n - 1, -1, -1):
+        for j in range(i, n):
+            a[j] -= i * a[j + 1]
+    return Polynomial(Fraction(x, scale) for x in a)

@@ -4,7 +4,10 @@ Root finding is multiplicity-safe: the polynomial is first split into
 squarefree factors by exact rational arithmetic (Yun's algorithm), each
 factor's roots come from the companion-matrix eigenvalues, and a few
 Newton steps polish every simple root.  The residual is the componentwise
-backward error max |p(z)| / sum |c_j| |z|^j (Higham).
+backward error max |p(z)| / sum |c_j| |z|^j (Higham).  Where a float
+could leave its range (high degree or huge coefficients), all of this runs
+on the monic factor in t = 2^e y, e read off the coefficients' sizes,
+which leaves the backward error unchanged; otherwise nothing is scaled.
 
 Whether all roots have real part -1/a is decided exactly: q(t) =
 p(t - 1/a) must satisfy q(-t) = (-1)^n q(t) (the parity condition), and
@@ -25,15 +28,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import ne
+from math import log2
 from typing import NamedTuple
 
 import numpy as np
 
 from .ehrhart import EhrhartPolynomial
-from .exact import Polynomial, binomial, polynomial_gcd, squarefree_decomposition
+from .exact import (
+    Polynomial,
+    binomial,
+    distinct_root_counts,
+    squarefree_decomposition,
+)
 
 _DISC_ROUNDOFF = 1e-9  # slack on Braun's disc radius
+_FLOAT_BITS = 1000  # log2 of the largest float allowed, with room for a factor n
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,7 @@ class RootSet:
 
     @cached_property
     def roots(self) -> tuple[complex, ...]:
+        e = _scale_exponent(self.poly)
         roots: list[complex] = []
         for factor, multiplicity in squarefree_decomposition(self.poly):
             if factor.degree == 1:
@@ -56,17 +66,22 @@ class RootSet:
                 value = complex(-factor.coefficient(0) / factor.coefficient(1))
                 roots.extend([value] * multiplicity)
                 continue
+            if e is not None:
+                factor = _scaled(factor, e)
             companion_roots = np.roots(
                 [float(c) for c in reversed(factor.coefficients)]
             )
-            for z in _newton_polish(factor, companion_roots):
-                roots.extend([z] * multiplicity)
+            for y in _newton_polish(factor, companion_roots):
+                roots.extend([y if e is None else y * 2.0**e] * multiplicity)
         roots.sort(key=lambda z: (z.real, z.imag))
         return tuple(roots)
 
     @cached_property
     def residual_bound(self) -> float:
-        return _backward_error(self.poly, self.roots)
+        e = _scale_exponent(self.poly)
+        if e is None:
+            return _backward_error(self.poly, self.roots)
+        return _backward_error(_scaled(self.poly, e), [z * 2.0**-e for z in self.roots])
 
 
 class BoundVerdict(NamedTuple):
@@ -105,6 +120,34 @@ class WillsVerdict:
             for row in self.per_index
             if row.holds and row.coefficient == row.bound
         )
+
+
+def _scale_exponent(p: Polynomial) -> int | None:
+    """None when no float met in finding p's roots can leave float range,
+    else the e that brings the geometric mean of the nonzero roots near
+    |y| = 1 in t = 2^e y.  Every root lies in |z| <= R = 2 max_j
+    |c_j/c_n|^(1/(n-j)) (Fujiwara), so the coefficients and values at the
+    roots of p, of a monic factor and of its derivative stay below
+    n max(|c_n|, 1) (2 max(R, 1))^n."""
+    n = p.degree
+    logs = [
+        (log2(abs(c.numerator)) - log2(c.denominator), j)
+        for j, c in enumerate(p.coefficients)
+        if c
+    ]
+    lead = logs[-1][0]
+    r = 1 + max(((l - lead) / (n - j) for l, j in logs[:-1]), default=0)
+    largest = max(lead, 0) + n * (max(r, 0) + 1)
+    if largest < _FLOAT_BITS and min(l for l, _ in logs) > -_FLOAT_BITS:
+        return None
+    low, j = logs[0]
+    return round((low - lead) / (n - j)) if j < n else 0
+
+
+def _scaled(f: Polynomial, e: int) -> Polynomial:
+    """f(2^e y) made monic: its roots are f's times 2^-e, and its
+    componentwise backward error at them is f's."""
+    return Polynomial(c * Fraction(2) ** (e * j) for j, c in enumerate(f.coefficients)).monic()
 
 
 def _horner(cs: list[float], z: complex) -> complex:
@@ -156,17 +199,6 @@ def _line_shift(p: Polynomial, target: Fraction | int) -> Polynomial | None:
     return None if any(q.coefficients[j] for j in range(q.degree - 1, -1, -2)) else q
 
 
-def _real_root_count(f: Polynomial) -> int:
-    """Distinct real roots of a squarefree f by Sturm's theorem: the sign
-    changes of its Sturm sequence at -infinity minus those at +infinity."""
-    chain = [f, f.derivative()]
-    while chain[-1].degree > 0:
-        chain.append((chain[-2] % chain[-1]) * -1)
-    plus = [g.leading_coefficient > 0 for g in chain]
-    minus = [s == (g.degree % 2 == 0) for g, s in zip(chain, plus)]
-    return sum(map(ne, minus, minus[1:])) - sum(map(ne, plus, plus[1:]))
-
-
 def common_real_part(rs: RootSet, target: Fraction | int) -> bool:
     """True iff every root of ``rs.poly`` has real part exactly -target
     (callers pass 1/a), decided as the module docstring describes."""
@@ -175,8 +207,8 @@ def common_real_part(rs: RootSet, target: Fraction | int) -> bool:
         return False
     n = q.degree
     r = Polynomial(c if (n - j) % 4 == 0 else -c for j, c in enumerate(q.coefficients))
-    squarefree = r // polynomial_gcd(r, r.derivative())
-    return _real_root_count(squarefree) == squarefree.degree
+    real, distinct = distinct_root_counts(r)
+    return real == distinct
 
 
 def parity_necessary_check(ehr: EhrhartPolynomial, a: Fraction | int) -> bool:

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ehrhartlab import exact
 from ehrhartlab.exact import (
     Polynomial,
     bernoulli,
     bernoulli_magnitude_bounds,
     binomial,
+    distinct_root_counts,
     interpolate,
-    polynomial_gcd,
     squarefree_decomposition,
 )
 
@@ -105,19 +106,34 @@ def test_fraction_arithmetic_stays_canonical():
         assert gcd(abs(value.numerator), value.denominator) == 1
 
 
+def newton_interpolate(points):
+    """Newton divided differences over Fraction at arbitrary distinct
+    abscissae: the oracle for :func:`interpolate` at 0..n."""
+    xs = [Fraction(x) for x, _ in points]
+    coef = [Fraction(y) for _, y in points]
+    n = len(points)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
+    for i in range(n - 2, -1, -1):
+        for j in range(i, n - 1):
+            coef[j] -= xs[i] * coef[j + 1]
+    return Polynomial(coef)
+
+
 def test_interpolate_line():
-    p = interpolate([(0, 1), (1, 3)])
+    p = interpolate([1, 3])
     assert p.coefficients == (Fraction(1), Fraction(2))
 
 
 def test_interpolate_square_counts():
-    p = interpolate([(0, 1), (1, 9), (2, 25)])
+    p = interpolate([1, 9, 25])
     assert p.coefficients == (Fraction(1), Fraction(4), Fraction(4))
 
 
 def test_interpolate_bipyramid3_counts():
     # counts of the 3-dimensional bipyramid at k = 0..3
-    p = interpolate([(0, 1), (1, 11), (2, 45), (3, 119)])
+    p = interpolate([1, 11, 45, 119])
     assert p.coefficients == (
         Fraction(1),
         Fraction(10, 3),
@@ -126,23 +142,12 @@ def test_interpolate_bipyramid3_counts():
     )
 
 
-def test_interpolate_rejects_duplicates():
-    with pytest.raises(ValueError):
-        interpolate([(1, 1), (1, 2)])
-
-
-@given(
-    st.lists(fractions_st, min_size=1, max_size=6, unique=True),
-    st.data(),
-)
-def test_interpolate_reproduces_ordinates_exactly(xs, data):
-    ys = data.draw(
-        st.lists(fractions_st, min_size=len(xs), max_size=len(xs))
-    )
-    p = interpolate(list(zip(xs, ys)))
-    assert p.degree < len(xs)
-    for x, y in zip(xs, ys):
-        assert p(x) == y
+@given(st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=12))
+def test_interpolate_reproduces_ordinates_exactly(values):
+    p = interpolate(values)
+    assert p.degree < len(values)
+    assert [p(k) for k in range(len(values))] == values
+    assert p == newton_interpolate(list(enumerate(values)))
 
 
 def test_poly_shift_examples():
@@ -172,18 +177,54 @@ def test_poly_shift_agrees_with_evaluation(coeffs, x):
     assert p.shift(c)(x) == p(x + c)
 
 
-def test_polynomial_divmod_identity():
-    a = Polynomial([2, 0, -3, 1, 4])
-    b = Polynomial([1, 2, 1])
-    q, r = divmod(a, b)
-    assert q * b + r == a
-    assert r.degree < b.degree
+def fraction_divmod(a, b):
+    """Long division over Fraction."""
+    rem = list(a.coefficients)
+    div = b.coefficients
+    if len(rem) < len(div):
+        return Polynomial([0]), a
+    quot = [Fraction(0)] * (len(rem) - len(div) + 1)
+    for top in range(len(rem) - 1, len(div) - 2, -1):
+        c = quot[top - len(div) + 1] = rem[top] / div[-1]
+        for i, d in enumerate(div):
+            rem[top - len(div) + 1 + i] -= c * d
+    return Polynomial(quot), Polynomial(rem[: len(div) - 1] or [0])
+
+
+def fraction_gcd(a, b):
+    """Monic gcd over Fraction by Euclid's algorithm."""
+    while not b.is_zero:
+        a, b = b, fraction_divmod(a, b)[1]
+    return a.monic()
+
+
+def fraction_minus(a, b):
+    n = max(len(a.coefficients), len(b.coefficients))
+    return Polynomial(a.coefficient(i) - b.coefficient(i) for i in range(n))
+
+
+def fraction_yun(p):
+    """Yun's algorithm over Fraction: the oracle for the integer kernel."""
+    p = p.monic()
+    dp = p.derivative()
+    a = fraction_gcd(p, dp)
+    b, c = fraction_divmod(p, a)[0], fraction_divmod(dp, a)[0]
+    d = fraction_minus(c, b.derivative())
+    out, mult = [], 1
+    while b.degree > 0:
+        ai = fraction_gcd(b, d)
+        if ai.degree > 0:
+            out.append((ai, mult))
+        b, c = fraction_divmod(b, ai)[0], fraction_divmod(d, ai)[0]
+        d = fraction_minus(c, b.derivative())
+        mult += 1
+    return out
 
 
 def test_polynomial_gcd_common_factor():
-    common = Polynomial([1, 1])
-    g = polynomial_gcd(common * Polynomial([2, 3]), common * Polynomial([-1, 1]))
-    assert g == common.monic()
+    # gcd((1 + t)(2 + 3t), (1 + t)(t - 1)) is 1 + t up to its sign
+    assert exact._gcd([2, 5, 3], [-1, 0, 1]) in ([1, 1], [-1, -1])
+    assert exact._gcd([2, 4], [3, 6]) == [1, 2]
 
 
 def test_squarefree_decomposition_recovers_multiplicities():
@@ -196,3 +237,75 @@ def test_squarefree_decomposition_recovers_multiplicities():
         for _ in range(m):
             rebuilt = rebuilt * f
     assert rebuilt == p.monic()
+
+
+integer_factors_st = st.lists(
+    st.tuples(
+        st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda c: c[-1]),
+        st.integers(1, 3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(integer_factors_st, st.integers(-50, 50).filter(bool))
+def test_squarefree_decomposition_matches_fraction_yun(factors, scale):
+    p = Polynomial([scale])
+    for coeffs, m in factors:
+        for _ in range(m):
+            p = p * Polynomial(coeffs)
+    parts = squarefree_decomposition(p)
+    assert parts == fraction_yun(p)
+    rebuilt = Polynomial([1])
+    for f, m in parts:
+        assert f.leading_coefficient == 1
+        for _ in range(m):
+            rebuilt = rebuilt * f
+    assert rebuilt == p.monic()
+
+
+def sturm_case(roots, quadratics, scale):
+    """scale * prod (t - r) * prod (t^2 + b t + c)."""
+    p = Polynomial([scale])
+    for r in roots:
+        p = p * Polynomial([-r, 1])
+    for b, c in quadratics:
+        p = p * Polynomial([c, b, 1])
+    return p
+
+
+# t^2 + b t + c with c > b^2 / 4: no real root
+definite_quadratics_st = st.tuples(
+    fractions_st, st.fractions(min_value=0, max_value=50, max_denominator=20).filter(bool)
+).map(lambda bd: (bd[0], bd[0] ** 2 / 4 + bd[1]))
+
+
+@given(
+    st.lists(fractions_st, max_size=5, unique=True),
+    st.lists(definite_quadratics_st, max_size=3, unique=True),
+    st.booleans(),
+    st.sampled_from([-1, 1]),
+    st.integers(1, 10**6),
+)
+def test_distinct_root_counts_on_real_and_definite_factors(
+    roots, quadratics, mirrored, sign, size
+):
+    if mirrored:
+        # p(-t) = +-p(t), as for the polynomial common_real_part counts: its
+        # chain skips steps on the zero coefficients
+        roots = list({r for x in roots for r in (x, -x)})
+        quadratics = list({(Fraction(0), c) for _, c in quadratics})
+    p = sturm_case(roots, quadratics, sign * size)
+    if p.degree == 0:
+        p = p * Polynomial([0, 1])
+        roots = [0]
+    assert distinct_root_counts(p) == (len(roots), len(roots) + 2 * len(quadratics))
+    # repeated factors change neither count
+    assert distinct_root_counts(p * p) == distinct_root_counts(p)
+
+
+def test_distinct_root_counts_keeps_signs():
+    # -3 (t - 2)(t + 2): a pseudo-remainder multiplied by the signed leading
+    # coefficient -6 of p' flips the last sign of the chain and counts 0
+    assert distinct_root_counts(sturm_case([2, -2], [], -3)) == (2, 2)

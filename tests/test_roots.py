@@ -1,5 +1,6 @@
 """Root finding and the coefficient inequality suite."""
 
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,17 @@ def test_find_roots_triple_root_is_exact():
     assert rs.roots == (complex(-0.5),) * 3
     assert rs.poly.degree == 3
     assert rs.residual_bound == 0.0
+
+
+def test_find_roots_stay_finite_at_high_degree():
+    # t^160 - 100^160: its constant term and |z|^160 both exceed float range
+    rs = find_roots(Polynomial([-(100**160)] + [0] * 159 + [1]))
+    targets = [100 * cmath.exp(2j * cmath.pi * k / 160) for k in range(160)]
+    assert len(rs.roots) == 160
+    for z in rs.roots:
+        assert cmath.isfinite(z)
+        assert min(abs(z - w) for w in targets) <= 1e-12 * 100
+    assert rs.residual_bound <= 1e-12
 
 
 def test_find_roots_rejects_constants():
