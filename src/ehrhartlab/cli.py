@@ -632,7 +632,8 @@ def run(req: CommandRequest) -> int:
 def _positive_number(text: str) -> Fraction:
     """argparse type for ``-a``: a finite number > 0, read exactly
     (``3/2``, ``1e-7``); ``nan`` and ``inf`` are refused."""
-    if len(text.lower().partition("e")[2].lstrip("+-")) > 3:  # Fraction builds 10**e
+    exponent = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
+    if len(exponent) > 3:  # Fraction builds 10**e
         raise argparse.ArgumentTypeError(f"exponent out of range: {text!r}")
     try:
         value = Fraction(text)
@@ -640,6 +641,17 @@ def _positive_number(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for ``--max-box-points``: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
     return value
 
 
@@ -662,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="fmt", choices=("plain", "json", "csv"))
         sp.add_argument(
             "--max-box-points",
-            type=int,
+            type=_nonnegative_int,
             help="refuse box scans beyond this many candidate points",
         )
 

@@ -4,15 +4,17 @@ Three layers, from slow-and-universal to fast-and-specialized:
 
 * :func:`count_box_scan` - scan the bounding box in NumPy blocks of
   points, one array predicate per block.  Ground truth for everything
-  else; kept to desk scale, and the automatic counter only for JSON
-  polytopes of dimension 1 or >= 3.
+  else (verify-all row 5 checks the DP below against such a scan of its
+  deficiency predicate); kept to desk scale, and the automatic counter
+  only for JSON polytopes of dimension 1 or >= 3.
 * :func:`count_minkowski_dp` - dynamic programming for the Minkowski sums
   a*C_m + b*C_m* that arise as slices of the cube-crosspolytope hybrid.
   Cost O(m * b) per call, so the hybrid's slice sum at dilation k costs
   O(m * k^2), which makes the degree-7 interpolation instantaneous.
 * closed forms - :func:`count_qn_closed` for the bipyramid family, and
   Pick's theorem L(k) = A k^2 + (B/2) k + 1 for every lattice polygon
-  (area A, B lattice points on the boundary of its hull).
+  (area A, B lattice points on the boundary of its hull), read off the
+  bare hull chain.
 
 All counts are exact Python ints; (2k+1)^(n-1) at n = 13 already exceeds
 64-bit ranges, so nothing here ever touches floats.  A box scan holds
@@ -28,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .polytopes import FamilyTag, LatticePolytope, dilate, hull2d
+from .polytopes import FamilyTag, LatticePolytope, _hull_chain, dilate
 
 # Points per block of a box scan: large enough that NumPy's per-call cost
 # vanishes, small enough to keep the block arrays a few hundred kB.
@@ -239,9 +241,9 @@ def dilation_counter(
 
             return counter
     if p.dimension == 2:
-        # The hull's edges: a JSON vertex list may be out of order, repeat
-        # a point or list one that is not a vertex.
-        hull = hull2d(p.vertices).vertices
+        # The hull chain's edges: a vertex list given directly may be out of
+        # order, repeat a point or list one that is not a vertex.
+        hull = _hull_chain(p.vertices)
         edges = list(zip(hull, hull[1:] + hull[:1]))
         twice_area = sum(u[0] * v[1] - v[0] * u[1] for u, v in edges)
         boundary = sum(gcd(v[0] - u[0], v[1] - u[1]) for u, v in edges)

@@ -306,14 +306,11 @@ def _cross2(o: IntVector, a: IntVector, b: IntVector) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def hull2d(points: Iterable[Sequence[int]]) -> LatticePolytope:
-    """Convex hull of integer points in the plane (monotone chain).
-
-    Returns counterclockwise vertices starting from the lexicographic
-    minimum, plus one irredundant half-space per edge with primitive
-    normal and tight rhs.  Degenerate input (fewer than three distinct
-    points, or all collinear) is rejected.
-    """
+def _hull_chain(points: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:
+    """Hull vertices of integer points in the plane (monotone chain):
+    counterclockwise from the lexicographic minimum, collinear middles
+    dropped.  Degenerate input (fewer than three distinct points, or all
+    collinear) is rejected."""
     pts = sorted({tuple(int(c) for c in p) for p in points})
     if any(len(p) != 2 for p in pts):
         raise ValueError("hull2d expects 2-dimensional points")
@@ -333,6 +330,18 @@ def hull2d(points: Iterable[Sequence[int]]) -> LatticePolytope:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise ValueError("input points are collinear")
+    return tuple(hull)
+
+
+def hull2d(points: Iterable[Sequence[int]]) -> LatticePolytope:
+    """Convex hull of integer points in the plane (:func:`_hull_chain`).
+
+    Returns counterclockwise vertices starting from the lexicographic
+    minimum, plus one irredundant half-space per edge with primitive
+    normal and tight rhs.  Degenerate input (fewer than three distinct
+    points, or all collinear) is rejected.
+    """
+    hull = _hull_chain(points)
     hs = []
     m = len(hull)
     for i in range(m):
@@ -343,4 +352,4 @@ def hull2d(points: Iterable[Sequence[int]]) -> LatticePolytope:
         g = gcd(abs(nx), abs(ny))
         nx, ny = nx // g, ny // g
         hs.append(Halfspace((nx, ny), nx * v[0] + ny * v[1]))
-    return LatticePolytope(2, tuple(hull), tuple(hs))
+    return LatticePolytope(2, hull, tuple(hs))

@@ -717,6 +717,36 @@ def test_cli_rejects_nonpositive_or_undefined_a(capsys, cmd, a):
         assert "argument -a:" in err
 
 
+@pytest.mark.parametrize(
+    "a,same_as", [("1e0001", "10"), ("1e-0005", "1/100000"), ("2e+000", "2"),
+                  ("1E-007", "1/10000000")]
+)
+def test_cli_accepts_exponents_with_leading_zeros(capsys, a, same_as):
+    """Leading zeros do not count toward the three-digit exponent limit."""
+    code, out = run_cli(capsys, "roots", "--family", "cross:3", "-a", a,
+                        "--format", "json")
+    assert code == EXIT_OK
+    assert (code, out) == run_cli(capsys, "roots", "--family", "cross:3",
+                                  "-a", same_as, "--format", "json")
+
+
+@pytest.mark.parametrize("method", ["auto", "box"])
+def test_cli_max_box_points_must_be_nonnegative(capsys, method):
+    base = ["count", "--family", "cube:2", "-k", "3", "--method", method]
+    assert main(base + ["--max-box-points", "-1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        "error: argument --max-box-points: must be nonnegative: '-1'"
+    )
+    # A budget of 0 is valid: it refuses every scan, and the cube needs none.
+    code = main(base + ["--max-box-points", "0"])
+    assert code == (EXIT_OK if method == "auto" else EXIT_USAGE)
+    err = capsys.readouterr().err
+    if method == "box":
+        assert "exceeds the budget of 0" in err
+
+
 def test_cli_has_no_tolerance_flag(capsys):
     """The root line is decided exactly, so no tolerance can be set."""
     for cmd in ("roots", "bounds", "reflexive"):

@@ -28,9 +28,11 @@ from ehrhartlab.polytopes import (
     product,
     qn_family,
 )
+from ehrhartlab.verification import _deficiency_brute
 
 
 def brute_deficiency_count(m, a, b):
+    """Oracle: one Python tuple per point of the box [-(a+b), a+b]^m."""
     r = a + b
     return sum(
         1
@@ -136,6 +138,15 @@ def test_minkowski_dp_examples():
 @settings(max_examples=40, deadline=None)
 def test_minkowski_dp_matches_brute_force(m, a, b):
     assert count_minkowski_dp(m, a, b) == brute_deficiency_count(m, a, b)
+
+
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_deficiency_box_scan_matches_oracle_and_dp(m, a, b):
+    """verify-all row 5's NumPy scan against the per-point loop and the DP."""
+    count = _deficiency_brute(m, a, b)
+    assert count == brute_deficiency_count(m, a, b)
+    assert count == count_minkowski_dp(m, a, b)
 
 
 @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3))

@@ -1,6 +1,7 @@
 """Polytope representations, family constructors, hulls, and polarity."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from ehrhartlab.polytopes import (
     Halfspace,
     LatticePolytope,
     OriginNotInteriorError,
+    _hull_chain,
     crosspolytope,
     cube,
     dilate,
@@ -218,6 +220,45 @@ def test_hull2d_each_edge_tight_at_exactly_two_vertices(points):
         return
     for h in hull.halfspaces:
         assert sum(1 for v in hull.vertices if h.is_tight_at(v)) == 2
+
+
+def _segment_points(p, q):
+    """The lattice points on the segment from p to q, ends included."""
+    g = gcd(q[0] - p[0], q[1] - p[1])
+    if g == 0:
+        return [p]
+    step = ((q[0] - p[0]) // g, (q[1] - p[1]) // g)
+    return [(p[0] + j * step[0], p[1] + j * step[1]) for j in range(g + 1)]
+
+
+@given(st.lists(point2, min_size=1, max_size=10), st.data())
+def test_hull_chain_is_hull2d_vertices(points, data):
+    """The chain the Pick counter reads is hull2d's vertex list, whatever
+    the order of the input, its repeats and its collinear points."""
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(points),
+                                         st.sampled_from(points)), max_size=4))
+    extra = [x for p, q in pairs for x in _segment_points(p, q)]
+    extra += data.draw(st.lists(st.sampled_from(points), max_size=4))
+    mixed = data.draw(st.permutations(points + extra))
+    try:
+        expected = hull2d(points).vertices
+    except ValueError:  # fewer than three points, or all collinear
+        with pytest.raises(ValueError):
+            _hull_chain(mixed)
+        return
+    chain = _hull_chain(mixed)
+    assert chain == expected
+    assert chain[0] == min(points)
+    for u, v, w in zip(chain, chain[1:] + chain[:1], chain[2:] + chain[:2]):
+        # a strict left turn at every vertex: counterclockwise, no collinear middle
+        assert (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0]) > 0
+
+
+def test_hull_chain_drops_collinear_boundary_points():
+    square = [(x, y) for x in range(-2, 3) for y in (-2, 2)] + [(-2, 0), (2, 1)]
+    assert _hull_chain(square) == ((-2, -2), (2, -2), (2, 2), (-2, 2))
+    with pytest.raises(ValueError, match="collinear"):
+        _hull_chain(_segment_points((-3, 1), (3, -1)))
 
 
 def test_polar_of_cube_is_crosspolytope():
