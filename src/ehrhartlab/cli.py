@@ -602,21 +602,10 @@ def _cmd_verify_all(req: CommandRequest) -> tuple[dict, int]:
     return report, EXIT_OK if report["overall"] else EXIT_FINDING
 
 
-_COMMANDS = {
-    "count": _cmd_count,
-    "ehrhart": _cmd_ehrhart,
-    "roots": _cmd_roots,
-    "wills": _cmd_wills,
-    "bounds": _cmd_bounds,
-    "reflexive": _cmd_reflexive,
-    "verify-all": _cmd_verify_all,
-}
-
-
 def run(req: CommandRequest) -> int:
     """Execute a validated request; prints the report, returns exit status."""
     try:
-        report, status = _COMMANDS[req.subcommand](req)
+        report, status = _COMMANDS[req.subcommand][2](req)
     except (SpecError, OriginNotInteriorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -655,30 +644,23 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Flags without defaults: an omitted flag leaves the CommandRequest
-    field at its default."""
-    parser = argparse.ArgumentParser(
-        prog="ehrhartlab",
-        description="Exact Ehrhart polynomials and coefficient-bound checks "
-        "for lattice polytopes.",
+def add_common(sp: argparse.ArgumentParser, polytope_source: bool = True) -> None:
+    """The flags every subcommand takes: the polytope source (one of
+    --family and --json) unless told otherwise, --format, --max-box-points."""
+    if polytope_source:
+        group = sp.add_mutually_exclusive_group(required=True)
+        group.add_argument("--family", dest="family_spec", metavar="FAMILY",
+                           help="family spec, e.g. pn:7")
+        group.add_argument("--json", dest="json_path", help="polytope JSON file")
+    sp.add_argument("--format", dest="fmt", choices=("plain", "json", "csv"))
+    sp.add_argument(
+        "--max-box-points",
+        type=_nonnegative_int,
+        help="refuse box scans beyond this many candidate points",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp, polytope_source=True):
-        if polytope_source:
-            group = sp.add_mutually_exclusive_group(required=True)
-            group.add_argument("--family", dest="family_spec", metavar="FAMILY",
-                               help="family spec, e.g. pn:7")
-            group.add_argument("--json", dest="json_path", help="polytope JSON file")
-        sp.add_argument("--format", dest="fmt", choices=("plain", "json", "csv"))
-        sp.add_argument(
-            "--max-box-points",
-            type=_nonnegative_int,
-            help="refuse box scans beyond this many candidate points",
-        )
 
-    sp = sub.add_parser("count", help="lattice points in the k-fold dilate")
+def _count_arguments(sp: argparse.ArgumentParser) -> None:
     add_common(sp)
     sp.add_argument("-k", type=int, help="dilation factor")
     sp.add_argument(
@@ -687,28 +669,66 @@ def build_parser() -> argparse.ArgumentParser:
         help="'box' forces the brute-force scan (oracle / debugging)",
     )
 
-    sp = sub.add_parser("ehrhart", help="exact Ehrhart coefficients")
-    add_common(sp)
 
-    sp = sub.add_parser("roots", help="roots and real-part diagnostics")
+def _roots_arguments(sp: argparse.ArgumentParser) -> None:
     add_common(sp)
     sp.add_argument("-a", type=_positive_number,
                     help="test the root line Re = -1/a (default 2)")
 
-    sp = sub.add_parser("wills", help="coefficient bound verdicts")
-    add_common(sp)
 
-    sp = sub.add_parser("bounds", help="inequality suite for a given a")
+def _bounds_arguments(sp: argparse.ArgumentParser) -> None:
     add_common(sp)
     sp.add_argument("-a", type=_positive_number)
 
-    sp = sub.add_parser("reflexive", help="l-reflexivity report")
-    add_common(sp)
 
-    sp = sub.add_parser("verify-all", help="run the verification table")
+def _verify_all_arguments(sp: argparse.ArgumentParser) -> None:
     add_common(sp, polytope_source=False)
 
-    return parser
+
+# name -> (help, adds the subcommand's arguments, handler), in help order.
+_COMMANDS = {
+    "count": ("lattice points in the k-fold dilate", _count_arguments, _cmd_count),
+    "ehrhart": ("exact Ehrhart coefficients", add_common, _cmd_ehrhart),
+    "roots": ("roots and real-part diagnostics", _roots_arguments, _cmd_roots),
+    "wills": ("coefficient bound verdicts", add_common, _cmd_wills),
+    "bounds": ("inequality suite for a given a", _bounds_arguments, _cmd_bounds),
+    "reflexive": ("l-reflexivity report", add_common, _cmd_reflexive),
+    "verify-all": ("run the verification table", _verify_all_arguments, _cmd_verify_all),
+}
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """Adds the subcommand parsers when it parses: the one ``args[0]``
+    names, or all of them (``-h``, no arguments, an unknown name)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if args and args[0] in _COMMANDS:
+            names = (args[0],)
+            # Keeps the usage line that lists all seven.  Not set on the other
+            # path: the missing and invalid choice errors would name it there.
+            extra = {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+        else:
+            names, extra = _COMMANDS, {}
+        sub = self.add_subparsers(dest="subcommand", required=True,
+                                  parser_class=argparse.ArgumentParser, **extra)
+        for name in names:
+            help_text, add_arguments, _ = _COMMANDS[name]
+            add_arguments(sub.add_parser(name, help=help_text))
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser.  It adds the named subcommand's parser (or all
+    seven) when it parses, so building it costs next to nothing, and it
+    serves one parse: a second ``parse_args`` stops with argparse's "cannot
+    have multiple subparser arguments".  Flags have no defaults: an omitted
+    flag leaves the CommandRequest field at its default."""
+    return _SubcommandParser(
+        prog="ehrhartlab",
+        description="Exact Ehrhart polynomials and coefficient-bound checks "
+        "for lattice polytopes.",
+    )
 
 
 def request_from_args(args: argparse.Namespace) -> CommandRequest:

@@ -33,6 +33,7 @@ from .ehrhart import (
     qn_growth_check,
 )
 from .polytopes import (
+    _hull_chain,
     crosspolytope,
     cube,
     dilate,
@@ -260,16 +261,24 @@ def _random_polygon_agreement(samples: int) -> int:
             for _ in range(rng.randint(3, 8))
         ]
         try:
-            polygon = hull2d(points)
+            chain = _hull_chain(points)
         except ValueError:
             continue
-        if any(h.rhs < 1 for h in polygon.halfspaces):
+        if not _origin_interior(chain):
             continue
+        polygon = hull2d(chain)
         ehr_poly = ehrhart_of(polygon, dilation_counter(polygon))
         # Raises RuntimeError when the three verdicts disagree.
         reflexivity.reflexivity_equivalence(polygon, ehr_poly)
         accepted += 1
     return accepted
+
+
+def _origin_interior(chain: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether the origin is interior to a counterclockwise hull chain, that
+    is, every edge of ``hull2d(chain)`` has rhs >= 1: the edge u -> v has
+    primitive outward normal with rhs cross(u, v) / g for some g > 0."""
+    return all(u[0] * v[1] - u[1] * v[0] > 0 for u, v in zip(chain, chain[1:] + chain[:1]))
 
 
 def check_growth_bounds() -> tuple[bool, str]:

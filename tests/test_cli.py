@@ -1,5 +1,8 @@
 """CLI: grammar, JSON schemas, subcommands, exit codes, determinism."""
 
+import argparse
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -756,6 +759,81 @@ def test_cli_has_no_tolerance_flag(capsys):
         assert err.splitlines()[-1] == (
             "ehrhartlab: error: unrecognized arguments: --tol 1e-7"
         )
+
+
+def reference_parser():
+    """Plain argparse, all seven subparsers built up front from the same
+    table and without a metavar: what ``build_parser`` must behave like."""
+    lazy = cli.build_parser()
+    parser = argparse.ArgumentParser(prog=lazy.prog, description=lazy.description)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, add_arguments, _) in cli._COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
+def parse_outcome(parser, argv):
+    """(exit status or None, stdout, stderr, namespace or None) of one parse.
+    Compared at run time: argparse's wording differs between versions."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, namespace = None, parser.parse_args(argv)
+        except SystemExit as exc:
+            code, namespace = exc.code, None
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+PARSER_CORPUS = [[], ["-h"], ["bogus"], ["ehr"]] + [
+    [name, *tail]
+    for name in cli._COMMANDS
+    for tail in (
+        [],
+        ["-h"],
+        ["--family", "cube:2", "--tol", "1"],
+        ["--family"],
+        ["--family", "cube:2", "--json", "p.json"],
+        ["--family", "cube:2", "--format", "xml"],
+        ["--family", "cube:2", "-k", "x"],
+        ["--family", "cube:2", "--max-box-points", "-1"],
+        ["--family", "cube:2", "-a", "0"],
+        ["--family=cube:3"],
+    )
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "()")
+def test_parser_matches_eager_reference(argv):
+    assert parse_outcome(cli.build_parser(), argv) == parse_outcome(reference_parser(), argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["ehrhart", "--family", "cube:2"],
+                                  ["roots", "--family", "cube:2", "--tol", "1"]])
+def test_main_reads_sys_argv(monkeypatch, capsys, argv):
+    expected = main(list(argv)), capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["ehrhartlab", *argv])
+    assert (main(), capsys.readouterr()) == expected
+    assert parse_outcome(cli.build_parser(), None) == parse_outcome(reference_parser(), None)
+
+
+@pytest.mark.parametrize(
+    "argv,built",
+    [(["ehrhart", "--family", "cube:2"], 1)]
+    + [([name, "-h"], 1) for name in cli._COMMANDS if name != "ehrhart"]
+    + [([], 7), (["-h"], 7), (["bogus"], 7)],
+)
+def test_main_builds_only_the_named_subparser(monkeypatch, capsys, argv, built):
+    """A request builds its own subcommand's parser, not all seven."""
+    add_parser = argparse._SubParsersAction.add_parser
+    names = []
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    main(argv)
+    assert len(names) == built, names
 
 
 SQUARE_HALFSPACES = [

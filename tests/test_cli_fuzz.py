@@ -10,6 +10,9 @@ L(k) off the Ehrhart polynomial beyond the interpolation nodes) as with
 the ``--method box`` scan whenever both answer, on family specs and on
 polygons given with their hull's edges or with random half-spaces.
 
+The parser that adds only the named subcommand's parser answers random
+token argvs exactly as one built eagerly from the same table.
+
 Sizes stay small: family parameters up to 6, dilation factors up to 2
 and at most two of them, ``-k`` up to 50, and every run passes
 ``--max-box-points`` of at most 10^4.  Output goes through
@@ -27,6 +30,7 @@ from hypothesis import strategies as st
 
 from ehrhartlab.cli import EXIT_USAGE, build_parser, main
 from ehrhartlab.polytopes import hull2d
+from test_cli import parse_outcome, reference_parser
 
 FLAGS = {
     "-k": st.one_of(st.integers(-2, 50).map(str), st.sampled_from(["x", "1.5"])),
@@ -297,3 +301,19 @@ def test_count_auto_agrees_with_box_scan(tmp_path_factory, source, k):
             return
         counts.append(json.loads(out.getvalue())["count"])
     assert counts[0] == counts[1], (source, k, counts)
+
+
+PARSER_TOKENS = st.sampled_from(
+    ["count", "ehrhart", "roots", "wills", "bounds", "reflexive", "verify-all",
+     "ehr", "verify", "bogus", "-h", "--help", "--", "-", "--family", "--family=cube:2",
+     "cube:2", "--json", "p.json", "--format", "--form=json", "json", "xml", "-k", "-k2",
+     "x", "-1", "3", "-a", "3/2", "0", "--method", "box", "--max-box-points", "--tol"]
+)
+
+
+@given(st.lists(PARSER_TOKENS, max_size=7))
+@settings(max_examples=200, deadline=None)
+def test_parser_matches_eager_reference_on_token_argvs(argv):
+    """The parser that builds only the named subcommand answers every argv
+    as the eager one does: exit status, stdout, stderr and namespace."""
+    assert parse_outcome(build_parser(), argv) == parse_outcome(reference_parser(), argv)

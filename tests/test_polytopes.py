@@ -24,6 +24,7 @@ from ehrhartlab.polytopes import (
     product,
     qn_family,
 )
+from ehrhartlab.verification import _origin_interior
 
 point2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
@@ -373,3 +374,15 @@ def test_product_halfspaces_validate_against_product_vertices():
     for h in pr.halfspaces:
         assert all(h.contains(v) for v in pr.vertices)
         assert any(h.is_tight_at(v) for v in pr.vertices)
+
+
+@given(st.lists(point2, min_size=3, max_size=8))
+def test_origin_interior_reads_the_hull_edges(points):
+    """Row 9 rejects a point set from its bare hull chain exactly when
+    hull2d would give an edge with rhs < 1."""
+    try:
+        polygon = hull2d(points)
+    except ValueError:
+        return
+    expected = all(h.rhs >= 1 for h in polygon.halfspaces)
+    assert _origin_interior(_hull_chain(points)) == expected
