@@ -48,6 +48,7 @@ from .polytopes import (
 )
 from .reflexivity import reflexivity_equivalence, root_line_reflexivity_consequence
 from .roots import (
+    RootSet,
     braun_disc_check,
     coefficient_ratio_bound,
     common_real_part,
@@ -469,7 +470,6 @@ def _cmd_ehrhart(req: CommandRequest) -> tuple[dict, int]:
 
 def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any]:
     rs = find_roots(ehr.poly)
-    in_disc = braun_disc_check(rs, ehr.dimension)  # computes rs.roots, inside a check
     target = 1 / req.a
     on_line = common_real_part(rs, target)
     # The roots sum to -c_{n-1}/c_n, so a common real part is their mean.
@@ -483,7 +483,7 @@ def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any
         "common_real_part": on_line,
         "detected_common_real_part": _round12(float(mean)) if on_mean else None,
         "parity_necessary_check": parity_necessary_check(ehr, req.a),
-        "braun_disc_check": in_disc,
+        "braun_disc_check": braun_disc_check(rs, ehr.dimension),
     }
 
 
@@ -567,8 +567,7 @@ def _cmd_reflexive(req: CommandRequest) -> tuple[dict, int]:
         report_obj = reflexivity_equivalence(p, ehr)
     except OriginNotInteriorError as exc:
         raise SpecError(f"hypothesis failure: {exc}") from exc
-    rs = find_roots(ehr.poly)
-    consequence = root_line_reflexivity_consequence(p, ehr, rs)
+    consequence = root_line_reflexivity_consequence(p, ehr, RootSet(ehr.poly))
     report = {
         "polytope": polytope_to_json(p),
         "index_l": report_obj.index_l,
@@ -606,11 +605,14 @@ def run(req: CommandRequest) -> int:
     """Execute a validated request; prints the report, returns exit status."""
     try:
         report, status = _COMMANDS[req.subcommand][2](req)
+        # Rendering raises ValueError for an integer past Python's
+        # int-to-str digit limit.
+        text = render_report(report, req.fmt)
     except (SpecError, OriginNotInteriorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        print(render_report(report, req.fmt))
+        print(text)
     except BrokenPipeError:
         # The reader left early (``| head``); what it did not read goes to
         # devnull, so the flush at interpreter exit cannot raise again.

@@ -156,10 +156,7 @@ class Polynomial:
         a, d = _integer_form(self)
         n = len(a) - 1
         powers = [v**k for k in range(n + 1)]
-        a = [x * powers[n - j] for j, x in enumerate(a)]
-        for i in range(n - 1, -1, -1):
-            for j in range(i, n):
-                a[j] += u * a[j + 1]
+        a = _taylor_shift([x * powers[n - j] for j, x in enumerate(a)], u)
         return Polynomial(Fraction(x, d * powers[n - j]) for j, x in enumerate(a))
 
     def derivative(self) -> "Polynomial":
@@ -180,6 +177,16 @@ def _integer_form(p: Polynomial) -> tuple[list[int], int]:
     """(a, d) with p_j = a_j / d, d the lcm of the denominators."""
     d = lcm(*(c.denominator for c in p.coefficients))
     return [c.numerator * (d // c.denominator) for c in p.coefficients], d
+
+
+def _taylor_shift(a: list[int], u: int) -> list[int]:
+    """The coefficients of a(t + u), by Horner's rule on a copy."""
+    a = a[:]
+    n = len(a) - 1
+    for i in range(n - 1, -1, -1):
+        for j in range(i, n):
+            a[j] += u * a[j + 1]
+    return a
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -264,14 +271,54 @@ def distinct_root_counts(p: Polynomial) -> tuple[int, int]:
     distinct real roots (Sturm's theorem holds without squarefreeness),
     and its last member is gcd(p, p')."""
     f, _ = _integer_form(p)
-    chain = [f, _derivative(f)]
+    chain = _sturm_chain(f, _derivative(f))
+    return _cauchy_index(chain), len(f) - len(chain[-1])
+
+
+def _sturm_chain(f: list[int], g: list[int]) -> list[list[int]]:
+    """f, g, -rem, ... down to a gcd of f and g (for a nonzero f)."""
+    chain = [f, g]
     while chain[-1]:
         chain.append([-x for x in _remainder(chain[-2], chain[-1])])
     chain.pop()
+    return chain
+
+
+def _cauchy_index(chain: list[list[int]]) -> int:
+    """The Cauchy index of chain[1]/chain[0] over the real line: the sign
+    changes of the chain's leading terms at -infinity minus those at
+    +infinity.  Both ends see the gcd's sign alike, so a common factor
+    changes nothing."""
     plus = [g[-1] > 0 for g in chain]
     minus = [s == (len(g) % 2 == 1) for g, s in zip(chain, plus)]
-    real = sum(map(ne, minus, minus[1:])) - sum(map(ne, plus, plus[1:]))
-    return real, len(f) - len(chain[-1])
+    return sum(map(ne, minus, minus[1:])) - sum(map(ne, plus, plus[1:]))
+
+
+def _unit_disc_exterior(g: list[int]) -> int:
+    """How many distinct roots of a nonzero g lie strictly outside the
+    closed unit disc.  y = (1 + w)/(1 - w) maps them onto the roots of
+    h(w) = (1 - w)^m g(y) in Re w > 0, and the circle onto the imaginary
+    axis; y = -1 goes to infinity, where it drops h's degree.  With h
+    squarefree of degree d and i^-d h(iy) = F0(y) + i F1(y), the argument
+    principle gives (d + I(F1/F0) - a)/2 of them (Routh and Hurwitz, by
+    Cauchy index), where a counts the real roots of gcd(F0, F1), which
+    are h's roots on the axis."""
+    # y = 2/v - 1 with v = 1 - w: shift g by -1, take v^m g(2/v - 1) as
+    # the reversal scaled by 2^j, then substitute v = 1 + x and x = -w.
+    k = [x << j for j, x in enumerate(_taylor_shift(g, -1))][::-1]
+    h = [-x if j % 2 else x for j, x in enumerate(_taylor_shift(k, 1))]
+    while not h[-1]:
+        h.pop()
+    h = _exact_quotient(h, _gcd(h, _derivative(h)))
+    d = len(h) - 1
+    f = [x if (d - j) % 4 in (0, 3) else -x for j, x in enumerate(h)]
+    f0 = [x if (d - j) % 2 == 0 else 0 for j, x in enumerate(f)]
+    f1 = [x if (d - j) % 2 else 0 for j, x in enumerate(f)]
+    while f1 and not f1[-1]:
+        f1.pop()
+    chain = _sturm_chain(f0, f1)
+    axis = _cauchy_index(_sturm_chain(chain[-1], _derivative(chain[-1])))
+    return (d + _cauchy_index(chain) - axis) // 2
 
 
 def interpolate(values: Sequence[int]) -> Polynomial:

@@ -18,6 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 IntVector = tuple[int, ...]
@@ -112,12 +113,14 @@ class LatticePolytope:
         for hs in self._halfspaces or ():
             if len(hs.normal) != self.dimension:
                 raise ValueError("half-space dimension mismatch")
-            for v in self._vertices:
-                if not hs.contains(v):
-                    raise ValueError(
-                        f"vertex {v} violates half-space {hs.normal}.x <= {hs.rhs}"
-                    )
-            if not any(hs.is_tight_at(v) for v in self._vertices):
+            values = [sum(map(mul, hs.normal, v)) for v in self._vertices]
+            top = max(values)
+            if top > hs.rhs:
+                v = self._vertices[next(i for i, x in enumerate(values) if x > hs.rhs)]
+                raise ValueError(
+                    f"vertex {v} violates half-space {hs.normal}.x <= {hs.rhs}"
+                )
+            if top != hs.rhs:
                 raise ValueError(
                     f"half-space {hs.normal}.x <= {hs.rhs} is tight at no vertex"
                 )
@@ -341,7 +344,11 @@ def hull2d(points: Iterable[Sequence[int]]) -> LatticePolytope:
     normal and tight rhs.  Degenerate input (fewer than three distinct
     points, or all collinear) is rejected.
     """
-    hull = _hull_chain(points)
+    return _polygon(_hull_chain(points))
+
+
+def _polygon(hull: tuple[IntVector, ...]) -> LatticePolytope:
+    """The polygon of a chain from :func:`_hull_chain`, one half-space per edge."""
     hs = []
     m = len(hull)
     for i in range(m):

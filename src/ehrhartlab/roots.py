@@ -12,7 +12,12 @@ which leaves the backward error unchanged; otherwise nothing is scaled.
 Whether all roots have real part -1/a is decided exactly: q(t) =
 p(t - 1/a) must satisfy q(-t) = (-1)^n q(t) (the parity condition), and
 then r(y) = i^-n q(iy) is real and must have only real roots, which
-Sturm's theorem counts on its squarefree part.
+Sturm's theorem counts on its squarefree part.  Braun's disc
+|z + 1/2| <= n(n - 1/2) is decided exactly too: Fujiwara's bound on the
+shifted integer coefficients proves it, or else a Routh-Hurwitz count
+after a Moebius map counts the roots outside.  No verdict here reads a
+float root.  :func:`find_roots` is the one entry point that computes the
+floats; the exact checks take ``RootSet(poly)``, which computes none.
 
 The inequality checks themselves (coefficient ratios, the volume bound,
 and the point-count bound) are exact rational comparisons valid for
@@ -36,12 +41,14 @@ import numpy as np
 from .ehrhart import EhrhartPolynomial
 from .exact import (
     Polynomial,
+    _integer_form,
+    _taylor_shift,
+    _unit_disc_exterior,
     binomial,
     distinct_root_counts,
     squarefree_decomposition,
 )
 
-_DISC_ROUNDOFF = 1e-9  # slack on Braun's disc radius
 _FLOAT_BITS = 1000  # log2 of the largest float allowed, with room for a factor n
 
 
@@ -49,10 +56,11 @@ _FLOAT_BITS = 1000  # log2 of the largest float allowed, with room for a factor 
 class RootSet:
     """All complex roots of ``poly`` with multiplicity, sorted by (real,
     imag); ``residual_bound`` is their largest backward error.  Both are
-    computed on first read, so the exact checks, which read only ``poly``,
-    never pay for the floats.  Exact squarefree splitting comes first, so
-    multiple roots (the dilated-cube polynomials are the extreme case) come
-    out exact instead of scattered."""
+    computed on first read: :func:`find_roots` reads ``roots`` before it
+    returns, and the exact checks, which read only ``poly``, take a
+    ``RootSet(poly)`` built directly and never pay for the floats.  Exact
+    squarefree splitting comes first, so multiple roots (the dilated-cube
+    polynomials are the extreme case) come out exact instead of scattered."""
 
     poly: Polynomial
 
@@ -185,12 +193,15 @@ def _backward_error(p: Polynomial, roots: tuple[complex, ...]) -> float:
 
 
 def find_roots(p: Polynomial) -> RootSet:
-    """All complex roots of p with multiplicity, as a :class:`RootSet`."""
+    """All complex roots of p with multiplicity, as a :class:`RootSet`
+    whose float roots are computed when this is called."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no root set")
     if p.degree < 1:
         raise ValueError("root finding requires degree >= 1")
-    return RootSet(p)
+    rs = RootSet(p)
+    rs.roots  # the float stage runs inside find_roots, the one float entry point
+    return rs
 
 
 def _line_shift(p: Polynomial, target: Fraction | int) -> Polynomial | None:
@@ -225,11 +236,28 @@ def parity_necessary_check(ehr: EhrhartPolynomial, a: Fraction | int) -> bool:
 
 
 def braun_disc_check(rs: RootSet, n: int) -> bool:
-    """True iff every root lies in the disc |z + 1/2| <= n(n - 1/2), up to
-    round-off: every Ehrhart root in dimension n lies there, so a failure
-    signals a counting or interpolation bug, not new mathematics."""
-    radius = n * (n - 0.5) + _DISC_ROUNDOFF
-    return all(abs(z + 0.5) <= radius for z in rs.roots)
+    """True iff every root of ``rs.poly`` lies in the closed disc
+    |z + 1/2| <= n(n - 1/2), decided exactly from ``rs.poly`` alone:
+    every Ehrhart root in dimension n lies there (Braun 2008), so a
+    failure signals a counting or interpolation bug, not new mathematics.
+
+    With p = P/d, Q(s) = 2^m P((s - 1)/2) has the roots s = 2z + 1, and
+    the disc becomes |s| <= r = n(2n - 1).  Fujiwara's bound proves it
+    when |Q_j| 2^(m-j) <= |Q_m| r^(m-j) for 0 < j < m and
+    |Q_0| 2^m <= 2 |Q_m| r^m; otherwise the roots of Q(r y) outside the
+    unit disc are counted exactly."""
+    if rs.poly.is_zero:
+        raise ValueError("the zero polynomial has no root set")
+    a, _ = _integer_form(rs.poly)
+    m = len(a) - 1
+    q = _taylor_shift([x << (m - j) for j, x in enumerate(a)], -1)
+    r = n * (2 * n - 1)
+    scale, bound = 1, abs(q[-1])  # 2^(m-j) and |Q_m| r^(m-j)
+    for j in range(m - 1, -1, -1):
+        scale, bound = scale << 1, bound * r
+        if abs(q[j]) * scale > (bound if j else 2 * bound):
+            return _unit_disc_exterior([x * r**j for j, x in enumerate(q)]) == 0
+    return True
 
 
 def wills_check(ehr: EhrhartPolynomial) -> WillsVerdict:

@@ -34,6 +34,7 @@ from .ehrhart import (
 )
 from .polytopes import (
     _hull_chain,
+    _polygon,
     crosspolytope,
     cube,
     dilate,
@@ -43,10 +44,10 @@ from .polytopes import (
     qn_family,
 )
 from .roots import (
+    RootSet,
     braun_disc_check,
     coefficient_ratio_bound,
     common_real_part,
-    find_roots,
     parity_necessary_check,
     point_count_bound,
     volume_bound,
@@ -192,8 +193,7 @@ def check_inequality_suite() -> tuple[bool, str]:
         for body, is_cube in ((cube(n), True), (crosspolytope(n), False)):
             ehr_poly = ehrhart_of(body, dilation_counter(body))
             ok &= parity_necessary_check(ehr_poly, 2)
-            rs = find_roots(ehr_poly.poly)
-            ok &= common_real_part(rs, Fraction(1, 2))
+            ok &= common_real_part(RootSet(ehr_poly.poly), Fraction(1, 2))
             for s in range(n + 1):
                 for t in range(s + 1, n + 1):
                     verdict = coefficient_ratio_bound(ehr_poly, 2, s, t)
@@ -231,15 +231,11 @@ def check_reflexivity() -> tuple[bool, str]:
     tri_ehr = ehrhart_of(triangle, dilation_counter(triangle))
     report = reflexivity.reflexivity_equivalence(triangle, tri_ehr)
     ok &= report.agree and report.def_check and report.index_l == 1
-    tri_roots = find_roots(tri_ehr.poly)
-    expected = sorted((-Fraction(2, 3), -Fraction(1, 3)))
-    ok &= all(
-        abs(z.real - float(e)) <= 1e-9 and abs(z.imag) <= 1e-9
-        for z, e in zip(tri_roots.roots, expected)
-    )
+    tri = tri_ehr.poly  # its roots are exactly -2/3 and -1/3
+    ok &= tri.degree == 2 and tri(Fraction(-2, 3)) == 0 == tri(Fraction(-1, 3))
     doubled = dilate(cube(2), 2)
     doubled_ehr = ehrhart_of(doubled, dilation_counter(doubled))
-    doubled_roots = find_roots(doubled_ehr.poly)
+    doubled_roots = RootSet(doubled_ehr.poly)
     ok &= polytopes.index(doubled) == 2
     ok &= common_real_part(doubled_roots, Fraction(1, 4))
     ok &= reflexivity.root_line_reflexivity_consequence(
@@ -266,7 +262,7 @@ def _random_polygon_agreement(samples: int) -> int:
             continue
         if not _origin_interior(chain):
             continue
-        polygon = hull2d(chain)
+        polygon = _polygon(chain)
         ehr_poly = ehrhart_of(polygon, dilation_counter(polygon))
         # Raises RuntimeError when the three verdicts disagree.
         reflexivity.reflexivity_equivalence(polygon, ehr_poly)
@@ -300,9 +296,7 @@ def check_braun_disc() -> tuple[bool, str]:
     cases.append((ehrhart_of(doubled, dilation_counter(doubled)), 2))
     mixed = product(pn_family(3), cube(2))
     cases.append((ehrhart_of(mixed, dilation_counter(mixed)), 5))
-    ok = all(
-        braun_disc_check(find_roots(ehr_poly.poly), n) for ehr_poly, n in cases
-    )
+    ok = all(braun_disc_check(RootSet(ehr_poly.poly), n) for ehr_poly, n in cases)
     return ok, f"{len(cases)} root sets inside |z + 1/2| <= n(n - 1/2)"
 
 

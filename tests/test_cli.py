@@ -733,6 +733,22 @@ def test_cli_accepts_exponents_with_leading_zeros(capsys, a, same_as):
                                   "-a", same_as, "--format", "json")
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 4504, reason="needs Python's int-to-str digit limit")
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("family,k", [("cube:3", 10**1500), ("cube:10000", 1)])
+def test_cli_answer_past_the_digit_limit_exits_2(capsys, fmt, family, k):
+    """Counts of 4,504 and 4,772 digits: the renderer's ValueError exits 2
+    with one line, not a traceback with the finding status."""
+    code = main(["count", "--family", family, "-k", str(k), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: Exceeds the limit")
+
+
 @pytest.mark.parametrize("method", ["auto", "box"])
 def test_cli_max_box_points_must_be_nonnegative(capsys, method):
     base = ["count", "--family", "cube:2", "-k", "3", "--method", method]

@@ -3,15 +3,18 @@
 import cmath
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from ehrhartlab import cli, roots, verification
 from ehrhartlab.counting import dilation_counter
 from ehrhartlab.ehrhart import ehrhart_of, qn_coefficients
 from ehrhartlab.exact import Polynomial
 from ehrhartlab.polytopes import crosspolytope, cube, dilate, hull2d, pn_family
 from ehrhartlab.roots import (
+    RootSet,
     braun_disc_check,
     coefficient_ratio_bound,
     common_real_part,
@@ -315,3 +318,100 @@ def test_cube_gamma_sum_value():
 def test_braun_disc_on_entire_suite():
     for e in all_suite_polynomials():
         assert braun_disc_check(find_roots(e.poly), e.dimension)
+
+
+# Where a root sits relative to Braun's disc |z + 1/2| <= R: a share of R
+# below 1, or R plus an exact offset (0 is on the circle).
+DISC_OFFSETS = (Fraction(0), Fraction(1, 10**9), Fraction(1, 10**30))
+
+
+def disc_factor(n, place, s, real):
+    """The factor of the roots -1/2 + rho u: rho = R place for a place
+    below 1, else R + place - 1, with R = n(n - 1/2).  For a real root u is
+    the sign of s, else u = ((1 - s^2) + 2si)/(1 + s^2), a rational point
+    of the unit circle, and the factor is (t - x)^2 + y^2."""
+    radius = n * (n - Fraction(1, 2))
+    rho = radius * place if place < 1 else radius + place - 1
+    if real:
+        return Polynomial([Fraction(1, 2) - rho * (1 if s >= 0 else -1), 1])
+    x = rho * (1 - s * s) / (1 + s * s) - Fraction(1, 2)
+    y = rho * 2 * s / (1 + s * s)
+    return Polynomial([x * x + y * y, -2 * x, 1])
+
+
+places = st.one_of(
+    st.fractions(0, 1, max_denominator=50).filter(lambda f: f < 1),
+    st.sampled_from([1 + offset for offset in DISC_OFFSETS]),
+)
+
+
+@given(
+    st.integers(1, 6),
+    st.lists(
+        st.tuples(places, st.fractions(-3, 3, max_denominator=7), st.booleans()),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(1, 5),
+)
+def test_braun_disc_check_is_exact(n, factors, lead):
+    """Roots inside, exactly on, and 10^-9 or 10^-30 outside the disc: the
+    verdict is whether every root was placed at a place <= 1."""
+    p = Polynomial([lead])
+    for place, s, real in factors:
+        p = p * disc_factor(n, place, s, real)
+    expected = all(place <= 1 for place, _, _ in factors)
+    assert braun_disc_check(RootSet(p), n) == expected
+
+
+def test_braun_disc_check_counts_exactly_on_the_boundary(monkeypatch):
+    """Roots on or just off the circle defeat Fujiwara's bound, so these
+    cases reach the exact count."""
+    calls = []
+    count = roots._unit_disc_exterior
+    monkeypatch.setattr(roots, "_unit_disc_exterior", lambda g: calls.append(g) or count(g))
+    on = disc_factor(3, Fraction(1), Fraction(1, 2), False)
+    inside = disc_factor(3, Fraction(1, 3), Fraction(2), False)
+    for offset in DISC_OFFSETS:
+        outside = disc_factor(3, 1 + offset, Fraction(-1, 3), False)
+        assert braun_disc_check(RootSet(on * outside * inside), 3) == (offset == 0)
+        real = disc_factor(3, 1 + offset, Fraction(1), True)
+        assert braun_disc_check(RootSet(on * real), 3) == (offset == 0)
+    assert len(calls) == 2 * len(DISC_OFFSETS)
+    assert braun_disc_check(RootSet(on * on * disc_factor(3, 1, Fraction(0), True)), 3)
+
+
+@given(
+    st.integers(1, 4),
+    st.lists(st.integers(-30, 30), min_size=1, max_size=6),
+    st.integers(1, 3),
+)
+def test_braun_disc_check_agrees_with_floats_off_the_boundary(n, low, lead):
+    """A float oracle, trusted only where no root is within 10^-6 of the
+    circle, agrees with the exact verdict."""
+    p = Polynomial([*low, lead])
+    distances = np.abs(np.roots([float(c) for c in reversed(p.coefficients)]) + 0.5)
+    radius = n * (n - 0.5)
+    assume(np.all(np.abs(distances - radius) > 1e-6 * radius))
+    assert braun_disc_check(RootSet(p), n) == bool(np.all(distances <= radius))
+
+
+def test_braun_disc_check_refuses_the_zero_polynomial():
+    with pytest.raises(ValueError):
+        braun_disc_check(RootSet(Polynomial([0])), 2)
+    assert braun_disc_check(RootSet(Polynomial([5])), 2)
+
+
+def test_exact_checks_compute_no_float_root(monkeypatch, capsys):
+    def no_floats(self):
+        raise AssertionError("a float root was computed")
+
+    monkeypatch.setattr(RootSet, "roots", property(no_floats))
+    assert [row.passed for row in verification.run_all()] == [True] * 11
+    assert cli.main(["reflexive", "--family", "cross:3"]) == 0
+
+
+def test_find_roots_computes_the_floats_when_called():
+    """The benchmark's tracer charges the float stage to find_roots' span."""
+    assert "roots" in vars(find_roots(ehr(cube(3)).poly))
+    assert "roots" not in vars(RootSet(ehr(cube(3)).poly))
