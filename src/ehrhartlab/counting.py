@@ -4,13 +4,12 @@ Three layers, from slow-and-universal to fast-and-specialized:
 
 * :func:`count_box_scan` - scan the bounding box in NumPy blocks of
   points, one array predicate per block.  Ground truth for everything
-  else (verify-all row 5 checks the DP below against such a scan of its
-  deficiency predicate); kept to desk scale, and the automatic counter
+  else (verify-all row 5 checks the closed form below against such a scan
+  of its deficiency predicate); kept to desk scale, and the automatic counter
   only for JSON polytopes of dimension 1 or >= 3.
-* :func:`count_minkowski_dp` - dynamic programming for the Minkowski sums
-  a*C_m + b*C_m* that arise as slices of the cube-crosspolytope hybrid.
-  Cost O(m * b) per call, so the hybrid's slice sum at dilation k costs
-  O(m * k^2), which makes the degree-7 interpolation instantaneous.
+* :func:`count_minkowski_dp` - a closed form (the name is older) for the
+  Minkowski sums a*C_m + b*C_m* that are the slices of the
+  cube-crosspolytope hybrid: O(m) terms, so O(m * k) at dilation k.
 * closed forms - :func:`count_qn_closed` for the bipyramid family, and
   Pick's theorem L(k) = A k^2 + (B/2) k + 1 for every lattice polygon
   (area A, B lattice points on the boundary of its hull), read off the
@@ -25,7 +24,7 @@ half-space dot products over Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 from typing import Callable
 
 import numpy as np
@@ -143,25 +142,21 @@ def count_box_scan(oracle: MembershipOracle, max_points: int | None = None) -> i
 def count_minkowski_dp(m: int, a: int, b: int) -> int:
     """Points of a*C_m + b*C_m* : vectors with sum_i max(|x_i| - a, 0) <= b.
 
-    Coordinate-by-coordinate DP over the remaining "deficiency budget":
-    a coordinate with deficiency 0 has 2a+1 choices, one with deficiency
-    d in 1..b has exactly 2 (namely +-(a+d)).
+    In closed form, sum_{i <= min(m, b)} C(m, i) C(b, i) 2^i (2a+1)^(m-i):
+    choose the i coordinates with positive deficiency, their signs, and
+    deficiencies d_1..d_i >= 1 with sum at most b (C(b, i) such
+    compositions of the budget); every other coordinate has 2a+1 choices.
     """
     if m < 1:
         raise ValueError("dimension must be >= 1")
     if a < 0 or b < 0:
         raise ValueError("scales must be nonnegative")
-    exact = [0] * (b + 1)
-    exact[0] = 1
-    core = 2 * a + 1
-    for _ in range(m):
-        nxt = [0] * (b + 1)
-        running = 0  # 2 * sum of exact[0..d-1]
-        for d in range(b + 1):
-            nxt[d] = core * exact[d] + running
-            running += 2 * exact[d]
-        exact = nxt
-    return sum(exact)
+    core, top = 2 * a + 1, min(m, b)
+    total, power = 0, core ** (m - top)
+    for i in range(top, -1, -1):  # power = core^(m-i)
+        total += comb(m, i) * comb(b, i) * power << i
+        power *= core
+    return total
 
 
 def count_qn_closed(n: int, k: int) -> int:
@@ -179,18 +174,16 @@ def count_qn_closed(n: int, k: int) -> int:
 def count_pn_sliced(n: int, k: int) -> int:
     """Slice decomposition for the cube-crosspolytope hybrid at dilation k.
 
-    The height-j slice is (k-|j|)*C_{n-1} + |j|*C_{n-1}*, counted by the
-    deficiency DP and summed over j = -k..k.
+    The height-j slice is (k-|j|)*C_{n-1} + |j|*C_{n-1}*, counted in
+    closed form by :func:`count_minkowski_dp` (O(n) terms) and summed over
+    j = -k..k: O(k n) terms per dilation.
     """
     if n < 2:
         raise ValueError("this family requires dimension >= 2")
     if k < 0:
         raise ValueError("dilation must be nonnegative")
-    m = n - 1
-    total = count_minkowski_dp(m, k, 0)
-    for j in range(1, k + 1):
-        total += 2 * count_minkowski_dp(m, k - j, j)
-    return total
+    slices = (count_minkowski_dp(n - 1, k - j, j) for j in range(1, k + 1))
+    return count_minkowski_dp(n - 1, k, 0) + 2 * sum(slices)
 
 
 def scan_counter(
@@ -212,7 +205,7 @@ def dilation_counter(
 ) -> Callable[[int], int]:
     """Best exact counter k -> #(kP cap Z^n) for the given polytope.
 
-    Family polytopes use their closed forms / DP and polygons Pick's
+    Family polytopes use their closed forms and polygons Pick's
     theorem; a JSON polytope of dimension 1 or >= 3 falls back to a box
     scan of the dilate (guarded by ``max_box_points``).
     """

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Callable
 
 from .exact import (
     Polynomial,
     bernoulli,
     bernoulli_magnitude_bounds,
-    binomial,
     interpolate,
 )
 from .polytopes import LatticePolytope
@@ -39,9 +38,9 @@ from .polytopes import LatticePolytope
 class EhrhartPolynomial:
     """Ehrhart polynomial of a polytope of dimension ``dimension``.
 
-    Invariants checked at construction: degree equals the dimension, the
-    constant coefficient is 1, and the leading coefficient (the volume)
-    is positive.
+    Invariants checked at construction, on the integer form N/d: degree
+    equals the dimension, the constant coefficient is 1 (N_0 == d), and the
+    leading coefficient (the volume) is positive (N_n > 0).
     """
 
     dimension: int
@@ -53,12 +52,12 @@ class EhrhartPolynomial:
                 f"degree {self.poly.degree} does not match dimension "
                 f"{self.dimension}; the underlying counter is inconsistent"
             )
-        if self.poly.coefficient(0) != 1:
+        if self.poly.numerators[0] != self.poly.denominator:
             raise ValueError(
                 "constant coefficient must be 1 (dilation 0 contains exactly "
                 "the origin)"
             )
-        if self.poly.leading_coefficient <= 0:
+        if self.poly.numerators[-1] <= 0:
             raise ValueError("leading coefficient (volume) must be positive")
 
     def coefficient(self, i: int) -> Fraction:
@@ -119,14 +118,14 @@ def qn_coefficients(n: int) -> EhrhartPolynomial:
     # integer over n d.
     d = lcm(*(bernoulli(m).denominator for m in range(n)))
     b = [bernoulli(m).numerator * (d // bernoulli(m).denominator) for m in range(n)]
-    coeffs = [Fraction(1)]
+    numerators = [n * d]
     for i in range(1, n + 1):
         tail = sum(
-            binomial(n, j + 1) * 2**j * binomial(j + 1, i) * b[j - i + 1]
+            comb(n, j + 1) * comb(j + 1, i) * b[j - i + 1] << j
             for j in range(i - 1, n)
         )
-        coeffs.append(Fraction(binomial(n - 1, i) * 2**i * n * d + 2 * tail, n * d))
-    return EhrhartPolynomial(n, Polynomial(coeffs))
+        numerators.append((comb(n - 1, i) * n * d << i) + 2 * tail)
+    return EhrhartPolynomial(n, Polynomial(numerators, n * d))
 
 
 def qn_first_coefficient(n: int) -> Fraction:

@@ -1,17 +1,16 @@
 """Exact rational numerics: Bernoulli numbers, binomials, and dense
 univariate polynomial algebra over the rationals.
 
-Everything in this module is exact.  Rationals are ``fractions.Fraction``
-(always canonical: positive denominator, reduced), integers are Python's
-arbitrary-precision ints, and no operation ever rounds.
-
-A :class:`Polynomial` holds Fractions, but interpolation, shifts, Yun's
-algorithm and the Sturm count run on integer numerators over one common
-denominator and build one Fraction per output coefficient.  Gcds come from
-primitive pseudo-remainder sequences (Brown and Traub 1971): a step
-multiplies by |lc|, never by the signed lc, and divides out a positive
-content, so each member is a positive multiple of the true remainder.  By
-Gauss's lemma, dividing by a primitive factor stays exact in Z[t].
+Everything in this module is exact, and no operation ever rounds.  A
+:class:`Polynomial` holds integer numerators over one positive denominator,
+as FLINT's ``fmpq_poly`` does (von zur Gathen and Gerhard, *Modern Computer
+Algebra*, ch. 6): interpolation, products, shifts, Yun's algorithm and the
+Sturm count build no Fraction.  Gcds come from primitive pseudo-remainder
+sequences (Brown and Traub 1971): a step multiplies by |lc|, never by the
+signed lc, and divides out a positive content, so each member is a positive
+multiple of the true remainder.  By Gauss's lemma, dividing by a primitive
+factor stays exact in Z[t].  A polynomial squarefree modulo a prime skips
+Yun's chain.
 
 Bernoulli convention
 --------------------
@@ -29,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd, lcm
+from functools import cached_property, lru_cache
+from math import comb, factorial, gcd, lcm
 from operator import ne
 from typing import Iterable, Sequence
 
@@ -78,110 +77,115 @@ def bernoulli_magnitude_bounds(j: int) -> tuple[Fraction, Fraction]:
     """
     if j < 1:
         raise ValueError("bernoulli_magnitude_bounds requires j >= 1")
-    fact2j = 1
-    for m in range(2, 2 * j + 1):
-        fact2j *= m
-    lower = Fraction(2 * fact2j) / (2 * PI_UPPER) ** (2 * j)
-    upper = Fraction(2 * fact2j) / (2 * PI_LOWER) ** (2 * j)
+    lower = Fraction(2 * factorial(2 * j)) / (2 * PI_UPPER) ** (2 * j)
+    upper = Fraction(2 * factorial(2 * j)) / (2 * PI_LOWER) ** (2 * j)
     upper /= 1 - Fraction(2) ** (1 - 2 * j)
     return lower, upper
 
 
-def _as_fraction_tuple(coefficients: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coefficients]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        coeffs = [Fraction(0)]
-    return tuple(coeffs)
-
-
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense univariate polynomial with exact rational coefficients.
-
-    ``coefficients[i]`` is the coefficient of the i-th power; the trailing
-    coefficient is nonzero unless the polynomial is identically zero.
+    """Dense univariate polynomial with exact rational coefficients: the
+    coefficient of t^i is numerators[i] / denominator.  The form is
+    canonical (a positive denominator sharing no factor with all the
+    numerators, no trailing zero; zero is (0,) over 1), so ``==`` and
+    ``hash`` compare values.  ``Polynomial(coefficients)`` takes Fractions
+    or ints, ``Polynomial(numerators, denominator)`` an integer vector.
     Instances are immutable and safe to share across threads.
     """
 
-    coefficients: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __init__(self, coefficients: Iterable[RationalLike]) -> None:
-        object.__setattr__(self, "coefficients", _as_fraction_tuple(coefficients))
+    def __init__(
+        self, coefficients: Iterable[RationalLike], denominator: int = 1
+    ) -> None:
+        if not denominator:
+            raise ZeroDivisionError("polynomial with denominator 0")
+        cs = list(coefficients)
+        common = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (common // c.denominator) for c in cs] or [0]
+        while len(nums) > 1 and not nums[-1]:
+            nums.pop()
+        d = common * denominator
+        g = gcd(*nums, d) if d > 0 else -gcd(*nums, d)
+        object.__setattr__(self, "numerators", tuple(x // g for x in nums))
+        object.__setattr__(self, "denominator", d // g)
+
+    @cached_property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on first read."""
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
     @property
     def degree(self) -> int:
         """Degree; the zero polynomial reports degree 0."""
-        return len(self.coefficients) - 1
+        return len(self.numerators) - 1
 
     @property
     def is_zero(self) -> bool:
-        return self.coefficients == (Fraction(0),)
+        return not self.numerators[-1]
 
     def coefficient(self, i: int) -> Fraction:
-        """Coefficient of the i-th power (0 beyond the degree)."""
+        """Coefficient of the i-th power (0 beyond the degree); builds only
+        this one Fraction."""
         if i < 0:
             raise ValueError("power must be nonnegative")
-        return self.coefficients[i] if i < len(self.coefficients) else Fraction(0)
+        a = self.numerators
+        return Fraction(a[i] if i < len(a) else 0, self.denominator)
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self.coefficients[-1]
+        return Fraction(self.numerators[-1], self.denominator)
 
     def __call__(self, x: RationalLike) -> Fraction:
-        xf = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * xf + c
-        return acc
+        """p(u/v) = sum_j a_j u^j v^(n-j) / (d v^n), by Horner's rule."""
+        u, v = x.numerator, x.denominator
+        acc, power = 0, 1
+        for c in reversed(self.numerators):
+            acc = acc * u + c * power
+            power *= v
+        return Fraction(acc, self.denominator * power // v)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial([0])
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return Polynomial(out)
+        a, b = self.numerators, other.numerators
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Polynomial(out, self.denominator * other.denominator)
 
     def shift(self, c: RationalLike) -> "Polynomial":
-        """Return q with q(t) = p(t + c).  With c = u/v and p = P/d, the
-        integer polynomial v^n P(s/v) is Taylor-shifted by u in s, in place
-        by Horner's rule, and q_j = (shifted)_j / (d v^(n-j))."""
-        cf = Fraction(c)
-        u, v = cf.numerator, cf.denominator
-        a, d = _integer_form(self)
+        """Return q with q(t) = p(t + c).  With c = u/v and p = A/d, the
+        integer polynomial v^n A(s/v) is Taylor-shifted by u in s, in place
+        by Horner's rule, and q_j = (shifted)_j v^j / (d v^n)."""
+        u, v = c.numerator, c.denominator
+        a = self.numerators
         n = len(a) - 1
         powers = [v**k for k in range(n + 1)]
         a = _taylor_shift([x * powers[n - j] for j, x in enumerate(a)], u)
-        return Polynomial(Fraction(x, d * powers[n - j]) for j, x in enumerate(a))
+        return Polynomial(
+            [x * powers[j] for j, x in enumerate(a)], self.denominator * powers[n]
+        )
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coefficients) if i > 0)
+        return Polynomial(_derivative(self.numerators), self.denominator)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("zero polynomial has no monic form")
-        lead = self.leading_coefficient
-        return Polynomial(c / lead for c in self.coefficients)
+        return Polynomial(self.numerators, self.numerators[-1])
 
 
-# The integer kernel works on lists of Python ints, constant term first,
-# with no trailing zeros ([] is zero).
+# The integer kernel works on sequences of Python ints, constant term first,
+# with no trailing zeros ([] is zero): a Polynomial's numerators, which its
+# denominator only scales.
 
 
-def _integer_form(p: Polynomial) -> tuple[list[int], int]:
-    """(a, d) with p_j = a_j / d, d the lcm of the denominators."""
-    d = lcm(*(c.denominator for c in p.coefficients))
-    return [c.numerator * (d // c.denominator) for c in p.coefficients], d
-
-
-def _taylor_shift(a: list[int], u: int) -> list[int]:
+def _taylor_shift(a: Sequence[int], u: int) -> list[int]:
     """The coefficients of a(t + u), by Horner's rule on a copy."""
-    a = a[:]
+    a = list(a)
     n = len(a) - 1
     for i in range(n - 1, -1, -1):
         for j in range(i, n):
@@ -189,21 +193,21 @@ def _taylor_shift(a: list[int], u: int) -> list[int]:
     return a
 
 
-def _primitive(a: list[int]) -> list[int]:
+def _primitive(a: Sequence[int]) -> Sequence[int]:
     """a divided by its content, which is taken positive: signs survive."""
     g = gcd(*a)
     return [x // g for x in a] if g > 1 else a
 
 
-def _derivative(a: list[int]) -> list[int]:
+def _derivative(a: Sequence[int]) -> list[int]:
     return [j * x for j, x in enumerate(a)][1:]
 
 
-def _remainder(a: list[int], b: list[int]) -> list[int]:
+def _remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Primitive part of the pseudo-remainder of a by b: a positive multiple
     of a mod b.  Each step multiplies by |lc(b)| (over a gcd), never by the
     signed lc, so a Sturm chain built from it keeps every sign."""
-    a = a[:]
+    a = list(a)
     m = len(b) - 1
     lead = b[-1]
     while len(a) > m:
@@ -219,17 +223,17 @@ def _remainder(a: list[int], b: list[int]) -> list[int]:
     return _primitive(a) if a else a
 
 
-def _gcd(a: list[int], b: list[int]) -> list[int]:
+def _gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     """A primitive gcd of a and b by the primitive remainder sequence."""
     while b:
         a, b = b, _remainder(a, b)
     return _primitive(a)
 
 
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """a / b for a primitive b that divides a: by Gauss's lemma the
     quotient has integer coefficients, so every division below is exact."""
-    a = a[:]
+    a = list(a)
     m = len(b) - 1
     quotient = [0] * (len(a) - m)
     for top in range(len(a) - 1, m - 1, -1):
@@ -242,10 +246,13 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Yun's algorithm: return [(f_i, m_i)] with p = lead * prod f_i^{m_i},
-    the f_i monic, squarefree, and pairwise coprime."""
+    the f_i monic, squarefree, and pairwise coprime.  A p that is squarefree
+    modulo a prime skips the integer chain."""
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree decomposition")
-    b, _ = _integer_form(p)
+    b = p.numerators
+    if len(b) > 1 and _squarefree_mod_prime(b):
+        return [(p.monic(), 1)]
     c = _derivative(b)
     a = _gcd(b, c)
     b, c = _exact_quotient(b, a), _exact_quotient(c, a)
@@ -257,10 +264,35 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
             d.pop()
         a = _gcd(b, d)
         if len(a) > 1:
-            out.append((Polynomial(Fraction(x, a[-1]) for x in a), mult))
+            out.append((Polynomial(a, a[-1]), mult))
         b, c = _exact_quotient(b, a), _exact_quotient(d, a)
         mult += 1
     return out
+
+
+# A prime below 2^31, so that every product modulo it fits in 62 bits.
+_PRIME = 2**31 - 1
+
+
+def _squarefree_mod_prime(a: Sequence[int]) -> bool:
+    """True when p = _PRIME does not divide lc(a) and gcd(a, a') = 1 modulo
+    p.  Then a is squarefree over Q: a square factor g^2 of a keeps its
+    degree modulo p, since lc(g) divides lc(a), and g divides a' too.  False
+    decides nothing."""
+    p = _PRIME
+    if not a[-1] % p:
+        return False
+    f, g = [x % p for x in a], [x % p for x in _derivative(a)]
+    while any(g):  # Euclid over GF(p): f, g = g, f mod g
+        while not g[-1]:
+            g.pop()
+        inverse = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            c = f.pop() * inverse % p
+            for i, y in enumerate(g[:-1], len(f) - len(g) + 1):
+                f[i] = (f[i] - c * y) % p
+        f, g = g, f
+    return len(f) == 1
 
 
 def distinct_root_counts(p: Polynomial) -> tuple[int, int]:
@@ -270,7 +302,7 @@ def distinct_root_counts(p: Polynomial) -> tuple[int, int]:
     its leading terms at -infinity minus those at +infinity count the
     distinct real roots (Sturm's theorem holds without squarefreeness),
     and its last member is gcd(p, p')."""
-    f, _ = _integer_form(p)
+    f = p.numerators
     chain = _sturm_chain(f, _derivative(f))
     return _cauchy_index(chain), len(f) - len(chain[-1])
 
@@ -337,4 +369,4 @@ def interpolate(values: Sequence[int]) -> Polynomial:
     for i in range(n - 1, -1, -1):
         for j in range(i, n):
             a[j] -= i * a[j + 1]
-    return Polynomial(Fraction(x, scale) for x in a)
+    return Polynomial(a, scale)

@@ -285,21 +285,26 @@ def index(p: LatticePolytope) -> int:
 
 class PolarScaled(NamedTuple):
     is_lattice: bool
-    vertices: tuple[tuple[Fraction, ...], ...]
+    vertices: tuple[tuple[int | Fraction, ...], ...]
 
 
 def polar_scaled(p: LatticePolytope, l: int) -> PolarScaled:
     """Vertices of l * (polar of p): the points l*u_i/l_i per facet.
 
     ``is_lattice`` is true iff every coordinate of every such point is an
-    integer.  Coincident candidates are not deduplicated; latticeness is a
-    per-point question.
+    integer.  An integral coordinate is an int, any other a Fraction.
+    Coincident candidates are not deduplicated; latticeness is a per-point
+    question.
     """
     if l < 1:
         raise ValueError("polar scale must be >= 1")
     hs = _require_interior_halfspaces(p)
     verts = tuple(
-        tuple(Fraction(l * c, h.rhs) for c in h.normal) for h in hs
+        tuple(
+            l * c // h.rhs if l * c % h.rhs == 0 else Fraction(l * c, h.rhs)
+            for c in h.normal
+        )
+        for h in hs
     )
     lattice = all(c.denominator == 1 for v in verts for c in v)
     return PolarScaled(lattice, verts)

@@ -50,10 +50,11 @@ from .roots import RootSet, common_real_part
 class ReflexivityReport:
     """Three-way l-reflexivity verdict for one polytope.
 
-    ``coefficient_identity`` is the bare identity c_{n-1} == (n/2l) vol
-    (its two sides are ``identity_lhs``/``identity_rhs``);
-    ``coefficient_check`` conjoins it with vertex primitivity, which the
-    identity cannot see.  ``agree`` is always true for valid inputs.
+    ``coefficient_identity`` is the bare identity c_{n-1} == (n/2l) vol,
+    decided as 2l N_{n-1} == n N_n on the polynomial's numerators (its two
+    sides ``identity_lhs``/``identity_rhs`` build their Fractions when
+    read); ``coefficient_check`` conjoins it with vertex primitivity, which
+    the identity cannot see.  ``agree`` is always true for valid inputs.
     """
 
     index_l: int
@@ -62,9 +63,16 @@ class ReflexivityReport:
     coefficient_check: bool
     coefficient_identity: bool
     vertices_primitive: bool
-    identity_lhs: Fraction
-    identity_rhs: Fraction
     agree: bool
+    ehr: EhrhartPolynomial
+
+    @property
+    def identity_lhs(self) -> Fraction:
+        return self.ehr.coefficient(self.ehr.dimension - 1)
+
+    @property
+    def identity_rhs(self) -> Fraction:
+        return Fraction(self.ehr.dimension, 2 * self.index_l) * self.ehr.volume
 
 
 def is_l_reflexive(p: LatticePolytope) -> tuple[bool, int | None]:
@@ -113,10 +121,8 @@ def reflexivity_equivalence(
         and vertices_primitive
     )
 
-    n = p.dimension
-    identity_lhs = ehr.coefficient(n - 1)
-    identity_rhs = Fraction(n, 2 * l) * ehr.volume
-    coefficient_identity = identity_lhs == identity_rhs
+    n, numerators = p.dimension, ehr.poly.numerators
+    coefficient_identity = 2 * l * numerators[n - 1] == n * numerators[-1]
     coefficient_check = coefficient_identity and vertices_primitive
 
     agree = def_check == polar_check == coefficient_check
@@ -133,9 +139,8 @@ def reflexivity_equivalence(
         coefficient_check=coefficient_check,
         coefficient_identity=coefficient_identity,
         vertices_primitive=vertices_primitive,
-        identity_lhs=identity_lhs,
-        identity_rhs=identity_rhs,
         agree=agree,
+        ehr=ehr,
     )
 
 
@@ -152,5 +157,5 @@ def root_line_reflexivity_consequence(
     l = index(p)
     if not common_real_part(rs, Fraction(1, 2 * l)):
         return True
-    n = p.dimension
-    return ehr.coefficient(n - 1) == Fraction(n, 2 * l) * ehr.volume
+    n, numerators = p.dimension, ehr.poly.numerators
+    return 2 * l * numerators[n - 1] == n * numerators[-1]

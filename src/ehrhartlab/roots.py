@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import log2
+from math import gcd, log2
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +41,6 @@ import numpy as np
 from .ehrhart import EhrhartPolynomial
 from .exact import (
     Polynomial,
-    _integer_form,
     _taylor_shift,
     _unit_disc_exterior,
     binomial,
@@ -70,15 +69,13 @@ class RootSet:
         roots: list[complex] = []
         for factor, multiplicity in squarefree_decomposition(self.poly):
             if factor.degree == 1:
-                # -c0/c1 exactly; keep the float conversion as the only loss.
-                value = complex(-factor.coefficient(0) / factor.coefficient(1))
+                # -c0 of the monic factor; its rounding is the only loss.
+                value = complex(-factor.numerators[0] / factor.denominator)
                 roots.extend([value] * multiplicity)
                 continue
             if e is not None:
                 factor = _scaled(factor, e)
-            companion_roots = np.roots(
-                [float(c) for c in reversed(factor.coefficients)]
-            )
+            companion_roots = np.roots(_floats(factor)[::-1])
             for y in _newton_polish(factor, companion_roots):
                 roots.extend([y if e is None else y * 2.0**e] * multiplicity)
         roots.sort(key=lambda z: (z.real, z.imag))
@@ -93,20 +90,37 @@ class RootSet:
 
 
 class BoundVerdict(NamedTuple):
-    """Outcome of one exact inequality lhs <= rhs."""
+    """Outcome of one exact inequality lhs <= rhs between lhs = p/q and
+    rhs = r/s, decided on integers; ``lhs`` and ``rhs`` build their
+    Fractions when read."""
 
     holds: bool
     is_equality: bool
-    lhs: Fraction
-    rhs: Fraction
+    lhs_terms: tuple[int, int]
+    rhs_terms: tuple[int, int]
+
+    lhs = property(lambda self: Fraction(*self.lhs_terms))
+    rhs = property(lambda self: Fraction(*self.rhs_terms))
+
+
+def _bound_verdict(p: int, q: int, r: int, s: int) -> BoundVerdict:
+    """The verdict on p/q <= r/s: multiplying by (qs)^2 > 0 keeps the order."""
+    if not q * s:
+        raise ZeroDivisionError("bound with denominator 0")
+    left, right = p * q * s * s, r * s * q * q
+    return BoundVerdict(left <= right, left == right, (p, q), (r, s))
 
 
 @dataclass(frozen=True)
 class WillsIndexVerdict:
+    """Row i: the verdict on c_i <= 2^i C(n, i)."""
+
     index: int
-    coefficient: Fraction
-    bound: Fraction
-    holds: bool
+    verdict: BoundVerdict
+
+    holds = property(lambda self: self.verdict.holds)
+    coefficient = property(lambda self: self.verdict.lhs)
+    bound = property(lambda self: self.verdict.rhs)
 
 
 @dataclass(frozen=True)
@@ -126,7 +140,7 @@ class WillsVerdict:
         return tuple(
             row.index
             for row in self.per_index
-            if row.holds and row.coefficient == row.bound
+            if row.verdict.is_equality
         )
 
 
@@ -137,12 +151,12 @@ def _scale_exponent(p: Polynomial) -> int | None:
     |c_j/c_n|^(1/(n-j)) (Fujiwara), so the coefficients and values at the
     roots of p, of a monic factor and of its derivative stay below
     n max(|c_n|, 1) (2 max(R, 1))^n."""
-    n = p.degree
-    logs = [
-        (log2(abs(c.numerator)) - log2(c.denominator), j)
-        for j, c in enumerate(p.coefficients)
-        if c
-    ]
+    n, d = p.degree, p.denominator
+    logs = []
+    for j, c in enumerate(p.numerators):
+        if c:  # log2 |c_j| from c_j in lowest terms
+            g = gcd(c, d)
+            logs.append((log2(abs(c) // g) - log2(d // g), j))
     lead = logs[-1][0]
     r = 1 + max(((l - lead) / (n - j) for l, j in logs[:-1]), default=0)
     largest = max(lead, 0) + n * (max(r, 0) + 1)
@@ -154,8 +168,17 @@ def _scale_exponent(p: Polynomial) -> int | None:
 
 def _scaled(f: Polynomial, e: int) -> Polynomial:
     """f(2^e y) made monic: its roots are f's times 2^-e, and its
-    componentwise backward error at them is f's."""
-    return Polynomial(c * Fraction(2) ** (e * j) for j, c in enumerate(f.coefficients)).monic()
+    componentwise backward error at them is f's.  Its coefficients are
+    a_j 2^(ej) / (a_n 2^(en)), both sides times 2^-low to keep every shift
+    nonnegative."""
+    a, n = f.numerators, f.degree
+    low = min(0, e * n)
+    return Polynomial([x << e * j - low for j, x in enumerate(a)], a[-1] << e * n - low)
+
+
+def _floats(p: Polynomial) -> list[float]:
+    """The coefficients, each correctly rounded (int / int is)."""
+    return [x / p.denominator for x in p.numerators]
 
 
 def _horner(cs: list[float], z: complex) -> complex:
@@ -166,8 +189,8 @@ def _horner(cs: list[float], z: complex) -> complex:
 
 
 def _newton_polish(factor: Polynomial, roots: np.ndarray) -> list[complex]:
-    coeffs = [float(c) for c in factor.coefficients]
-    deriv = [float(c) for c in factor.derivative().coefficients]
+    coeffs = _floats(factor)
+    deriv = _floats(factor.derivative())
     polished = []
     for raw in roots:
         z = complex(raw)
@@ -185,7 +208,7 @@ def _newton_polish(factor: Polynomial, roots: np.ndarray) -> list[complex]:
 
 def _backward_error(p: Polynomial, roots: tuple[complex, ...]) -> float:
     """max |p(z)| / sum |c_j| |z|^j over the roots (0/0 reads as 0)."""
-    coeffs = [float(c) for c in p.coefficients]
+    coeffs = _floats(p)
     sizes = [abs(c) for c in coeffs]
     return max(
         abs(_horner(coeffs, z)) / (_horner(sizes, abs(z)).real or 1.0) for z in roots
@@ -206,8 +229,8 @@ def find_roots(p: Polynomial) -> RootSet:
 
 def _line_shift(p: Polynomial, target: Fraction | int) -> Polynomial | None:
     """q(t) = p(t - target) if q(-t) = (-1)^n q(t), else None."""
-    q = p.shift(-Fraction(target))
-    return None if any(q.coefficients[j] for j in range(q.degree - 1, -1, -2)) else q
+    q = p.shift(-target)
+    return None if any(q.numerators[j] for j in range(q.degree - 1, -1, -2)) else q
 
 
 def common_real_part(rs: RootSet, target: Fraction | int) -> bool:
@@ -217,7 +240,10 @@ def common_real_part(rs: RootSet, target: Fraction | int) -> bool:
     if q is None:
         return False
     n = q.degree
-    r = Polynomial(c if (n - j) % 4 == 0 else -c for j, c in enumerate(q.coefficients))
+    r = Polynomial(
+        [c if (n - j) % 4 == 0 else -c for j, c in enumerate(q.numerators)],
+        q.denominator,
+    )
     real, distinct = distinct_root_counts(r)
     return real == distinct
 
@@ -229,10 +255,9 @@ def parity_necessary_check(ehr: EhrhartPolynomial, a: Fraction | int) -> bool:
     coefficient-wise.  Roots on the line force this symmetry; the
     converse fails, so :func:`common_real_part` decides sufficiency.
     """
-    af = Fraction(a)
-    if af <= 0:
+    if a <= 0:
         raise ValueError("a must be positive")
-    return _line_shift(ehr.poly, 1 / af) is not None
+    return _line_shift(ehr.poly, Fraction(a.denominator, a.numerator)) is not None
 
 
 def braun_disc_check(rs: RootSet, n: int) -> bool:
@@ -248,7 +273,7 @@ def braun_disc_check(rs: RootSet, n: int) -> bool:
     unit disc are counted exactly."""
     if rs.poly.is_zero:
         raise ValueError("the zero polynomial has no root set")
-    a, _ = _integer_form(rs.poly)
+    a = rs.poly.numerators
     m = len(a) - 1
     q = _taylor_shift([x << (m - j) for j, x in enumerate(a)], -1)
     r = n * (2 * n - 1)
@@ -267,15 +292,12 @@ def wills_check(ehr: EhrhartPolynomial) -> WillsVerdict:
     polytopes whose only interior lattice point is the origin; violations
     are findings, not errors.
     """
-    n = ehr.dimension
-    rows = []
-    for i in range(n + 1):
-        bound = Fraction(2**i * binomial(n, i))
-        coefficient = ehr.coefficient(i)
-        rows.append(
-            WillsIndexVerdict(i, coefficient, bound, coefficient <= bound)
-        )
-    return WillsVerdict(n, tuple(rows), all(r.holds for r in rows))
+    n, d = ehr.dimension, ehr.poly.denominator
+    rows = tuple(
+        WillsIndexVerdict(i, _bound_verdict(c, d, binomial(n, i) << i, 1))
+        for i, c in enumerate(ehr.poly.numerators)
+    )
+    return WillsVerdict(n, rows, all(r.holds for r in rows))
 
 
 def coefficient_ratio_bound(
@@ -284,30 +306,32 @@ def coefficient_ratio_bound(
     """Exact test of c_t/c_s <= a^(t-s) C(n,t)/C(n,s) for 0 <= s < t <= n.
 
     Valid when all roots have real part -1/a (not verified here).  With
-    a = 2 and s = 0 this row is exactly the cube bound on c_t."""
+    a = 2 and s = 0 this row is exactly the cube bound on c_t.  The
+    polynomial's denominator cancels from c_t/c_s."""
     n = ehr.dimension
     if not 0 <= s < t <= n:
         raise ValueError(f"need 0 <= s < t <= {n}, got ({s}, {t})")
-    cs = ehr.coefficient(s)
-    if cs == 0:
+    numerators = ehr.poly.numerators
+    if numerators[s] == 0:
         raise ValueError(
             "coefficient ratio undefined: c_s = 0 cannot occur for Ehrhart "
             "polynomials in the hypothesis class"
         )
-    af = Fraction(a)
-    lhs = ehr.coefficient(t) / cs
-    rhs = af ** (t - s) * Fraction(binomial(n, t), binomial(n, s))
-    return BoundVerdict(lhs <= rhs, lhs == rhs, lhs, rhs)
+    u, v = a.numerator ** (t - s), a.denominator ** (t - s)
+    return _bound_verdict(
+        numerators[t], numerators[s], u * binomial(n, t), v * binomial(n, s)
+    )
 
 
 def volume_bound(ehr: EhrhartPolynomial, a: Fraction | int) -> BoundVerdict:
     """Exact test of vol <= (a/(a+1))^n * (point count).
 
     Equality holds exactly when the polynomial is (ak+1)^n."""
-    af = Fraction(a)
-    lhs = ehr.volume
-    rhs = (af / (af + 1)) ** ehr.dimension * ehr.point_count
-    return BoundVerdict(lhs <= rhs, lhs == rhs, lhs, rhs)
+    u, v, n = a.numerator, a.denominator, ehr.dimension
+    numerators, d = ehr.poly.numerators, ehr.poly.denominator
+    return _bound_verdict(
+        numerators[-1], d, u**n * sum(numerators), (u + v) ** n * d
+    )
 
 
 def point_count_bound(ehr: EhrhartPolynomial, a: Fraction | int) -> BoundVerdict:
@@ -316,13 +340,15 @@ def point_count_bound(ehr: EhrhartPolynomial, a: Fraction | int) -> BoundVerdict
 
     Needs n >= 2.  Equality holds iff at most one conjugate root pair has
     nonzero imaginary part; in particular always in dimensions 2 and 3,
-    and for polynomials with all roots real (the cube)."""
+    and for polynomials with all roots real (the cube).  With a = u/v and
+    vol = N_n/d, the right side is
+    (u+v)^(n-2) ((u+2v) N_n v^(n-2) + u^(n-1) d) / (u^(n-1) d v^(n-2))."""
     n = ehr.dimension
     if n < 2:
         raise ValueError("the point-count bound needs dimension >= 2")
-    af = Fraction(a)
-    lhs = ehr.point_count
-    rhs = (af + 1) ** (n - 2) * (af + 2) / af ** (n - 1) * ehr.volume + (
-        af + 1
-    ) ** (n - 2)
-    return BoundVerdict(lhs <= rhs, lhs == rhs, lhs, rhs)
+    u, v = a.numerator, a.denominator
+    numerators, d = ehr.poly.numerators, ehr.poly.denominator
+    rhs = (u + 2 * v) * numerators[-1] * v ** (n - 2) + u ** (n - 1) * d
+    return _bound_verdict(
+        sum(numerators), d, (u + v) ** (n - 2) * rhs, u ** (n - 1) * d * v ** (n - 2)
+    )

@@ -140,6 +140,37 @@ def test_minkowski_dp_matches_brute_force(m, a, b):
     assert count_minkowski_dp(m, a, b) == brute_deficiency_count(m, a, b)
 
 
+def deficiency_dp(m, a, b):
+    """Oracle: the coordinate-by-coordinate DP over the remaining deficiency
+    budget; a coordinate with deficiency 0 has 2a+1 choices, one with
+    deficiency d in 1..b exactly 2 (namely +-(a+d))."""
+    exact = [1] + [0] * b
+    for _ in range(m):
+        running = 0  # 2 * sum of exact[0..d-1]
+        nxt = []
+        for d in range(b + 1):
+            nxt.append((2 * a + 1) * exact[d] + running)
+            running += 2 * exact[d]
+        exact = nxt
+    return sum(exact)
+
+
+@given(st.integers(1, 10), st.integers(0, 20), st.integers(0, 40))
+@example(10, 0, 40)  # the crosspolytope: the formula's every term counts
+@example(10, 20, 3)  # b < m: the sum stops at i = b
+def test_minkowski_closed_form_matches_the_dp(m, a, b):
+    assert count_minkowski_dp(m, a, b) == deficiency_dp(m, a, b)
+
+
+def test_pn_sliced_matches_the_dp_slice_sum():
+    for n in range(2, 7):
+        for k in range(6):
+            slices = deficiency_dp(n - 1, k, 0) + 2 * sum(
+                deficiency_dp(n - 1, k - j, j) for j in range(1, k + 1)
+            )
+            assert count_pn_sliced(n, k) == slices
+
+
 @given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_deficiency_box_scan_matches_oracle_and_dp(m, a, b):

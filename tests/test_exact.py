@@ -1,6 +1,8 @@
 """Exact numerics: Bernoulli numbers, binomials, polynomial algebra."""
 
+import sys
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -309,3 +311,118 @@ def test_distinct_root_counts_keeps_signs():
     # -3 (t - 2)(t + 2): a pseudo-remainder multiplied by the signed leading
     # coefficient -6 of p' flips the last sign of the chain and counts 0
     assert distinct_root_counts(sturm_case([2, -2], [], -3)) == (2, 2)
+
+
+# A test-local reference: polynomials as lists of Fractions, constant term
+# first, with the trailing zeros stripped ([Fraction(0)] is zero).
+
+
+def ref_trim(coeffs):
+    coeffs = [Fraction(c) for c in coeffs]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs or [Fraction(0)]
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_shift(a, c):
+    """sum_j a_j (t + c)^j, expanded by the binomial theorem."""
+    out = [Fraction(0)] * len(a)
+    for j, x in enumerate(a):
+        for i in range(j + 1):
+            out[i] += x * comb(j, i) * c ** (j - i)
+    return ref_trim(out)
+
+
+def ref_value(a, x):
+    return sum(c * x**j for j, c in enumerate(a))
+
+
+coefficient_lists_st = st.lists(fractions_st, min_size=1, max_size=7)
+
+
+@given(coefficient_lists_st, st.integers(-30, 30).filter(bool))
+def test_polynomial_form_is_canonical(coeffs, k):
+    p = Polynomial(coeffs)
+    assert p.denominator > 0
+    assert gcd(*p.numerators, p.denominator) == 1
+    assert p.numerators[-1] != 0 or p.numerators == (0,)
+    assert list(p.coefficients) == ref_trim(coeffs)
+    # The same value given another way is the same object up to == and hash.
+    for other in (
+        Polynomial(coeffs + [0, Fraction(0)]),
+        Polynomial([k * x for x in p.numerators], k * p.denominator),
+        Polynomial(p.coefficients),
+    ):
+        assert other == p and hash(other) == hash(p)
+    assert (Polynomial(coeffs + [1]) == p) is False
+
+
+@given(coefficient_lists_st, coefficient_lists_st, fractions_st)
+def test_polynomial_algebra_matches_fraction_reference(a, b, x):
+    p, q = Polynomial(a), Polynomial(b)
+    a, b = ref_trim(a), ref_trim(b)
+    assert list((p * q).coefficients) == ref_mul(a, b)
+    assert list(p.shift(x).coefficients) == ref_shift(a, x)
+    assert p(x) == ref_value(a, x)
+    assert list(p.derivative().coefficients) == ref_trim(
+        [j * c for j, c in enumerate(a)][1:]
+    )
+    assert [p.coefficient(i) for i in range(len(a) + 2)] == a + [0, 0]
+    assert p.leading_coefficient == a[-1]
+    if p.is_zero:
+        with pytest.raises(ValueError):
+            p.monic()
+    else:
+        assert list(p.monic().coefficients) == [c / a[-1] for c in a]
+
+
+def fraction_constructions(run):
+    """How many Fractions run() builds, counted by the profiler hook."""
+    built = []
+    code = Fraction.__new__.__code__
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            built.append(frame)
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return len(built)
+
+
+def test_integer_kernels_build_no_fraction():
+    values = [1, 13, 63, 171, 377]  # the crosspolytope of dimension 4
+    squarefree = interpolate(values)
+    repeated = sturm_case([Fraction(1, 3), Fraction(1, 3), 2], [(1, 1)], 7)
+    shift = Fraction(-1, 2)
+
+    def kernels():
+        interpolate(values)
+        squarefree.shift(shift)
+        repeated.shift(3)
+        squarefree_decomposition(squarefree)
+        squarefree_decomposition(repeated)
+        distinct_root_counts(squarefree)
+        distinct_root_counts(repeated)
+
+    assert fraction_constructions(kernels) == 0
+    # The hook does see a Fraction built inside the run.
+    assert fraction_constructions(lambda: squarefree.coefficients) == 5
+
+
+def test_squarefree_decomposition_when_the_prime_divides_the_lead():
+    # The modular test refuses such a p; Yun's chain still decides.
+    p = Polynomial([-1, 0, exact._PRIME])
+    assert squarefree_decomposition(p) == [(p.monic(), 1)]
+    assert not exact._squarefree_mod_prime(p.numerators)

@@ -2,6 +2,7 @@
 
 import cmath
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from ehrhartlab import cli, roots, verification
 from ehrhartlab.counting import dilation_counter
-from ehrhartlab.ehrhart import ehrhart_of, qn_coefficients
+from ehrhartlab.ehrhart import EhrhartPolynomial, ehrhart_of, qn_coefficients
 from ehrhartlab.exact import Polynomial
 from ehrhartlab.polytopes import crosspolytope, cube, dilate, hull2d, pn_family
 from ehrhartlab.roots import (
@@ -290,6 +291,48 @@ def test_point_count_bound_cases():
     assert cross4.holds and not cross4.is_equality
     with pytest.raises(ValueError):
         point_count_bound(ehr(cube(1)), 2)
+
+
+ehrhart_like_st = st.tuples(
+    st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=30),
+        min_size=1,
+        max_size=6,
+    ),
+    st.fractions(min_value=0, max_value=50, max_denominator=30).filter(bool),
+    st.fractions(min_value=0, max_value=5, max_denominator=7).filter(bool),
+)
+
+
+@given(ehrhart_like_st)
+def test_bound_verdicts_match_fraction_arithmetic(case):
+    """The cross-multiplied verdicts decide what Fraction comparisons decide,
+    negative coefficients included, and read back the same sides."""
+    middle, volume, a = case
+    coeffs = [Fraction(1), *middle, volume]
+    e = EhrhartPolynomial(len(coeffs) - 1, Polynomial(coeffs))
+    n = e.dimension
+
+    def agrees(verdict, lhs, rhs):
+        return (verdict.lhs, verdict.rhs, verdict.holds, verdict.is_equality) == (
+            lhs, rhs, lhs <= rhs, lhs == rhs
+        )
+
+    for s in range(n + 1):
+        for t in range(s + 1, n + 1):
+            if coeffs[s]:
+                rhs = a ** (t - s) * Fraction(comb(n, t), comb(n, s))
+                verdict = coefficient_ratio_bound(e, a, s, t)
+                assert agrees(verdict, coeffs[t] / coeffs[s], rhs)
+    count = sum(coeffs)
+    assert agrees(volume_bound(e, a), volume, (a / (a + 1)) ** n * count)
+    if n >= 2:
+        rhs = (a + 1) ** (n - 2) * ((a + 2) / a ** (n - 1) * volume + 1)
+        assert agrees(point_count_bound(e, a), count, rhs)
+    for row in wills_check(e).per_index:
+        assert row.coefficient == coeffs[row.index]
+        assert row.bound == 2**row.index * comb(n, row.index)
+        assert row.holds == (row.coefficient <= row.bound)
 
 
 def test_point_count_equality_matches_nonreal_pair_characterization():
