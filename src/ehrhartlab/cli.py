@@ -1,14 +1,11 @@
-"""Command-line interface.
+"""Command-line interface: ``ehrhartlab SUBCOMMAND [FLAG VALUE | FLAG=VALUE] ...``.
 
-Subcommands
------------
-count       lattice points in the k-fold dilate
-ehrhart     exact Ehrhart coefficients
-roots       complex roots, common-real-part detection, parity, disc check
-wills       per-coefficient comparison against the cube bound
-bounds      the ratio / volume / point-count inequality suite for a given a
-reflexive   l-reflexivity report (definition, polar, coefficient identity)
-verify-all  run the whole verification table
+``_COMMANDS`` gives each subcommand its help line, its flags and its
+handler, and ``_FLAGS`` gives each flag its ``CommandRequest`` field, its
+converter and its help line.  The parser reads argv against these two
+tables alone, and ``-h``/``--help`` prints help built from them.  A flag
+is spelled in full (``--fam`` is refused), and its value is the next token
+as given or follows ``=`` (``-k2`` is refused).
 
 Polytopes come either from the family grammar
 
@@ -17,12 +14,12 @@ Polytopes come either from the family grammar
 or from a JSON file (see README for the schema).  Exact values are always
 rendered as fraction strings; decimals appear only for roots, rounded to
 12 significant digits.  Exit status: 0 success, 1 a check reported a
-violation (a finding, not an error), 2 usage or input errors.
+violation (a finding, not an error), 2 a usage or input error, with one
+``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -445,8 +442,6 @@ def _is_lattice(p: LatticePolytope) -> bool:
 
 def _cmd_count(req: CommandRequest) -> tuple[dict, int]:
     p = _load_polytope(req)
-    if req.k < 0:
-        raise SpecError("dilation must be nonnegative")
     if req.method == "box":  # the oracle scans at k itself
         value = scan_counter(p, req.max_box_points)(req.k)
     elif req.k <= p.dimension or not _is_lattice(p):
@@ -621,130 +616,130 @@ def run(req: CommandRequest) -> int:
 
 
 def _positive_number(text: str) -> Fraction:
-    """argparse type for ``-a``: a finite number > 0, read exactly
-    (``3/2``, ``1e-7``); ``nan`` and ``inf`` are refused."""
+    """Converter for ``-a``: a finite number > 0, read exactly (``3/2``,
+    ``1e-7``); ``nan`` and ``inf`` are refused."""
     exponent = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
     if len(exponent) > 3:  # Fraction builds 10**e
-        raise argparse.ArgumentTypeError(f"exponent out of range: {text!r}")
+        raise ValueError(f"exponent out of range: {text!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
+        raise ValueError(f"not a finite number: {text!r}") from None
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        raise ValueError(f"must be positive: {text!r}")
     return value
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type for ``--max-box-points``: an integer >= 0."""
+    """Converter for ``-k`` and ``--max-box-points``: an integer >= 0."""
     try:
         value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    except ValueError:  # also past Python's int-to-str digit limit
+        raise ValueError(f"not an integer: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
+        raise ValueError(f"must be nonnegative: {text!r}")
     return value
 
 
-def add_common(sp: argparse.ArgumentParser, polytope_source: bool = True) -> None:
-    """The flags every subcommand takes: the polytope source (one of
-    --family and --json) unless told otherwise, --format, --max-box-points."""
-    if polytope_source:
-        group = sp.add_mutually_exclusive_group(required=True)
-        group.add_argument("--family", dest="family_spec", metavar="FAMILY",
-                           help="family spec, e.g. pn:7")
-        group.add_argument("--json", dest="json_path", help="polytope JSON file")
-    sp.add_argument("--format", dest="fmt", choices=("plain", "json", "csv"))
-    sp.add_argument(
-        "--max-box-points",
-        type=_nonnegative_int,
-        help="refuse box scans beyond this many candidate points",
-    )
+def _choice(*choices: str):
+    def check(text: str) -> str:
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise ValueError(f"invalid choice: {text!r} (choose from {listed})")
+        return text
+
+    return check
 
 
-def _count_arguments(sp: argparse.ArgumentParser) -> None:
-    add_common(sp)
-    sp.add_argument("-k", type=int, help="dilation factor")
-    sp.add_argument(
-        "--method",
-        choices=("auto", "box"),
-        help="'box' forces the brute-force scan (oracle / debugging)",
-    )
+# flag -> (CommandRequest field, converter, help)
+_FLAGS = {
+    "--family": ("family_spec", str, "family spec, e.g. pn:7"),
+    "--json": ("json_path", str, "polytope JSON file"),
+    "--format": ("fmt", _choice("plain", "json", "csv"), "plain (default), json or csv"),
+    "--max-box-points": ("max_box_points", _nonnegative_int,
+                         "refuse box scans beyond this many candidate points"),
+    "-k": ("k", _nonnegative_int, "dilation factor"),
+    "--method": ("method", _choice("auto", "box"),
+                 "'box' forces the brute-force scan (oracle / debugging)"),
+    "-a": ("a", _positive_number, "test the root line Re = -1/a (default 2)"),
+}
+_POLYTOPE_FLAGS = ("--family", "--json", "--format", "--max-box-points")
 
-
-def _roots_arguments(sp: argparse.ArgumentParser) -> None:
-    add_common(sp)
-    sp.add_argument("-a", type=_positive_number,
-                    help="test the root line Re = -1/a (default 2)")
-
-
-def _bounds_arguments(sp: argparse.ArgumentParser) -> None:
-    add_common(sp)
-    sp.add_argument("-a", type=_positive_number)
-
-
-def _verify_all_arguments(sp: argparse.ArgumentParser) -> None:
-    add_common(sp, polytope_source=False)
-
-
-# name -> (help, adds the subcommand's arguments, handler), in help order.
+# name -> (help, flags, handler), in help order.
 _COMMANDS = {
-    "count": ("lattice points in the k-fold dilate", _count_arguments, _cmd_count),
-    "ehrhart": ("exact Ehrhart coefficients", add_common, _cmd_ehrhart),
-    "roots": ("roots and real-part diagnostics", _roots_arguments, _cmd_roots),
-    "wills": ("coefficient bound verdicts", add_common, _cmd_wills),
-    "bounds": ("inequality suite for a given a", _bounds_arguments, _cmd_bounds),
-    "reflexive": ("l-reflexivity report", add_common, _cmd_reflexive),
-    "verify-all": ("run the verification table", _verify_all_arguments, _cmd_verify_all),
+    "count": ("lattice points in the k-fold dilate",
+              (*_POLYTOPE_FLAGS, "-k", "--method"), _cmd_count),
+    "ehrhart": ("exact Ehrhart coefficients", _POLYTOPE_FLAGS, _cmd_ehrhart),
+    "roots": ("roots and real-part diagnostics", (*_POLYTOPE_FLAGS, "-a"), _cmd_roots),
+    "wills": ("coefficient bound verdicts", _POLYTOPE_FLAGS, _cmd_wills),
+    "bounds": ("inequality suite for a given a", (*_POLYTOPE_FLAGS, "-a"), _cmd_bounds),
+    "reflexive": ("l-reflexivity report", _POLYTOPE_FLAGS, _cmd_reflexive),
+    "verify-all": ("run the verification table", ("--format", "--max-box-points"),
+                   _cmd_verify_all),
 }
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """Adds the subcommand parsers when it parses: the one ``args[0]``
-    names, or all of them (``-h``, no arguments, an unknown name)."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else list(args)
-        if args and args[0] in _COMMANDS:
-            names = (args[0],)
-            # Keeps the usage line that lists all seven.  Not set on the other
-            # path: the missing and invalid choice errors would name it there.
-            extra = {"metavar": "{" + ",".join(_COMMANDS) + "}"}
-        else:
-            names, extra = _COMMANDS, {}
-        sub = self.add_subparsers(dest="subcommand", required=True,
-                                  parser_class=argparse.ArgumentParser, **extra)
-        for name in names:
-            help_text, add_arguments, _ = _COMMANDS[name]
-            add_arguments(sub.add_parser(name, help=help_text))
-        return super().parse_known_args(args, namespace)
+def _help() -> str:
+    lines = ["usage: ehrhartlab SUBCOMMAND [FLAG VALUE | FLAG=VALUE ...]", "",
+             "Exact Ehrhart polynomials and coefficient-bound checks for lattice "
+             "polytopes.", "", "subcommands and their flags:"]
+    for name, (text, flags, _) in _COMMANDS.items():
+        lines += [f"    {name:<11} {text}", f"{'':16}{' '.join(flags)}"]
+    lines += ["", "flags:"]
+    lines += [f"    {flag:<16}  {text}" for flag, (_, _, text) in _FLAGS.items()]
+    lines.append(f"    {'-h, --help':<16}  show this help")
+    return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser.  It adds the named subcommand's parser (or all
-    seven) when it parses, so building it costs next to nothing, and it
-    serves one parse: a second ``parse_args`` stops with argparse's "cannot
-    have multiple subparser arguments".  Flags have no defaults: an omitted
-    flag leaves the CommandRequest field at its default."""
-    return _SubcommandParser(
-        prog="ehrhartlab",
-        description="Exact Ehrhart polynomials and coefficient-bound checks "
-        "for lattice polytopes.",
-    )
+class _Parser:
+    """Reads ``SUBCOMMAND [FLAG VALUE | FLAG=VALUE] ...`` against
+    ``_COMMANDS`` and ``_FLAGS``; ``-h`` or ``--help`` anywhere prints help."""
+
+    def parse_args(self, argv: list[str] | None = None) -> CommandRequest | None:
+        """The request argv names, or None once help is printed.  Raises
+        SpecError, with a one-line message, on any usage error."""
+        args = sys.argv[1:] if argv is None else list(argv)
+        if "-h" in args or "--help" in args:
+            print(_help())
+            return None
+        names = ", ".join(_COMMANDS)
+        if not args:
+            raise SpecError(f"a subcommand is required ({names})")
+        name, *rest = args
+        if name not in _COMMANDS:
+            raise SpecError(f"unknown subcommand {name!r} (choose from {names})")
+        flags = _COMMANDS[name][1]
+        fields = {}
+        tokens = iter(rest)
+        for token in tokens:
+            flag, has_value, value = token.partition("=")
+            if flag not in flags:
+                raise SpecError(f"unrecognized argument for {name}: {token}")
+            if not has_value:
+                value = next(tokens, None)
+                if value is None:
+                    raise SpecError(f"argument {flag}: expected one argument")
+            dest, convert, _ = _FLAGS[flag]
+            try:
+                fields[dest] = convert(value)
+            except ValueError as exc:
+                raise SpecError(f"argument {flag}: {exc}") from None
+        return CommandRequest(name, **fields)
 
 
-def request_from_args(args: argparse.Namespace) -> CommandRequest:
-    return CommandRequest(**{k: v for k, v in vars(args).items() if v is not None})
+def build_parser() -> _Parser:
+    """A fresh parser per call.  Flags have no defaults: an omitted flag
+    leaves the CommandRequest field at its default."""
+    return _Parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors, which matches our convention
-        return int(exc.code or 0)
-    return run(request_from_args(args))
+        req = build_parser().parse_args(argv)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK if req is None else run(req)
 
 
 if __name__ == "__main__":

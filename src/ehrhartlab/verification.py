@@ -12,6 +12,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from typing import Callable
 
 import numpy as np
 
@@ -69,6 +71,8 @@ HYBRID7_COEFFICIENTS = (
 
 EXCEPTIONAL_TRIANGLE = ((-1, -1), (-1, 2), (2, -1))
 
+_QnCoefficients = Callable[[int], ehrhart.EhrhartPolynomial]
+
 RANDOM_POLYGON_SEED = 1729
 RANDOM_POLYGON_SAMPLES = 50
 
@@ -81,9 +85,9 @@ class CheckRow:
     detail: str
 
 
-def _row(number: int, name: str, fn) -> CheckRow:
+def _row(number: int, name: str, fn, *args) -> CheckRow:
     try:
-        passed, detail = fn()
+        passed, detail = fn(*args)
     except Exception as exc:  # a crashed row is a failed row
         return CheckRow(number, name, False, f"exception: {exc}")
     return CheckRow(number, name, bool(passed), detail)
@@ -102,7 +106,7 @@ def check_hybrid7_reproduction() -> tuple[bool, str]:
     return ok, f"coefficients {'match' if ok else 'MISMATCH'}, {elapsed:.3f}s"
 
 
-def check_bipyramid_coefficients() -> tuple[bool, str]:
+def check_bipyramid_coefficients(qn: _QnCoefficients) -> tuple[bool, str]:
     start = time.perf_counter()
     targets = {
         (9, 1): Fraction(494, 15),
@@ -111,7 +115,7 @@ def check_bipyramid_coefficients() -> tuple[bool, str]:
     }
     ok = True
     for (n, i), expected in targets.items():
-        closed = qn_coefficients(n)
+        closed = qn(n)
         interp = ehrhart_of(qn_family(n), lambda k, n=n: count_qn_closed(n, k))
         ok &= closed.coefficient(i) == expected
         ok &= closed.coefficients == interp.coefficients
@@ -120,11 +124,11 @@ def check_bipyramid_coefficients() -> tuple[bool, str]:
     return ok, f"three reference coefficients + interpolation, {elapsed:.3f}s"
 
 
-def check_first_coefficient_closed_form() -> tuple[bool, str]:
+def check_first_coefficient_closed_form(qn: _QnCoefficients) -> tuple[bool, str]:
     ok = True
     for n in range(2, 21):
         value = qn_first_coefficient(n)
-        ok &= value == qn_coefficients(n).coefficient(1)
+        ok &= value == qn(n).coefficient(1)
         if n % 2 == 0:
             ok &= value == 2 * (n - 1)
     return ok, "n = 2..20, even dimensions collapse to 2(n-1)"
@@ -173,7 +177,7 @@ def _deficiency_brute(m: int, a: int, b: int) -> int:
     return count_box_scan(inside)
 
 
-def check_wills_verdicts() -> tuple[bool, str]:
+def check_wills_verdicts(qn: _QnCoefficients) -> tuple[bool, str]:
     ok = True
     for n in range(1, 11):
         verdict = wills_check(ehrhart_of(cube(n), dilation_counter(cube(n))))
@@ -181,7 +185,7 @@ def check_wills_verdicts() -> tuple[bool, str]:
     hybrid = wills_check(_hybrid7_polynomial())
     ok &= hybrid.violations == (1,)
     for n, idx in ((9, 1), (11, 3), (13, 5)):
-        verdict = wills_check(qn_coefficients(n))
+        verdict = wills_check(qn(n))
         ok &= idx in verdict.violations
         ok &= 0 not in verdict.violations and n not in verdict.violations
     return ok, "cube all-equality; violations at the known indices"
@@ -282,14 +286,14 @@ def check_growth_bounds() -> tuple[bool, str]:
     return ok, "signed first coefficient inside exact bounds for n = 5..15 odd"
 
 
-def check_braun_disc() -> tuple[bool, str]:
+def check_braun_disc(qn: _QnCoefficients) -> tuple[bool, str]:
     cases: list[tuple[ehrhart.EhrhartPolynomial, int]] = []
     cases.append((_hybrid7_polynomial(), 7))
     for n in range(1, 9):
         for body in (cube(n), crosspolytope(n)):
             cases.append((ehrhart_of(body, dilation_counter(body)), n))
     for n in (9, 11, 13):
-        cases.append((qn_coefficients(n), n))
+        cases.append((qn(n), n))
     triangle = hull2d(EXCEPTIONAL_TRIANGLE)
     cases.append((ehrhart_of(triangle, dilation_counter(triangle)), 2))
     doubled = dilate(cube(2), 2)
@@ -302,16 +306,17 @@ def check_braun_disc() -> tuple[bool, str]:
 
 def run_all() -> list[CheckRow]:
     """Run the whole verification table in order."""
+    qn = cache(qn_coefficients)  # rows 2, 3, 6 and 11: once per n in this call
     return [
         _row(1, "degree-7 hybrid coefficients", check_hybrid7_reproduction),
-        _row(2, "bipyramid coefficients", check_bipyramid_coefficients),
-        _row(3, "first-coefficient closed form", check_first_coefficient_closed_form),
+        _row(2, "bipyramid coefficients", check_bipyramid_coefficients, qn),
+        _row(3, "first-coefficient closed form", check_first_coefficient_closed_form, qn),
         _row(4, "counterexample propagation", check_counterexample_propagation),
         _row(5, "oracle equivalence", check_oracle_equivalence),
-        _row(6, "coefficient bound verdicts", check_wills_verdicts),
+        _row(6, "coefficient bound verdicts", check_wills_verdicts, qn),
         _row(7, "inequality suite", check_inequality_suite),
         _row(8, "bounds for the root-line class", check_wills_for_root_line_class),
         _row(9, "reflexivity equivalence", check_reflexivity),
         _row(10, "growth bounds", check_growth_bounds),
-        _row(11, "root disc sanity", check_braun_disc),
+        _row(11, "root disc sanity", check_braun_disc, qn),
     ]
