@@ -5,7 +5,10 @@ handler, and ``_FLAGS`` gives each flag its ``CommandRequest`` field, its
 converter and its help line.  The parser reads argv against these two
 tables alone, and ``-h``/``--help`` prints help built from them.  A flag
 is spelled in full (``--fam`` is refused), and its value is the next token
-as given or follows ``=`` (``-k2`` is refused).
+as given or follows ``=`` (``-k2`` is refused).  ``run`` is the one request
+path: for a subcommand that takes ``--family`` it loads the polytope, hands
+it to the handler and writes it as the report's first key; verify-all reads
+no polytope.
 
 Polytopes come either from the family grammar
 
@@ -15,13 +18,14 @@ or from a JSON file (see README for the schema).  Exact values are always
 rendered as fraction strings; decimals appear only for roots, rounded to
 12 significant digits.  Exit status: 0 success, 1 a check reported a
 violation (a finding, not an error), 2 a usage or input error, with one
-``error: ...`` line on stderr.
+``error: ...`` line on stderr that shortens long values.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,6 +84,13 @@ class CommandRequest:
 
 class SpecError(ValueError):
     pass
+
+
+def _brief(text: str, show=repr) -> str:
+    """``show(text)`` for a message; past 40 characters, its start and length."""
+    if len(text) <= 40:
+        return show(text)
+    return f"{show(text[:40])}... ({len(text)} characters)"
 
 
 class _SpecParser:
@@ -160,7 +171,7 @@ class _SpecParser:
             if n < minimum:
                 self.fail(f"'{name}' requires a parameter >= {minimum}")
             return ctor(n)
-        self.fail(f"unknown family '{name}'")
+        self.fail(f"unknown family {_brief(name)}")
         raise AssertionError  # unreachable
 
 
@@ -308,7 +319,7 @@ def _polytope_from_family_json(family: Any, path: str) -> LatticePolytope | None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     else:
-        raise ValueError(f"{path}.tag: unknown family {tag!r}")
+        raise ValueError(f"{path}.tag: unknown family {_brief(tag)}")
     scale = params.get("scale", 1)
     if not _is_int(scale) or scale < 1:
         raise ValueError(f"{path}.params.scale: expected a positive integer")
@@ -322,7 +333,7 @@ def _check_consistent(obj: dict, rebuilt: LatticePolytope, path: str) -> None:
     dimension = obj.get("dimension", rebuilt.dimension)
     if not _is_int(dimension) or dimension != rebuilt.dimension:
         raise ValueError(
-            f"{path}.dimension: {dimension!r} does not match the family "
+            f"{path}.dimension: {_brief(repr(dimension), str)} does not match the family "
             f"({rebuilt.dimension})"
         )
     n_vertices, n_halfspaces = list_sizes(rebuilt)
@@ -440,27 +451,19 @@ def _is_lattice(p: LatticePolytope) -> bool:
     return p.dimension <= 2 or fam is not None and all(map(_is_lattice, fam.factors))
 
 
-def _cmd_count(req: CommandRequest) -> tuple[dict, int]:
-    p = _load_polytope(req)
+def _cmd_count(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
     if req.method == "box":  # the oracle scans at k itself
         value = scan_counter(p, req.max_box_points)(req.k)
     elif req.k <= p.dimension or not _is_lattice(p):
         value = dilation_counter(p, max_box_points=req.max_box_points)(req.k)
     else:  # L_P is integer-valued, and its values at k = 0..n fix it
         value = int(_ehrhart_for(req, p)(req.k))
-    report = {
-        "polytope": polytope_to_json(p),
-        "k": req.k,
-        "count": value,
-        "method": "box-scan" if req.method == "box" else "auto",
-    }
-    return report, EXIT_OK
+    method = "box-scan" if req.method == "box" else "auto"
+    return {"k": req.k, "count": value, "method": method}, EXIT_OK
 
 
-def _cmd_ehrhart(req: CommandRequest) -> tuple[dict, int]:
-    p = _load_polytope(req)
-    ehr = _ehrhart_for(req, p)
-    return {"polytope": polytope_to_json(p), **ehrhart_to_json(ehr)}, EXIT_OK
+def _cmd_ehrhart(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
+    return ehrhart_to_json(_ehrhart_for(req, p)), EXIT_OK
 
 
 def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any]:
@@ -482,19 +485,14 @@ def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any
     }
 
 
-def _cmd_roots(req: CommandRequest) -> tuple[dict, int]:
-    p = _load_polytope(req)
+def _cmd_roots(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
     ehr = _ehrhart_for(req, p)
-    report = {"polytope": polytope_to_json(p), **ehrhart_to_json(ehr)}
-    return {**report, **_roots_payload(req, ehr)}, EXIT_OK
+    return {**ehrhart_to_json(ehr), **_roots_payload(req, ehr)}, EXIT_OK
 
 
-def _cmd_wills(req: CommandRequest) -> tuple[dict, int]:
-    p = _load_polytope(req)
-    ehr = _ehrhart_for(req, p)
-    verdict = wills_check(ehr)
+def _cmd_wills(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
+    verdict = wills_check(_ehrhart_for(req, p))
     report = {
-        "polytope": polytope_to_json(p),
         "dimension": verdict.dimension,
         "per_index": [
             {
@@ -520,8 +518,7 @@ def _bound_json(verdict) -> dict[str, Any]:
     }
 
 
-def _cmd_bounds(req: CommandRequest) -> tuple[dict, int]:
-    p = _load_polytope(req)
+def _cmd_bounds(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
     ehr = _ehrhart_for(req, p)
     n = ehr.dimension
     ratio_rows = []
@@ -534,7 +531,6 @@ def _cmd_bounds(req: CommandRequest) -> tuple[dict, int]:
     vol = volume_bound(ehr, req.a)
     all_hold &= vol.holds
     report = {
-        "polytope": polytope_to_json(p),
         "a": str(req.a),
         "hypothesis": _roots_payload(req, ehr),
         "ratio_bounds": ratio_rows,
@@ -547,8 +543,7 @@ def _cmd_bounds(req: CommandRequest) -> tuple[dict, int]:
     return report, EXIT_OK if all_hold else EXIT_FINDING
 
 
-def _cmd_reflexive(req: CommandRequest) -> tuple[dict, int]:
-    p = _load_polytope(req)
+def _cmd_reflexive(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
     n_vertices, n_halfspaces = list_sizes(p)
     if n_halfspaces is None:
         raise SpecError(
@@ -564,7 +559,6 @@ def _cmd_reflexive(req: CommandRequest) -> tuple[dict, int]:
         raise SpecError(f"hypothesis failure: {exc}") from exc
     consequence = root_line_reflexivity_consequence(p, ehr, RootSet(ehr.poly))
     report = {
-        "polytope": polytope_to_json(p),
         "index_l": report_obj.index_l,
         "def_check": report_obj.def_check,
         "polar_check": report_obj.polar_check,
@@ -598,12 +592,16 @@ def _cmd_verify_all(req: CommandRequest) -> tuple[dict, int]:
 
 def run(req: CommandRequest) -> int:
     """Execute a validated request; prints the report, returns exit status."""
+    _, flags, handler = _COMMANDS[req.subcommand]
     try:
-        report, status = _COMMANDS[req.subcommand][2](req)
-        # Rendering raises ValueError for an integer past Python's
-        # int-to-str digit limit.
-        text = render_report(report, req.fmt)
-    except (SpecError, OriginNotInteriorError, ValueError, OSError) as exc:
+        if "--family" in flags:
+            p = _load_polytope(req)
+            fields, status = handler(req, p)
+            report = {"polytope": polytope_to_json(p), **fields}
+        else:
+            report, status = handler(req)
+        text = render_report(report, req.fmt)  # ValueError past the int-to-str digit limit
+    except (ValueError, OSError) as exc:  # SpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -620,13 +618,13 @@ def _positive_number(text: str) -> Fraction:
     ``1e-7``); ``nan`` and ``inf`` are refused."""
     exponent = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
     if len(exponent) > 3:  # Fraction builds 10**e
-        raise ValueError(f"exponent out of range: {text!r}")
+        raise ValueError(f"exponent out of range: {_brief(text)}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a finite number: {text!r}") from None
+        raise ValueError(f"not a finite number: {_brief(text)}") from None
     if value <= 0:
-        raise ValueError(f"must be positive: {text!r}")
+        raise ValueError(f"must be positive: {_brief(text)}")
     return value
 
 
@@ -634,10 +632,14 @@ def _nonnegative_int(text: str) -> int:
     """Converter for ``-k`` and ``--max-box-points``: an integer >= 0."""
     try:
         value = int(text)
-    except ValueError:  # also past Python's int-to-str digit limit
-        raise ValueError(f"not an integer: {text!r}") from None
+    except ValueError:
+        digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", text)
+        if digits:  # well formed, but longer than int() reads
+            raise ValueError(f"{len(digits[1])} digits, past Python's limit of "
+                             f"{sys.get_int_max_str_digits()} digits") from None
+        raise ValueError(f"not an integer: {_brief(text)}") from None
     if value < 0:
-        raise ValueError(f"must be nonnegative: {text!r}")
+        raise ValueError(f"must be nonnegative: {_brief(text)}")
     return value
 
 
@@ -645,7 +647,7 @@ def _choice(*choices: str):
     def check(text: str) -> str:
         if text not in choices:
             listed = ", ".join(map(repr, choices))
-            raise ValueError(f"invalid choice: {text!r} (choose from {listed})")
+            raise ValueError(f"invalid choice: {_brief(text)} (choose from {listed})")
         return text
 
     return check
@@ -674,8 +676,7 @@ _COMMANDS = {
     "wills": ("coefficient bound verdicts", _POLYTOPE_FLAGS, _cmd_wills),
     "bounds": ("inequality suite for a given a", (*_POLYTOPE_FLAGS, "-a"), _cmd_bounds),
     "reflexive": ("l-reflexivity report", _POLYTOPE_FLAGS, _cmd_reflexive),
-    "verify-all": ("run the verification table", ("--format", "--max-box-points"),
-                   _cmd_verify_all),
+    "verify-all": ("run the verification table", ("--format",), _cmd_verify_all),
 }
 
 
@@ -707,14 +708,14 @@ class _Parser:
             raise SpecError(f"a subcommand is required ({names})")
         name, *rest = args
         if name not in _COMMANDS:
-            raise SpecError(f"unknown subcommand {name!r} (choose from {names})")
+            raise SpecError(f"unknown subcommand {_brief(name)} (choose from {names})")
         flags = _COMMANDS[name][1]
         fields = {}
         tokens = iter(rest)
         for token in tokens:
             flag, has_value, value = token.partition("=")
             if flag not in flags:
-                raise SpecError(f"unrecognized argument for {name}: {token}")
+                raise SpecError(f"unrecognized argument for {name}: {_brief(token, str)}")
             if not has_value:
                 value = next(tokens, None)
                 if value is None:

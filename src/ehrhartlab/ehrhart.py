@@ -71,11 +71,6 @@ class EhrhartPolynomial:
     def volume(self) -> Fraction:
         return self.poly.leading_coefficient
 
-    @property
-    def point_count(self) -> Fraction:
-        """Value at k = 1: the number of lattice points in the polytope."""
-        return self.poly(1)
-
     def __call__(self, k: int) -> Fraction:
         return self.poly(k)
 

@@ -70,12 +70,6 @@ class Halfspace:
         if content != 1:
             raise ValueError(f"half-space normal {self.normal} is not primitive")
 
-    def contains(self, point: Sequence[int]) -> bool:
-        return sum(n * x for n, x in zip(self.normal, point)) <= self.rhs
-
-    def is_tight_at(self, point: Sequence[int]) -> bool:
-        return sum(n * x for n, x in zip(self.normal, point)) == self.rhs
-
 
 _Lists = tuple[tuple[IntVector, ...], tuple[Halfspace, ...] | None]
 

@@ -764,6 +764,76 @@ def test_cli_max_box_points_must_be_nonnegative(capsys, method):
         assert "exceeds the budget of 0" in err
 
 
+def test_verify_all_takes_only_format(capsys):
+    # verify-all reads no polytope, so no box budget either.
+    assert main(["verify-all", "--max-box-points", "1"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: unrecognized argument for verify-all: --max-box-points\n"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("cmd", ["count", "ehrhart", "roots", "wills", "bounds", "reflexive"])
+def test_polytope_is_the_first_key_of_every_report(capsys, cmd, fmt):
+    code, out = run_cli(capsys, cmd, "--family", "cube:2", "--format", fmt)
+    assert code in (EXIT_OK, EXIT_FINDING)
+    if fmt == "json":
+        report = json.loads(out)
+        assert next(iter(report)) == "polytope"
+        assert report["polytope"] == polytope_to_json(cube(2))
+    elif fmt == "csv":
+        assert out.splitlines()[:2] == ["key,value", "polytope,\"cube:2, dimension 2\""]
+    else:
+        assert out.splitlines()[0].split(None, 1) == ["polytope", "cube:2, dimension 2"]
+
+
+def test_verify_all_report_has_no_polytope(capsys):
+    code, out = run_cli(capsys, "verify-all", "--format", "json")
+    assert code == EXIT_OK and "polytope" not in json.loads(out)
+
+
+HUGE = "1" + "0" * 4999  # past int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize("flag", ["-k", "--max-box-points"])
+def test_integer_past_the_digit_limit_is_named_as_such(capsys, flag):
+    assert main(["count", "--family", "cube:3", flag, HUGE]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: argument {flag}: 5000 digits, past Python's limit of {limit} digits\n"
+
+
+LONG = "q" * 5000
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (["count", "--family", "cube:2", "-k", LONG], "not an integer: 'qqq"),
+    (["roots", "--family", "cube:2", "-a", LONG], "not a finite number: 'qqq"),
+    (["roots", "--family", "cube:2", "-a", "1e" + HUGE], "exponent out of range: '1e1000"),
+    (["roots", "--family", "cube:2", "--format", LONG], "invalid choice: 'qqq"),
+    (["count", "--family", "cube:2", "--method", LONG], "invalid choice: 'qqq"),
+    (["roots", "--family", "cube:2", "--" + LONG], "unrecognized argument for roots: --qqq"),
+    ([LONG], "unknown subcommand 'qqq"),
+    (["ehrhart", "--family", LONG + ":2"], "unknown family 'qqq"),
+], ids=["k", "a", "a-exponent", "format", "method", "flag", "subcommand", "family"])
+def test_messages_shorten_long_values(capsys, argv, echo):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err) < 200, err
+    assert echo in err and "... (50" in err
+
+
+def test_json_messages_shorten_long_values(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    for doc in ({"family": {"tag": LONG}},
+                {"family": {"tag": "cube", "params": {"n": 2}}, "dimension": LONG}):
+        path.write_text(json.dumps(doc))
+        assert main(["ehrhart", "--json", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and len(err) < 200, err
+        assert "... (50" in err
+
+
 def test_cli_has_no_tolerance_flag(capsys):
     """The root line is decided exactly, so no tolerance can be set."""
     for cmd in ("roots", "bounds", "reflexive"):
@@ -783,7 +853,7 @@ ORACLE_COMMANDS = {
     "wills": ORACLE_POLYTOPE_FLAGS,
     "bounds": (*ORACLE_POLYTOPE_FLAGS, "-a"),
     "reflexive": ORACLE_POLYTOPE_FLAGS,
-    "verify-all": ("--format", "--max-box-points"),
+    "verify-all": ("--format",),
 }
 ORACLE_FLAGS = {
     "--family": {"dest": "family_spec"},

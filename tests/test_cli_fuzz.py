@@ -2,7 +2,7 @@
 
 Random family specs, JSON documents and flag values.  Every run must end
 with exit 0, 1 or 2 and no traceback; a run that exits 2 prints exactly
-one line on stderr; a JSON document with a non-integer
+one line of at most 200 characters on stderr; a JSON document with a non-integer
 (a boolean included) in an integer field that the loader reads exits 2;
 and ``count`` gives the same answer with ``--method auto`` (which reads
 L(k) off the Ehrhart polynomial beyond the interpolation nodes) as with
@@ -210,6 +210,7 @@ def check_boundary(argv):
     assert "Traceback" not in err, (argv, err)
     if code == EXIT_USAGE:
         assert len(err.splitlines()) == 1, (argv, err)
+        assert len(err.rstrip("\n")) <= 200, (argv[:4], len(err), err[:300])
     return code
 
 

@@ -29,6 +29,7 @@ from ehrhartlab.polytopes import (
     qn_family,
 )
 from ehrhartlab.verification import _deficiency_brute
+from test_polytopes import dot
 
 
 def brute_deficiency_count(m, a, b):
@@ -289,7 +290,7 @@ def polygons(draw):
     if kind == "product":
         return product(hull, cube(1))
     inside = [q for q in itertools.product(range(-2, 3), repeat=2)
-              if all(h.contains(q) for h in hull.halfspaces)]
+              if all(dot(h.normal, q) <= h.rhs for h in hull.halfspaces)]
     extra = [draw(st.sampled_from(points)), draw(st.sampled_from(inside))]
     listed = draw(st.permutations(points + extra))
     edges = [{"normal": list(h.normal), "rhs": h.rhs} for h in hull.halfspaces]

@@ -30,6 +30,7 @@ from ehrhartlab.polytopes import (
     product,
     qn_family,
 )
+from test_polytopes import dot
 
 HYBRID7 = (
     Fraction(1),
@@ -167,7 +168,7 @@ def second_coefficient_from_facets(polygon):
         raise ValueError("facet formula implemented for polygons only")
     total = 0
     for hs in polygon.halfspaces:
-        v, *_, w = sorted(v for v in polygon.vertices if hs.is_tight_at(v))
+        v, *_, w = sorted(v for v in polygon.vertices if dot(hs.normal, v) == hs.rhs)
         total += gcd(w[0] - v[0], w[1] - v[1])
     return Fraction(total, 2)
 

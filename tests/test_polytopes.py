@@ -29,6 +29,11 @@ from ehrhartlab.verification import _origin_interior
 point2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
 
+def dot(u, v):
+    """A half-space h holds at x iff dot(h.normal, x) <= h.rhs, tightly iff ==."""
+    return sum(a * b for a, b in zip(u, v))
+
+
 def test_cube_segment():
     c1 = cube(1)
     assert set(c1.vertices) == {(-1,), (1,)}
@@ -210,7 +215,7 @@ def test_hull2d_halfspaces_contain_all_input_points(points):
         return  # degenerate input
     for p in points:
         for h in hull.halfspaces:
-            assert h.contains(p)
+            assert dot(h.normal, p) <= h.rhs
 
 
 @given(st.lists(point2, min_size=3, max_size=12))
@@ -220,7 +225,7 @@ def test_hull2d_each_edge_tight_at_exactly_two_vertices(points):
     except ValueError:
         return
     for h in hull.halfspaces:
-        assert sum(1 for v in hull.vertices if h.is_tight_at(v)) == 2
+        assert sum(1 for v in hull.vertices if dot(h.normal, v) == h.rhs) == 2
 
 
 def _segment_points(p, q):
@@ -365,15 +370,15 @@ def test_family_halfspaces_are_valid_and_irredundant():
     # every vertex satisfies every half-space and each is tight somewhere
     for poly in (cube(3), crosspolytope(4), qn_family(4), dilate(cube(2), 3)):
         for h in poly.halfspaces:
-            assert all(h.contains(v) for v in poly.vertices)
-            assert any(h.is_tight_at(v) for v in poly.vertices)
+            assert all(dot(h.normal, v) <= h.rhs for v in poly.vertices)
+            assert any(dot(h.normal, v) == h.rhs for v in poly.vertices)
 
 
 def test_product_halfspaces_validate_against_product_vertices():
     pr = product(cube(2), crosspolytope(2))
     for h in pr.halfspaces:
-        assert all(h.contains(v) for v in pr.vertices)
-        assert any(h.is_tight_at(v) for v in pr.vertices)
+        assert all(dot(h.normal, v) <= h.rhs for v in pr.vertices)
+        assert any(dot(h.normal, v) == h.rhs for v in pr.vertices)
 
 
 @given(st.lists(point2, min_size=3, max_size=8))
