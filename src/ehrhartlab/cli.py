@@ -41,7 +41,6 @@ from .polytopes import (
     crosspolytope,
     cube,
     dilate,
-    hull2d,
     list_sizes,
     pn_family,
     product,
@@ -132,7 +131,7 @@ class _SpecParser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             self.fail("expected a positive integer")
@@ -253,19 +252,9 @@ def polytope_from_json(obj: Any, path: str = "$") -> LatticePolytope:
             raise ValueError(f"{path}.vertices[{i}]: expected {dimension} integers")
     halfspaces = _halfspaces_from_json(obj.get("halfspaces"), dimension, path)
     try:
-        p = LatticePolytope(dimension, tuple(map(tuple, vertices)), halfspaces)
-        hull = hull2d(p.vertices) if dimension == 2 else None
+        return LatticePolytope(dimension, tuple(map(tuple, vertices)), halfspaces)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    # A polygon's half-spaces are its hull's edges (others may cut out a
-    # polygon with rational vertices); the hull supplies them if missing.
-    if hull is None or halfspaces is None:
-        return hull or p
-    if set(halfspaces) != set(hull.halfspaces):
-        raise ValueError(f"{path}.halfspaces: inconsistent with the vertices' hull")
-    # The hull's vertices: a listed point that is no vertex must not reach
-    # the reflexivity tests, which read every vertex.
-    return LatticePolytope(2, hull.vertices, halfspaces)
 
 
 def _halfspaces_from_json(
@@ -429,13 +418,18 @@ def _load_polytope(req: CommandRequest) -> LatticePolytope:
         raise SpecError("exactly one polytope source (--family or --json) required")
     if req.family_spec is not None:
         return parse_polytope_spec(req.family_spec)
-    with open(req.json_path, "r", encoding="utf-8") as fh:
-        try:
+    path = _brief(req.json_path, str)
+    try:
+        with open(req.json_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON in {req.json_path}: {exc}") from exc
-        except RecursionError:
-            raise ValueError(f"JSON in {req.json_path} is nested too deeply") from None
+    except OSError as exc:
+        if exc.filename is None:  # a read error, whose text names no path
+            raise
+        raise OSError(f"[Errno {exc.errno}] {exc.strerror}: {_brief(req.json_path)}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"JSON in {path} is nested too deeply") from None
     return polytope_from_json(data)
 
 
@@ -444,7 +438,7 @@ def _ehrhart_for(req: CommandRequest, p: LatticePolytope) -> EhrhartPolynomial:
 
 
 def _is_lattice(p: LatticePolytope) -> bool:
-    """Known to have integral vertices: families, polygons (the loader checks
+    """Known to have integral vertices: families, polygons (the type checks
     their half-spaces) and intervals (normals +-1).  Half-spaces given in
     dimension >= 3 may cut out a rational polytope: its counts are no polynomial."""
     fam = p.family  # a product's factors must be lattice polytopes too

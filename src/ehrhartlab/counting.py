@@ -12,8 +12,8 @@ Three layers, from slow-and-universal to fast-and-specialized:
   cube-crosspolytope hybrid: O(m) terms, so O(m * k) at dilation k.
 * closed forms - :func:`count_qn_closed` for the bipyramid family, and
   Pick's theorem L(k) = A k^2 + (B/2) k + 1 for every lattice polygon
-  (area A, B lattice points on the boundary of its hull), read off the
-  bare hull chain.
+  (area A, B lattice points on its boundary), read off its vertices, which
+  are its hull chain.
 
 All counts are exact Python ints; (2k+1)^(n-1) at n = 13 already exceeds
 64-bit ranges, so nothing here ever touches floats.  A box scan holds
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .polytopes import FamilyTag, LatticePolytope, _hull_chain, dilate
+from .polytopes import FamilyTag, LatticePolytope, dilate
 
 # Points per block of a box scan: large enough that NumPy's per-call cost
 # vanishes, small enough to keep the block arrays a few hundred kB.
@@ -233,10 +233,8 @@ def dilation_counter(
                 return total
 
             return counter
-    if p.dimension == 2:
-        # The hull chain's edges: a vertex list given directly may be out of
-        # order, repeat a point or list one that is not a vertex.
-        hull = _hull_chain(p.vertices)
+    if p.dimension == 2:  # a polygon's vertices are its hull chain
+        hull = p.vertices
         edges = list(zip(hull, hull[1:] + hull[:1]))
         twice_area = sum(u[0] * v[1] - v[0] * u[1] for u, v in edges)
         boundary = sum(gcd(v[0] - u[0], v[1] - u[1]) for u, v in edges)

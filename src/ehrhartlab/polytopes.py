@@ -5,10 +5,11 @@ half-space lists are built each time they are read.  For the bipyramid and
 cube-crosspolytope hybrid families the vertex list is the generator list
 (generators may fail to be extreme in low dimensions - route through
 :func:`hull2d` when a minimal polygon description is needed).  Half-space
-representations use primitive integer normals.  There is deliberately no
-general-dimension vertex-to-facet conversion: every family here has either
-an explicit H-representation or a membership oracle, and polygons go
-through :func:`hull2d`.
+representations use primitive integer normals.  A polygon (explicit lists
+in dimension 2) is stored as its hull chain and one half-space per edge.
+There is deliberately no vertex-to-facet conversion in dimension >= 3:
+every family here has either an explicit H-representation or a membership
+oracle.
 """
 
 from __future__ import annotations
@@ -82,7 +83,10 @@ class LatticePolytope:
     ``vertices`` or ``halfspaces`` builds that one list from the recipe and
     keeps nothing (cube(20) lists 2^20 vertices and 40 half-spaces), so a
     caller that needs a list twice binds it once.  Explicit lists (JSON,
-    :func:`hull2d`, their dilates) are always validated.
+    :func:`hull2d`, their dilates) are always validated.  A polygon keeps
+    the counterclockwise hull chain of the points it is given as its
+    vertices, and its half-spaces must be that chain's edges (any order,
+    kept as given); without them it gets one per edge.
     """
 
     dimension: int
@@ -94,30 +98,39 @@ class LatticePolytope:
         if self.family is not None:
             return
         verts = tuple(tuple(int(c) for c in v) for v in self._vertices or ())
-        object.__setattr__(self, "_vertices", verts)
-        if self._halfspaces is not None:
-            object.__setattr__(self, "_halfspaces", tuple(self._halfspaces))
-        if not self._vertices:
+        halfspaces = None if self._halfspaces is None else tuple(self._halfspaces)
+        if not verts:
             raise ValueError("polytope needs at least one vertex")
-        for v in self._vertices:
+        for v in verts:
             if len(v) != self.dimension:
                 raise ValueError(
                     f"vertex {v} has {len(v)} coordinates, expected {self.dimension}"
                 )
-        for hs in self._halfspaces or ():
-            if len(hs.normal) != self.dimension:
-                raise ValueError("half-space dimension mismatch")
-            values = [sum(map(mul, hs.normal, v)) for v in self._vertices]
-            top = max(values)
-            if top > hs.rhs:
-                v = self._vertices[next(i for i, x in enumerate(values) if x > hs.rhs)]
-                raise ValueError(
-                    f"vertex {v} violates half-space {hs.normal}.x <= {hs.rhs}"
-                )
-            if top != hs.rhs:
-                raise ValueError(
-                    f"half-space {hs.normal}.x <= {hs.rhs} is tight at no vertex"
-                )
+        if self.dimension == 2:
+            # Half-spaces other than the hull's edges may cut out a polygon
+            # with rational vertices, whose counts are no polynomial.
+            verts = _hull_chain(verts)
+            edges = tuple(map(_edge, verts, verts[1:] + verts[:1]))
+            if halfspaces is not None and set(halfspaces) != set(edges):
+                raise ValueError("half-spaces are not the edges of the vertices' hull")
+            halfspaces = halfspaces or edges
+        else:
+            for hs in halfspaces or ():
+                if len(hs.normal) != self.dimension:
+                    raise ValueError("half-space dimension mismatch")
+                values = [sum(map(mul, hs.normal, v)) for v in verts]
+                top = max(values)
+                if top > hs.rhs:
+                    v = verts[next(i for i, x in enumerate(values) if x > hs.rhs)]
+                    raise ValueError(
+                        f"vertex {v} violates half-space {hs.normal}.x <= {hs.rhs}"
+                    )
+                if top != hs.rhs:
+                    raise ValueError(
+                        f"half-space {hs.normal}.x <= {hs.rhs} is tight at no vertex"
+                    )
+        object.__setattr__(self, "_vertices", verts)
+        object.__setattr__(self, "_halfspaces", halfspaces)
 
     @property
     def vertices(self) -> tuple[IntVector, ...]:
@@ -308,14 +321,12 @@ def _cross2(o: IntVector, a: IntVector, b: IntVector) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _hull_chain(points: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:
+def _hull_chain(points: Iterable[IntVector]) -> tuple[IntVector, ...]:
     """Hull vertices of integer points in the plane (monotone chain):
     counterclockwise from the lexicographic minimum, collinear middles
     dropped.  Degenerate input (fewer than three distinct points, or all
     collinear) is rejected."""
-    pts = sorted({tuple(int(c) for c in p) for p in points})
-    if any(len(p) != 2 for p in pts):
-        raise ValueError("hull2d expects 2-dimensional points")
+    pts = sorted(set(points))
     if len(pts) < 3:
         raise ValueError("hull2d needs at least three distinct points")
     # Build lower then upper chain, dropping collinear middles.
@@ -336,26 +347,19 @@ def _hull_chain(points: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:
 
 
 def hull2d(points: Iterable[Sequence[int]]) -> LatticePolytope:
-    """Convex hull of integer points in the plane (:func:`_hull_chain`).
+    """Convex hull of integer points in the plane: ``LatticePolytope(2, points)``.
 
-    Returns counterclockwise vertices starting from the lexicographic
-    minimum, plus one irredundant half-space per edge with primitive
+    Its vertices are the counterclockwise hull chain from the lexicographic
+    minimum, and it has one irredundant half-space per edge with primitive
     normal and tight rhs.  Degenerate input (fewer than three distinct
     points, or all collinear) is rejected.
     """
-    return _polygon(_hull_chain(points))
+    return LatticePolytope(2, tuple(points))
 
 
-def _polygon(hull: tuple[IntVector, ...]) -> LatticePolytope:
-    """The polygon of a chain from :func:`_hull_chain`, one half-space per edge."""
-    hs = []
-    m = len(hull)
-    for i in range(m):
-        v, w = hull[i], hull[(i + 1) % m]
-        dx, dy = w[0] - v[0], w[1] - v[1]
-        # Outward normal of a CCW edge.
-        nx, ny = dy, -dx
-        g = gcd(abs(nx), abs(ny))
-        nx, ny = nx // g, ny // g
-        hs.append(Halfspace((nx, ny), nx * v[0] + ny * v[1]))
-    return LatticePolytope(2, hull, tuple(hs))
+def _edge(u: IntVector, v: IntVector) -> Halfspace:
+    """The half-space of the counterclockwise hull edge u -> v: its outward
+    normal made primitive, tight at u and v."""
+    nx, ny = v[1] - u[1], u[0] - v[0]
+    g = gcd(nx, ny)
+    return Halfspace((nx // g, ny // g), (nx * u[0] + ny * u[1]) // g)

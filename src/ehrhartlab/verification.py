@@ -35,8 +35,6 @@ from .ehrhart import (
     qn_growth_check,
 )
 from .polytopes import (
-    _hull_chain,
-    _polygon,
     crosspolytope,
     cube,
     dilate,
@@ -261,24 +259,16 @@ def _random_polygon_agreement(samples: int) -> int:
             for _ in range(rng.randint(3, 8))
         ]
         try:
-            chain = _hull_chain(points)
+            polygon = hull2d(points)
         except ValueError:
             continue
-        if not _origin_interior(chain):
+        if any(h.rhs < 1 for h in polygon.halfspaces):  # origin not interior
             continue
-        polygon = _polygon(chain)
         ehr_poly = ehrhart_of(polygon, dilation_counter(polygon))
         # Raises RuntimeError when the three verdicts disagree.
         reflexivity.reflexivity_equivalence(polygon, ehr_poly)
         accepted += 1
     return accepted
-
-
-def _origin_interior(chain: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether the origin is interior to a counterclockwise hull chain, that
-    is, every edge of ``hull2d(chain)`` has rhs >= 1: the edge u -> v has
-    primitive outward normal with rhs cross(u, v) / g for some g > 0."""
-    return all(u[0] * v[1] - u[1] * v[0] > 0 for u, v in zip(chain, chain[1:] + chain[:1]))
 
 
 def check_growth_bounds() -> tuple[bool, str]:

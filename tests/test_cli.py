@@ -395,7 +395,7 @@ def test_polygon_json_halfspaces_are_the_hull_edges(tmp_path, capsys):
     path = tmp_path / "polygon.json"
     for document, message in (
         ({"vertices": vertices, "halfspaces": kite},
-         "error: $.halfspaces: inconsistent with the vertices' hull"),
+         "error: $: half-spaces are not the edges of the vertices' hull"),
         ({"vertices": [[-1, 0], [0, 0], [1, 0]], "halfspaces": segment}, "collinear"),
         ({"vertices": [[3, 0]], "halfspaces": line}, "three distinct points"),
     ):
@@ -832,6 +832,40 @@ def test_json_messages_shorten_long_values(tmp_path, capsys):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and len(err) < 200, err
         assert "... (50" in err
+
+
+def test_spec_integer_reads_only_what_int_reads(capsys):
+    """A digit that int() refuses (a superscript) is no integer of the
+    grammar, however many follow."""
+    for digits in ("\u00b2", "\u00b2" * 300):
+        assert main(["ehrhart", "--family", f"cube:{digits}"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: spec error at position 5: expected a positive integer\n"
+
+
+def test_json_path_messages_shorten_long_paths(tmp_path, monkeypatch, capsys):
+    def error(path):
+        assert main(["ehrhart", "--json", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 200, err
+        return err
+
+    err = error("x" * 3000)
+    assert "File name too long: 'xxx" in err and "... (3000 characters)" in err
+    assert "No such file or directory" in error(tmp_path / ("y" * 200))
+    long_name = tmp_path / ("z" * 200 + ".json")
+    leaf = '{"family": {"tag": "cube", "params": {"n": 1}}}'
+    head = '{"family": {"tag": "product", "params": {"factors": [' + leaf + ", "
+    for text, message in (("{not json", "malformed JSON in "),
+                          (head * 3000 + leaf + "]}}}" * 3000, "nested too deeply")):
+        long_name.write_text(text)
+        err = error(long_name)
+        assert message in err and f"... ({len(str(long_name))} characters)" in err
+    # A path of at most 40 characters is echoed whole, as Python words it.
+    monkeypatch.chdir(tmp_path)
+    assert error("missing.json") == (
+        "error: [Errno 2] No such file or directory: 'missing.json'\n")
+    assert error(".") == "error: [Errno 21] Is a directory: '.'\n"
 
 
 def test_cli_has_no_tolerance_flag(capsys):

@@ -19,7 +19,9 @@ from ehrhartlab.counting import (
     oracle_for,
     scan_counter,
 )
+from ehrhartlab import polytopes
 from ehrhartlab.polytopes import (
+    LatticePolytope,
     crosspolytope,
     cube,
     dilate,
@@ -63,9 +65,7 @@ def test_bipyramid_oracle_membership():
 
 
 def test_oracle_for_bare_polytope_raises():
-    from ehrhartlab.polytopes import LatticePolytope
-
-    bare = LatticePolytope(2, ((0, 0), (1, 0), (0, 1)))
+    bare = LatticePolytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(ValueError):
         oracle_for(bare)
 
@@ -260,6 +260,33 @@ def test_dilation_counter_generic_hrep():
     triangle = hull2d([(-1, -1), (-1, 2), (2, -1)])
     counter = dilation_counter(triangle)
     assert [counter(k) for k in range(4)] == [1, 10, 28, 55]
+
+
+def test_vertex_only_polygon_has_a_membership_oracle():
+    polygon = LatticePolytope(2, ((2, -1), (0, 0), (-1, 2), (-1, -1), (2, -1)))
+    assert polygon.halfspaces is not None
+    pick = dilation_counter(polygon)
+    for k in range(1, 5):
+        assert count_box_scan(oracle_for(dilate(polygon, k))) == pick(k)
+
+
+def test_polygon_hull_is_computed_once(monkeypatch):
+    listed = ((0, 2), (-1, -1), (2, 0), (0, 0), (1, -1), (0, 2))
+    expected = [1] + [count_box_scan(oracle_for(dilate(hull2d(listed), k)))
+                      for k in range(1, 6)]
+    calls = []
+    hull_chain = polytopes._hull_chain
+
+    def counted(points):
+        calls.append(points)
+        return hull_chain(points)
+
+    monkeypatch.setattr(polytopes, "_hull_chain", counted)
+    polygon = LatticePolytope(2, listed)
+    assert len(calls) == 1
+    counter = dilation_counter(polygon)
+    assert [counter(k) for k in range(6)] == expected
+    assert len(calls) == 1
 
 
 def test_dilation_counter_scaled_family():

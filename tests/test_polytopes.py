@@ -24,7 +24,7 @@ from ehrhartlab.polytopes import (
     product,
     qn_family,
 )
-from ehrhartlab.verification import _origin_interior
+from ehrhartlab.reflexivity import is_l_reflexive
 
 point2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
@@ -207,6 +207,29 @@ def test_hull2d_rejects_degenerate_input():
         hull2d([(0, 0), (1, 1), (2, 2), (3, 3)])
 
 
+def test_polygon_is_stored_as_its_hull():
+    """Whatever list a polygon is given, with or without its hull's edges,
+    it keeps the hull: the reflexivity test must not read a point that is
+    no vertex (here the origin, which is neither primitive nor imprimitive)."""
+    hull = hull2d([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    # Shuffled, with a repeat, an edge midpoint and the origin.
+    listed = ((1, 1), (0, 0), (-1, 1), (1, 0), (1, -1), (1, 1), (-1, -1))
+    for given in (hull.halfspaces[::-1], None):
+        polygon = LatticePolytope(2, listed, given)
+        assert polygon.vertices == hull.vertices
+        assert set(polygon.halfspaces) == set(hull.halfspaces)
+        assert polygon.halfspaces == (given or hull.halfspaces)  # kept as given
+        assert is_l_reflexive(polygon) == (True, 1)
+
+
+def test_polygon_halfspaces_must_be_the_hull_edges():
+    square = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+    edges = hull2d(square).halfspaces
+    for given in (edges[1:], edges + (Halfspace((1, 1), 2),), ()):
+        with pytest.raises(ValueError, match="not the edges"):
+            LatticePolytope(2, square, given)
+
+
 @given(st.lists(point2, min_size=3, max_size=12))
 def test_hull2d_halfspaces_contain_all_input_points(points):
     try:
@@ -379,15 +402,3 @@ def test_product_halfspaces_validate_against_product_vertices():
     for h in pr.halfspaces:
         assert all(dot(h.normal, v) <= h.rhs for v in pr.vertices)
         assert any(dot(h.normal, v) == h.rhs for v in pr.vertices)
-
-
-@given(st.lists(point2, min_size=3, max_size=8))
-def test_origin_interior_reads_the_hull_edges(points):
-    """Row 9 rejects a point set from its bare hull chain exactly when
-    hull2d would give an edge with rhs < 1."""
-    try:
-        polygon = hull2d(points)
-    except ValueError:
-        return
-    expected = all(h.rhs >= 1 for h in polygon.halfspaces)
-    assert _origin_interior(_hull_chain(points)) == expected
