@@ -24,7 +24,6 @@ from .exact import (
     Polynomial,
     bernoulli,
     bernoulli_magnitude_bounds,
-    binomial,
     interpolate,
 )
 from .polytopes import (
@@ -46,7 +45,6 @@ from .polytopes import (
 )
 from .reflexivity import (
     ReflexivityReport,
-    is_l_reflexive,
     reflexivity_equivalence,
     root_line_reflexivity_consequence,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "WillsVerdict",
     "bernoulli",
     "bernoulli_magnitude_bounds",
-    "binomial",
     "braun_disc_check",
     "coefficient_ratio_bound",
     "common_real_part",
@@ -98,7 +95,6 @@ __all__ = [
     "hull2d",
     "index",
     "interpolate",
-    "is_l_reflexive",
     "is_primitive",
     "oracle_for",
     "parity_necessary_check",

@@ -4,11 +4,12 @@
 handler, and ``_FLAGS`` gives each flag its ``CommandRequest`` field, its
 converter and its help line.  The parser reads argv against these two
 tables alone, and ``-h``/``--help`` prints help built from them.  A flag
-is spelled in full (``--fam`` is refused), and its value is the next token
-as given or follows ``=`` (``-k2`` is refused).  ``run`` is the one request
-path: for a subcommand that takes ``--family`` it loads the polytope, hands
-it to the handler and writes it as the report's first key; verify-all reads
-no polytope.
+is spelled in full (``--fam`` is refused), and its value follows ``=`` or
+is the next token, which may start with ``-`` only as ``-`` alone or a
+negative number, as argparse reads them (``-k2`` is refused).  ``run`` is
+the one request path: for a subcommand that takes ``--family`` it loads the
+polytope, hands it to the handler and writes it as the report's first key;
+verify-all reads no polytope.
 
 Polytopes come either from the family grammar
 
@@ -46,7 +47,7 @@ from .polytopes import (
     product,
     qn_family,
 )
-from .reflexivity import reflexivity_equivalence, root_line_reflexivity_consequence
+from .reflexivity import _root_line_consequence, reflexivity_equivalence
 from .roots import (
     RootSet,
     braun_disc_check,
@@ -65,8 +66,9 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 
 # reflexive refuses a family whose vertex or half-space list is longer:
-# cross:15 (2^15 facets) takes about 2 s, cross:16 twice that.
-_MAX_LISTED = 2**15
+# cross:17 (2^17 facets) takes about 1.8 s in process at an 89 MB peak RSS
+# (2-vCPU VM, Python 3.11), cross:18 twice that.
+_MAX_LISTED = 2**17
 
 
 @dataclass(frozen=True)
@@ -551,7 +553,9 @@ def _cmd_reflexive(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
         report_obj = reflexivity_equivalence(p, ehr)
     except OriginNotInteriorError as exc:
         raise SpecError(f"hypothesis failure: {exc}") from exc
-    consequence = root_line_reflexivity_consequence(p, ehr, RootSet(ehr.poly))
+    consequence = _root_line_consequence(
+        report_obj.index_l, report_obj.coefficient_identity, RootSet(ehr.poly)
+    )
     report = {
         "index_l": report_obj.index_l,
         "def_check": report_obj.def_check,
@@ -712,7 +716,8 @@ class _Parser:
                 raise SpecError(f"unrecognized argument for {name}: {_brief(token, str)}")
             if not has_value:
                 value = next(tokens, None)
-                if value is None:
+                if value is None or (value.startswith("-") and value != "-"
+                                     and not re.match(r"-\d+$|-\d*\.\d+$", value)):
                     raise SpecError(f"argument {flag}: expected one argument")
             dest, convert, _ = _FLAGS[flag]
             try:

@@ -124,11 +124,11 @@ def count_box_scan(oracle: MembershipOracle, max_points: int | None = None) -> i
     points = side**dim
     if max_points is not None and points > max_points:
         raise ValueError(
-            f"box scan of {side}^{dim} points exceeds the budget of {max_points}; "
-            "use a family counter instead"
+            f"box scan of {_shown(side)}^{dim} points exceeds the budget of "
+            f"{_shown(max_points)}; use a family counter instead"
         )
     if points >= _MAX_BOX:
-        raise ValueError(f"box scan of {side}^{dim} points is too large to index")
+        raise ValueError(f"box scan of {_shown(side)}^{dim} points is too large to index")
     strides = np.array([[side**j] for j in reversed(range(dim))])
     total = 0
     for start in range(0, points, _BLOCK):
@@ -137,6 +137,11 @@ def count_box_scan(oracle: MembershipOracle, max_points: int | None = None) -> i
         block = (flat // strides % side - r).T
         total += int(np.count_nonzero(oracle.contains(block)))
     return total
+
+
+def _shown(n: int) -> str:
+    """n for a message; past 12 digits, its digit count."""
+    return str(n) if n < 10**12 else f"({len(str(n))}-digit number)"
 
 
 def count_minkowski_dp(m: int, a: int, b: int) -> int:

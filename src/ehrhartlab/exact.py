@@ -1,5 +1,5 @@
-"""Exact rational numerics: Bernoulli numbers, binomials, and dense
-univariate polynomial algebra over the rationals.
+"""Exact rational numerics: Bernoulli numbers and dense univariate
+polynomial algebra over the rationals.
 
 Everything in this module is exact, and no operation ever rounds.  A
 :class:`Polynomial` holds integer numerators over one positive denominator,
@@ -56,13 +56,6 @@ def bernoulli(j: int) -> Fraction:
     for m in range(j):
         total += comb(j + 1, m) * bernoulli(m)
     return -total / (j + 1)
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); 0 when k > n, error on negatives."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    return comb(n, k)
 
 
 def bernoulli_magnitude_bounds(j: int) -> tuple[Fraction, Fraction]:

@@ -305,7 +305,10 @@ def polar_scaled(p: LatticePolytope, l: int) -> PolarScaled:
     """
     if l < 1:
         raise ValueError("polar scale must be >= 1")
-    hs = _require_interior_halfspaces(p)
+    return _polar_scaled(_require_interior_halfspaces(p), l)
+
+
+def _polar_scaled(hs: Sequence[Halfspace], l: int) -> PolarScaled:
     verts = tuple(
         tuple(
             l * c // h.rhs if l * c % h.rhs == 0 else Fraction(l * c, h.rhs)

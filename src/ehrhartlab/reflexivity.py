@@ -40,9 +40,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .ehrhart import EhrhartPolynomial
-from .polytopes import LatticePolytope, index, is_primitive, polar_scaled
+from .polytopes import (
+    LatticePolytope,
+    _polar_scaled,
+    _require_interior_halfspaces,
+    index,
+    is_primitive,
+)
 from .roots import RootSet, common_real_part
 
 
@@ -75,25 +82,6 @@ class ReflexivityReport:
         return Fraction(self.ehr.dimension, 2 * self.index_l) * self.ehr.volume
 
 
-def is_l_reflexive(p: LatticePolytope) -> tuple[bool, int | None]:
-    """Test the l-reflexivity definition; returns (verdict, l).
-
-    Requires an (irredundant, primitive-normal) half-space representation.
-    The returned l is the common facet distance when the verdict is true.
-    """
-    hs = p.halfspaces
-    if hs is None:
-        raise ValueError("l-reflexivity needs a half-space representation")
-    if any(h.rhs < 1 for h in hs):
-        return False, None  # origin not strictly interior
-    distances = {h.rhs for h in hs}
-    if len(distances) != 1:
-        return False, None
-    if not all(is_primitive(v) for v in p.vertices):
-        return False, None
-    return True, distances.pop()
-
-
 def reflexivity_equivalence(
     p: LatticePolytope, ehr: EhrhartPolynomial
 ) -> ReflexivityReport:
@@ -103,26 +91,25 @@ def reflexivity_equivalence(
     disagreement between the three verdicts raises RuntimeError since it
     can only mean a bug in this library.
     """
-    l = index(p)  # raises OriginNotInteriorError when rhs < 1 somewhere
+    hs = _require_interior_halfspaces(p)  # a family builds its lists per read
     if ehr.dimension != p.dimension:
         raise ValueError("Ehrhart polynomial does not match the polytope")
-
-    verdict, common = is_l_reflexive(p)
-    def_check = verdict and common == l
+    l = lcm(*(h.rhs for h in hs))
 
     vertices_primitive = all(is_primitive(v) for v in p.vertices)
+    # Equal facet distances are their own lcm, so they all equal l.
+    def_check = vertices_primitive and all(h.rhs == l for h in hs)
 
-    polar = polar_scaled(p, l)
+    polar = _polar_scaled(hs, l)
     # Dual facet distances: vertex v = content * w gives the polar facet
     # {w . x <= l/content}; all are l  iff  every vertex is primitive.
     polar_check = (
         polar.is_lattice
-        and all(is_primitive(tuple(int(c) for c in v)) for v in polar.vertices)
+        and all(is_primitive(v) for v in polar.vertices)
         and vertices_primitive
     )
 
-    n, numerators = p.dimension, ehr.poly.numerators
-    coefficient_identity = 2 * l * numerators[n - 1] == n * numerators[-1]
+    coefficient_identity = _identity(ehr, l)
     coefficient_check = coefficient_identity and vertices_primitive
 
     agree = def_check == polar_check == coefficient_check
@@ -144,6 +131,17 @@ def reflexivity_equivalence(
     )
 
 
+def _identity(ehr: EhrhartPolynomial, l: int) -> bool:
+    """c_{n-1} == (n/2l) vol, decided as 2l N_{n-1} == n N_n."""
+    n, numerators = ehr.dimension, ehr.poly.numerators
+    return 2 * l * numerators[n - 1] == n * numerators[-1]
+
+
+def _root_line_consequence(l: int, identity: bool, rs: RootSet) -> bool:
+    """The identity, or the roots do not all have real part -1/(2l)."""
+    return identity or not common_real_part(rs, Fraction(1, 2 * l))
+
+
 def root_line_reflexivity_consequence(
     p: LatticePolytope, ehr: EhrhartPolynomial, rs: RootSet
 ) -> bool:
@@ -155,7 +153,4 @@ def root_line_reflexivity_consequence(
     sum is c_{n-1}/vol).  Vacuously true when the hypothesis fails.
     """
     l = index(p)
-    if not common_real_part(rs, Fraction(1, 2 * l)):
-        return True
-    n, numerators = p.dimension, ehr.poly.numerators
-    return 2 * l * numerators[n - 1] == n * numerators[-1]
+    return _root_line_consequence(l, _identity(ehr, l), rs)

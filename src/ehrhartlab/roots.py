@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, log2
+from math import comb, gcd, log2
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +43,6 @@ from .exact import (
     Polynomial,
     _taylor_shift,
     _unit_disc_exterior,
-    binomial,
     distinct_root_counts,
     squarefree_decomposition,
 )
@@ -294,7 +293,7 @@ def wills_check(ehr: EhrhartPolynomial) -> WillsVerdict:
     """
     n, d = ehr.dimension, ehr.poly.denominator
     rows = tuple(
-        WillsIndexVerdict(i, _bound_verdict(c, d, binomial(n, i) << i, 1))
+        WillsIndexVerdict(i, _bound_verdict(c, d, comb(n, i) << i, 1))
         for i, c in enumerate(ehr.poly.numerators)
     )
     return WillsVerdict(n, rows, all(r.holds for r in rows))
@@ -319,7 +318,7 @@ def coefficient_ratio_bound(
         )
     u, v = a.numerator ** (t - s), a.denominator ** (t - s)
     return _bound_verdict(
-        numerators[t], numerators[s], u * binomial(n, t), v * binomial(n, s)
+        numerators[t], numerators[s], u * comb(n, t), v * comb(n, s)
     )
 
 

@@ -14,7 +14,7 @@ from math import gcd
 
 import pytest
 
-from ehrhartlab import cli, counting, verification
+from ehrhartlab import cli, counting, polytopes, reflexivity, verification
 from ehrhartlab.cli import (
     EXIT_FINDING,
     EXIT_OK,
@@ -684,6 +684,32 @@ def test_cli_reflexive_refuses_long_family_lists(monkeypatch, capsys):
         assert err == "error: reflexivity would list over 16 vertices/facets\n"
 
 
+@pytest.mark.parametrize("spec, lists", [("cross:8", (16, 256)), ("cube:8", (256, 16))])
+def test_cli_reflexive_builds_each_family_list_once(monkeypatch, capsys, spec, lists):
+    """A family builds its lists on each read: the report binds them once,
+    tests each vertex and each polar vertex for primitivity once, and does
+    not test the root line where the coefficient identity already holds."""
+    calls = {"vertices": 0, "halfspaces": 0, "is_primitive": 0, "common_real_part": 0}
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(polytopes, "_family_vertices", "vertices")
+    counted(polytopes, "_family_halfspaces", "halfspaces")
+    counted(reflexivity, "is_primitive", "is_primitive")
+    counted(reflexivity, "common_real_part", "common_real_part")
+    code, out = run_cli(capsys, "reflexive", "--family", spec, "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["root_line_consequence"] is True
+    assert calls == {"vertices": 1, "halfspaces": 1, "is_primitive": sum(lists),
+                     "common_real_part": 0}
+
+
 def test_cli_reflexive_refuses_slow_family_lists(capsys):
     code, _ = run_cli(capsys, "reflexive", "--family", "cross:3")
     assert code == EXIT_OK
@@ -951,7 +977,8 @@ def assert_matches_oracle(argv):
         assert err.getvalue().startswith("error: ") and out.getvalue() == "", (argv, err)
 
 
-PARSER_CORPUS = [[], ["-h"], ["bogus"], ["ehr"]] + [
+PARSER_CORPUS = [[], ["-h"], ["bogus"], ["ehr"],
+                 ["count", "--family", "--", "--family", "cube:2"]] + [
     [name, *tail]
     for name in cli._COMMANDS
     for tail in (
@@ -976,6 +1003,18 @@ PARSER_CORPUS = [[], ["-h"], ["bogus"], ["ehr"]] + [
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "()")
 def test_parser_matches_eager_reference(argv):
     assert_matches_oracle(argv)
+
+
+def test_parser_reads_a_flag_like_next_token_as_a_flag(capsys):
+    """As argparse: "-" alone and negative numbers are values; after "=" the
+    value is taken as given."""
+    assert main(["count", "--family", "--", "--family", "cube:2"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: argument --family: expected one argument\n"
+    parse = cli.build_parser().parse_args
+    assert parse(["count", "--family=--"]).family_spec == "--"
+    assert parse(["count", "--family", "-"]).family_spec == "-"
+    with pytest.raises(SpecError, match="argument -k: not an integer: '-.5'"):
+        parse(["count", "-k", "-.5"])
 
 
 @pytest.mark.parametrize("argv", [[], ["-h"], ["ehrhart", "--family", "cube:2"],

@@ -27,7 +27,7 @@ import io
 import json
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehrhartlab.cli import EXIT_USAGE, main
@@ -215,6 +215,8 @@ def check_boundary(argv):
 
 
 @given(command(), spec)
+@example(["count", "--max-box-points", "10000", "--format", "plain",
+          "-k", "1" + "0" * 1000, "--method", "box"], "cube:1")
 @settings(max_examples=150, deadline=None)
 def test_family_specs_end_cleanly(argv, text):
     check_boundary(argv + ["--family", text])

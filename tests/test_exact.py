@@ -1,4 +1,4 @@
-"""Exact numerics: Bernoulli numbers, binomials, polynomial algebra."""
+"""Exact numerics: Bernoulli numbers, polynomial algebra."""
 
 import sys
 from fractions import Fraction
@@ -13,7 +13,6 @@ from ehrhartlab.exact import (
     Polynomial,
     bernoulli,
     bernoulli_magnitude_bounds,
-    binomial,
     distinct_root_counts,
     interpolate,
     squarefree_decomposition,
@@ -28,7 +27,7 @@ def faulhaber_sum(i, k):
     """sum_{j=0}^{k-1} j^i by the closed Bernoulli form; it holds only with
     B_1 = -1/2."""
     total = sum(
-        binomial(i + 1, j) * bernoulli(i - j + 1) * Fraction(k) ** j
+        comb(i + 1, j) * bernoulli(i - j + 1) * Fraction(k) ** j
         for j in range(1, i + 2)
     )
     return total / (i + 1)
@@ -55,7 +54,7 @@ def test_bernoulli_rejects_negative():
 def test_bernoulli_defining_recurrence():
     # sum_{m=0}^{j} C(j+1, m) B_m = 0 for j >= 1
     for j in range(1, 20):
-        total = sum(binomial(j + 1, m) * bernoulli(m) for m in range(j + 1))
+        total = sum(comb(j + 1, m) * bernoulli(m) for m in range(j + 1))
         assert total == 0
 
 
@@ -70,18 +69,6 @@ def test_faulhaber_matches_direct_summation():
             assert faulhaber_sum(i, k) == sum(
                 Fraction(j) ** i for j in range(k)
             )
-
-
-def test_binomial_examples():
-    assert binomial(7, 1) == 7
-    assert binomial(11, 3) == 165
-    assert binomial(3, 5) == 0
-
-
-def test_binomial_pascal_recurrence():
-    for n in range(1, 12):
-        for k in range(1, n + 1):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 def test_magnitude_bounds_bracket_strictly():

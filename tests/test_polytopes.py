@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ehrhartlab.counting import dilation_counter
+from ehrhartlab.ehrhart import ehrhart_of
 from ehrhartlab.polytopes import (
     Halfspace,
     LatticePolytope,
@@ -24,7 +26,7 @@ from ehrhartlab.polytopes import (
     product,
     qn_family,
 )
-from ehrhartlab.reflexivity import is_l_reflexive
+from ehrhartlab.reflexivity import reflexivity_equivalence
 
 point2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
@@ -219,7 +221,8 @@ def test_polygon_is_stored_as_its_hull():
         assert polygon.vertices == hull.vertices
         assert set(polygon.halfspaces) == set(hull.halfspaces)
         assert polygon.halfspaces == (given or hull.halfspaces)  # kept as given
-        assert is_l_reflexive(polygon) == (True, 1)
+        r = reflexivity_equivalence(polygon, ehrhart_of(polygon, dilation_counter(polygon)))
+        assert (r.def_check, r.index_l) == (True, 1)
 
 
 def test_polygon_halfspaces_must_be_the_hull_edges():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ehrhartlab.counting import dilation_counter
 from ehrhartlab.ehrhart import ehrhart_of
@@ -17,11 +19,10 @@ from ehrhartlab.polytopes import (
     qn_family,
 )
 from ehrhartlab.reflexivity import (
-    is_l_reflexive,
     reflexivity_equivalence,
     root_line_reflexivity_consequence,
 )
-from ehrhartlab.roots import find_roots
+from ehrhartlab.roots import find_roots, parity_necessary_check
 
 
 def ehr(poly):
@@ -32,25 +33,31 @@ def report(poly):
     return reflexivity_equivalence(poly, ehr(poly))
 
 
+def definition(poly):
+    """The definition's verdict and the report's l."""
+    r = report(poly)
+    return r.def_check, r.index_l
+
+
 TRIANGLE = [(-1, -1), (-1, 2), (2, -1)]
 
 
 def test_is_l_reflexive_examples():
-    assert is_l_reflexive(cube(2)) == (True, 1)
-    assert is_l_reflexive(hull2d(TRIANGLE)) == (True, 1)
-    assert is_l_reflexive(dilate(cube(2), 2)) == (False, None)
+    assert definition(cube(2)) == (True, 1)
+    assert definition(hull2d(TRIANGLE)) == (True, 1)
+    assert definition(dilate(cube(2), 2)) == (False, 2)  # vertices imprimitive
 
 
 def test_is_l_reflexive_requires_halfspaces():
     from ehrhartlab.polytopes import pn_family
 
-    with pytest.raises(ValueError):
-        is_l_reflexive(pn_family(3))
+    with pytest.raises(ValueError, match="half-space representation"):
+        report(pn_family(3))
 
 
 def test_bipyramids_are_reflexive():
     for n in range(2, 6):
-        assert is_l_reflexive(qn_family(n)) == (True, 1)
+        assert definition(qn_family(n)) == (True, 1)
 
 
 def test_is_l_reflexive_invariant_under_signed_permutations():
@@ -68,7 +75,7 @@ def test_is_l_reflexive_invariant_under_signed_permutations():
             return (sx * x, sy * y)
 
         image = hull2d([transform(v) for v in base.vertices])
-        assert is_l_reflexive(image) == is_l_reflexive(base)
+        assert definition(image) == definition(base)
 
 
 def test_equivalence_on_reflexive_cases():
@@ -144,6 +151,27 @@ def test_random_polygon_three_way_agreement():
     assert accepted >= 50
 
 
+@st.composite
+def lattice_points(draw):
+    r = draw(st.sampled_from([1, 2, 3]))
+    coordinate = st.integers(-r, r)
+    return draw(st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=8))
+
+
+@given(lattice_points())
+@settings(max_examples=200, deadline=None)
+def test_hibi_reflexive_iff_ehrhart_palindromic(points):
+    """Hibi (Combinatorica 1992): a lattice polytope with the origin interior
+    is reflexive iff L(-1-k) = (-1)^n L(k), the parity test at a = 2."""
+    try:
+        polygon = hull2d(points)
+    except ValueError:  # fewer than three distinct points, or collinear
+        assume(False)
+    assume(all(h.rhs >= 1 for h in polygon.halfspaces))  # origin interior
+    r = report(polygon)
+    assert (r.def_check and r.index_l == 1) == parity_necessary_check(r.ehr, 2)
+
+
 def test_polar_side_matches_an_actual_polar_hull():
     # when the scaled polar is a lattice polygon, hulling its vertices and
     # asking whether THAT polygon is l-reflexive must agree with polar_check
@@ -165,8 +193,7 @@ def test_polar_side_matches_an_actual_polar_hull():
         dual_hull = hull2d(
             [tuple(int(c) for c in v) for v in polar.vertices]
         )
-        dual_verdict, dual_l = is_l_reflexive(dual_hull)
-        assert r.polar_check == (dual_verdict and dual_l == l)
+        assert r.polar_check == (definition(dual_hull) == (True, l))
 
 
 def test_reflexive_polygon_polar_round_trip():
