@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .polytopes import FamilyTag, LatticePolytope, dilate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Points per block of a box scan: large enough that NumPy's per-call cost
 # vanishes, small enough to keep the block arrays a few hundred kB.
@@ -59,6 +60,8 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
     Family oracles account for the accumulated dilation scale, so the
     oracle of ``dilate(pn_family(3), 2)`` answers for the dilated body.
     """
+    import numpy as np
+
     fam = p.family
     if fam is not None:
         s = fam.scale
@@ -121,20 +124,28 @@ def count_box_scan(oracle: MembershipOracle, max_points: int | None = None) -> i
     r = oracle.bounding_radius
     dim = oracle.dimension
     side = 2 * r + 1
-    points = side**dim
-    if max_points is not None and points > max_points:
+    # side^dim >= 2^low: a box past a limit's bit length is refused unbuilt.
+    low = (side.bit_length() - 1) * dim
+    if max_points is not None and (
+        low >= max_points.bit_length() or side**dim > max_points
+    ):
         raise ValueError(
             f"box scan of {_shown(side)}^{dim} points exceeds the budget of "
             f"{_shown(max_points)}; use a family counter instead"
         )
-    if points >= _MAX_BOX:
+    if low >= _MAX_BOX.bit_length() or side**dim >= _MAX_BOX:
         raise ValueError(f"box scan of {_shown(side)}^{dim} points is too large to index")
-    strides = np.array([[side**j] for j in reversed(range(dim))])
+    import numpy as np
+
+    points = side**dim
+    # Divisions dominate a scan, and int32 ones run about three times faster.
+    index = np.int32 if points < 2**31 else np.int64
+    strides = np.array([[side**j] for j in reversed(range(dim))], dtype=index)
     total = 0
     for start in range(0, points, _BLOCK):
-        flat = np.arange(start, min(start + _BLOCK, points))
+        flat = np.arange(start, min(start + _BLOCK, points), dtype=index)
         # Built coordinate-major: the transpose makes each x[..., i] contiguous.
-        block = (flat // strides % side - r).T
+        block = (flat // strides % side - r).astype(np.int64, copy=False).T
         total += int(np.count_nonzero(oracle.contains(block)))
     return total
 

@@ -34,9 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, log2
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .ehrhart import EhrhartPolynomial
 from .exact import (
@@ -46,6 +44,9 @@ from .exact import (
     distinct_root_counts,
     squarefree_decomposition,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _FLOAT_BITS = 1000  # log2 of the largest float allowed, with room for a factor n
 
@@ -64,6 +65,8 @@ class RootSet:
 
     @cached_property
     def roots(self) -> tuple[complex, ...]:
+        import numpy as np
+
         e = _scale_exponent(self.poly)
         roots: list[complex] = []
         for factor, multiplicity in squarefree_decomposition(self.poly):

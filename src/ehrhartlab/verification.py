@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-import numpy as np
-
 from . import ehrhart, polytopes, reflexivity
 from .counting import (
     MembershipOracle,
@@ -169,6 +167,8 @@ def check_oracle_equivalence() -> tuple[bool, str]:
 def _deficiency_brute(m: int, a: int, b: int) -> int:
     """Row 5's brute force: #{x in Z^m : sum_i max(|x_i| - a, 0) <= b} by a
     box scan of [-(a+b), a+b]^m, independent of the closed form it checks."""
+    import numpy as np
+
     inside = MembershipOracle(
         m, lambda x: np.maximum(np.abs(x) - a, 0).sum(-1) <= b, a + b
     )

@@ -1033,6 +1033,25 @@ def test_cli_import_loads_no_argparse():
     assert result.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("argv, loads_numpy", [
+    ("ehrhart --family cube:3", False),
+    ("wills --family pn:7", False),
+    ("reflexive --family cross:4", False),
+    ("count --family qn:5 -k 9", False),
+    ("roots --family cube:3", True),
+    ("count --family qn:3 --method box", True),
+])
+def test_cli_loads_numpy_only_for_float_roots_and_box_scans(argv, loads_numpy):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import contextlib, io, sys, ehrhartlab.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    ehrhartlab.cli.main({argv.split()!r})\n"
+            "print('numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout == f"{loads_numpy}\n"
+
+
 def test_run_all_computes_each_bipyramid_closed_form_once(monkeypatch):
     """Rows 2, 3, 6 and 11 read 28 closed forms for 19 distinct n; the
     cache lives for one run_all call."""

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ehrhartlab.cli import polytope_from_json
 from ehrhartlab.counting import (
+    MembershipOracle,
     count_box_scan,
     count_minkowski_dp,
     count_pn_sliced,
@@ -79,6 +80,62 @@ def test_box_scan_examples():
 def test_box_scan_budget_guard():
     with pytest.raises(ValueError):
         count_box_scan(oracle_for(dilate(pn_family(7), 7)), max_points=10**6)
+
+
+def test_box_scan_refuses_a_huge_box_with_the_exact_message():
+    # (2*10^1000 + 1)^4000 has 13 million bits; the refusal never builds it.
+    oracle = MembershipOracle(4000, lambda x: True, 10**1000)
+    with pytest.raises(ValueError) as refused:
+        count_box_scan(oracle, max_points=10**8)
+    assert str(refused.value) == (
+        "box scan of (1001-digit number)^4000 points exceeds the budget of "
+        "100000000; use a family counter instead"
+    )
+
+
+def test_box_scan_hands_the_oracle_int64_coordinates():
+    # The scan divides in int32 where the box allows; the predicate still
+    # reads int64, so its own arithmetic has the same range as before.
+    seen = set()
+
+    def contains(x):
+        seen.add(str(x.dtype))
+        return x[..., 0] == 0
+
+    assert count_box_scan(MembershipOracle(3, contains, 2)) == 25
+    assert seen == {"int64"}
+
+
+def test_box_scan_past_int32_indexes_in_int64():
+    # 2^32 + 1 points, and the radius 2^31 itself does not fit in int32.
+    first = []
+
+    def contains(x):
+        first.append(int(x[0, 0]))
+        raise StopIteration
+
+    with pytest.raises(StopIteration):
+        count_box_scan(MembershipOracle(1, contains, 2**31))
+    assert first == [-(2**31)]
+
+
+@pytest.mark.parametrize(
+    "radius, dim", [(0, 3), (1, 5), (2, 4), (8, 3), (1, 38), (512, 6), (512, 7), (10**30, 2)]
+)
+def test_box_scan_guards_decide_on_the_exact_size(radius, dim):
+    """side^dim >= 2^low with low = (bits(side) - 1) * dim lets a guard refuse
+    before the power is built; that bound never changes which guard fires."""
+    side = 2 * radius + 1
+    points, low = side**dim, (side.bit_length() - 1) * dim
+    oracle = MembershipOracle(dim, lambda x: x[..., 0] == 0, radius)
+    for budget in {points - 1, 2**low - 1, 2**low} - {points}:
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            count_box_scan(oracle, max_points=budget)
+    if points >= 2**60:
+        with pytest.raises(ValueError, match="too large to index"):
+            count_box_scan(oracle, max_points=points)
+    else:
+        assert count_box_scan(oracle, max_points=points) == points // side
 
 
 def test_qn_closed_examples():
