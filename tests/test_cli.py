@@ -1040,16 +1040,37 @@ def test_cli_import_loads_no_argparse():
     ("count --family qn:5 -k 9", False),
     ("roots --family cube:3", True),
     ("count --family qn:3 --method box", True),
+    # A box scan refused for its size, before any oracle array is built.
+    pytest.param("count --family cube:4000 -k 1" + "0" * 1000 + " --method box", False,
+                 id="count --family cube:4000 -k 10^1000 --method box-False"),
 ])
 def test_cli_loads_numpy_only_for_float_roots_and_box_scans(argv, loads_numpy):
+    assert _loads_numpy(argv.split()) is loads_numpy
+
+
+def test_cli_refuses_a_half_space_box_scan_before_numpy_loads(tmp_path):
+    unit = tmp_path / "unit.json"
+    unit.write_text(json.dumps({
+        "dimension": 3,
+        "vertices": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+        "halfspaces": [{"normal": [s * (i == j) for j in range(3)], "rhs": int(s > 0)}
+                       for i in range(3) for s in (1, -1)],
+    }))
+    argv = ["count", "--json", str(unit), "-k", "1" + "0" * 1000, "--method", "box"]
+    assert not _loads_numpy(argv)
+    assert _loads_numpy(argv[:4] + ["3"] + argv[5:])
+
+
+def _loads_numpy(argv):
+    """Run the CLI on argv in a fresh interpreter; whether NumPy got loaded."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = ("import contextlib, io, sys, ehrhartlab.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    ehrhartlab.cli.main({argv.split()!r})\n"
+            f"    ehrhartlab.cli.main({argv!r})\n"
             "print('numpy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert result.stdout == f"{loads_numpy}\n"
+    return {"True\n": True, "False\n": False}[result.stdout]
 
 
 def test_run_all_computes_each_bipyramid_closed_form_once(monkeypatch):

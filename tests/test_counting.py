@@ -20,7 +20,7 @@ from ehrhartlab.counting import (
     oracle_for,
     scan_counter,
 )
-from ehrhartlab import polytopes
+from ehrhartlab import counting, polytopes
 from ehrhartlab.polytopes import (
     LatticePolytope,
     crosspolytope,
@@ -94,8 +94,8 @@ def test_box_scan_refuses_a_huge_box_with_the_exact_message():
 
 
 def test_box_scan_hands_the_oracle_int64_coordinates():
-    # The scan divides in int32 where the box allows; the predicate still
-    # reads int64, so its own arithmetic has the same range as before.
+    # The predicate reads int64, so its own arithmetic has the range that
+    # the box guard leaves it.
     seen = set()
 
     def contains(x):
@@ -435,12 +435,19 @@ def scanned_polytopes(draw):
 
 
 @given(scanned_polytopes())
-@example(dilate(qn_family(5), 4))  # 9^5 points: 14 full blocks and a partial one
+@example(dilate(qn_family(5), 4))  # 9^3 grid, runs of 4, 4 and 1 of the 2nd coordinate
+@example(dilate(pn_family(4), 8))  # 17^2 grid, runs of 14 and 3: a short last run
+@example(dilate(cube(1), 10_000))  # 20,001 > 2^14 points: no grid, runs of 2^14 and 3,617
+@example(dilate(crosspolytope(3), 2))  # 5^3 points: the whole box in one block
+@example(dilate(crosspolytope(7), 2))  # 5^4 grid, runs of 3 and 2, two constant coordinates
 @settings(max_examples=60, deadline=None)
 def test_box_scan_equals_the_point_by_point_loop(p):
     """The block scan visits every box point once, in order, and each block's
     answers are the oracle's answers for its points one at a time."""
-    oracle = oracle_for(p)
+    _assert_scan_is_the_point_by_point_loop(oracle_for(p))
+
+
+def _assert_scan_is_the_point_by_point_loop(oracle):
     r, d = oracle.bounding_radius, oracle.dimension
     box = list(itertools.product(range(-r, r + 1), repeat=d))
     answers = [bool(oracle.contains(x)) for x in box]
@@ -454,3 +461,31 @@ def test_box_scan_equals_the_point_by_point_loop(p):
     assert count_box_scan(replace(oracle, contains=recording)) == sum(answers)
     assert [tuple(x) for block, _ in blocks for x in block] == box
     assert [a for _, block_answers in blocks for a in block_answers] == answers
+
+
+def test_box_scan_with_fewer_block_points_than_a_side(monkeypatch):
+    """When a block holds fewer points than one side of the box has, there
+    is no grid, and all but the last coordinate stay constant."""
+    monkeypatch.setattr(counting, "_BLOCK", 12)  # 2 points of dimension 6
+    _assert_scan_is_the_point_by_point_loop(oracle_for(qn_family(6)))
+    monkeypatch.setattr(counting, "_BLOCK", 27)  # 4 points of dimension 6
+    _assert_scan_is_the_point_by_point_loop(oracle_for(dilate(crosspolytope(6), 2)))
+
+
+@pytest.mark.parametrize("p", [
+    cube(1), dilate(cube(1), 10_000), dilate(cube(2), 100), dilate(pn_family(4), 8),
+    dilate(qn_family(5), 4), dilate(crosspolytope(6), 3), dilate(qn_family(6), 2),
+    cube(13),
+])
+def test_box_scan_blocks_hold_at_most_the_block_size(p):
+    sizes = []
+
+    def recording(x):
+        sizes.append(x.size)
+        return oracle.contains(x)
+
+    oracle = oracle_for(p)
+    side = 2 * oracle.bounding_radius + 1
+    assert count_box_scan(replace(oracle, contains=recording)) == count_box_scan(oracle)
+    assert sum(sizes) == side**oracle.dimension * oracle.dimension
+    assert max(sizes) <= counting._BLOCK
