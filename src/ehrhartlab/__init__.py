@@ -39,7 +39,6 @@ from .polytopes import (
     index,
     is_primitive,
     pn_family,
-    polar_scaled,
     product,
     qn_family,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "parity_necessary_check",
     "pn_family",
     "point_count_bound",
-    "polar_scaled",
     "product",
     "product_coefficients",
     "qn_coefficients",

@@ -465,10 +465,11 @@ def _cmd_ehrhart(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
 def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any]:
     rs = find_roots(ehr.poly)
     target = 1 / req.a
-    on_line = common_real_part(rs, target)
-    # The roots sum to -c_{n-1}/c_n, so a common real part is their mean.
+    # The roots sum to -c_{n-1}/c_n, so a common real part is their mean:
+    # one line test decides both verdicts, and parity on the line is implied.
     mean = -ehr.coefficient(ehr.dimension - 1) / (ehr.dimension * ehr.volume)
-    on_mean = on_line if -mean == target else common_real_part(rs, -mean)
+    on_mean = common_real_part(rs, -mean)
+    on_line = on_mean and -mean == target
     return {
         "roots": [[_round12(z.real), _round12(z.imag)] for z in rs.roots],
         "residual_bound": _round12(rs.residual_bound),
@@ -476,7 +477,7 @@ def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any
         "real_part_target": str(-target),
         "common_real_part": on_line,
         "detected_common_real_part": _round12(float(mean)) if on_mean else None,
-        "parity_necessary_check": parity_necessary_check(ehr, req.a),
+        "parity_necessary_check": on_line or parity_necessary_check(ehr, req.a),
         "braun_disc_check": braun_disc_check(rs, ehr.dimension),
     }
 

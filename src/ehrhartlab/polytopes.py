@@ -295,20 +295,9 @@ class PolarScaled(NamedTuple):
     vertices: tuple[tuple[int | Fraction, ...], ...]
 
 
-def polar_scaled(p: LatticePolytope, l: int) -> PolarScaled:
-    """Vertices of l * (polar of p): the points l*u_i/l_i per facet.
-
-    ``is_lattice`` is true iff every coordinate of every such point is an
-    integer.  An integral coordinate is an int, any other a Fraction.
-    Coincident candidates are not deduplicated; latticeness is a per-point
-    question.
-    """
-    if l < 1:
-        raise ValueError("polar scale must be >= 1")
-    return _polar_scaled(_require_interior_halfspaces(p), l)
-
-
 def _polar_scaled(hs: Sequence[Halfspace], l: int) -> PolarScaled:
+    """Vertices of l * (polar): the point l*u_i/l_i per facet, each
+    coordinate an int when integral, else a Fraction (not deduplicated)."""
     verts = tuple(
         tuple(
             l * c // h.rhs if l * c % h.rhs == 0 else Fraction(l * c, h.rhs)

@@ -50,7 +50,7 @@ from .polytopes import (
     index,
     is_primitive,
 )
-from .roots import RootSet, common_real_part
+from .roots import RootSet, _mean_on_line, common_real_part
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ class ReflexivityReport:
     """Three-way l-reflexivity verdict for one polytope.
 
     ``coefficient_identity`` is the bare identity c_{n-1} == (n/2l) vol,
-    decided as 2l N_{n-1} == n N_n on the polynomial's numerators (its two
-    sides ``identity_lhs``/``identity_rhs`` build their Fractions when
-    read); ``coefficient_check`` conjoins it with vertex primitivity, which
+    decided as "the roots average -1/(2l)", 2l N_{n-1} == n N_n on the
+    polynomial's numerators (its two sides ``identity_lhs``/``identity_rhs``
+    build their Fractions when read); ``coefficient_check`` conjoins it with vertex primitivity, which
     the identity cannot see.  ``agree`` is always true for valid inputs.
     """
 
@@ -109,7 +109,7 @@ def reflexivity_equivalence(
         and vertices_primitive
     )
 
-    coefficient_identity = _identity(ehr, l)
+    coefficient_identity = _mean_on_line(ehr.poly, Fraction(1, 2 * l))
     coefficient_check = coefficient_identity and vertices_primitive
 
     agree = def_check == polar_check == coefficient_check
@@ -131,12 +131,6 @@ def reflexivity_equivalence(
     )
 
 
-def _identity(ehr: EhrhartPolynomial, l: int) -> bool:
-    """c_{n-1} == (n/2l) vol, decided as 2l N_{n-1} == n N_n."""
-    n, numerators = ehr.dimension, ehr.poly.numerators
-    return 2 * l * numerators[n - 1] == n * numerators[-1]
-
-
 def _root_line_consequence(l: int, identity: bool, rs: RootSet) -> bool:
     """The identity, or the roots do not all have real part -1/(2l)."""
     return identity or not common_real_part(rs, Fraction(1, 2 * l))
@@ -153,4 +147,4 @@ def root_line_reflexivity_consequence(
     sum is c_{n-1}/vol).  Vacuously true when the hypothesis fails.
     """
     l = index(p)
-    return _root_line_consequence(l, _identity(ehr, l), rs)
+    return _root_line_consequence(l, _mean_on_line(ehr.poly, Fraction(1, 2 * l)), rs)

@@ -67,7 +67,7 @@ class RootSet:
     def roots(self) -> tuple[complex, ...]:
         import numpy as np
 
-        e = _scale_exponent(self.poly)
+        e = self._scale_exponent
         roots: list[complex] = []
         for factor, multiplicity in squarefree_decomposition(self.poly):
             if factor.degree == 1:
@@ -85,10 +85,33 @@ class RootSet:
 
     @cached_property
     def residual_bound(self) -> float:
-        e = _scale_exponent(self.poly)
+        e = self._scale_exponent
         if e is None:
             return _backward_error(self.poly, self.roots)
         return _backward_error(_scaled(self.poly, e), [z * 2.0**-e for z in self.roots])
+
+    @cached_property
+    def _scale_exponent(self) -> int | None:
+        """None when no float met in finding the roots can leave float range,
+        else the e that brings the geometric mean of the nonzero roots near
+        |y| = 1 in t = 2^e y.  Every root lies in |z| <= R = 2 max_j
+        |c_j/c_n|^(1/(n-j)) (Fujiwara), so the coefficients and values at the
+        roots of ``poly``, of a monic factor and of its derivative stay
+        below n max(|c_n|, 1) (2 max(R, 1))^n.  ``roots`` and
+        ``residual_bound`` share this one reading."""
+        n, d = self.poly.degree, self.poly.denominator
+        logs = []
+        for j, c in enumerate(self.poly.numerators):
+            if c:  # log2 |c_j| from c_j in lowest terms
+                g = gcd(c, d)
+                logs.append((log2(abs(c) // g) - log2(d // g), j))
+        lead = logs[-1][0]
+        r = 1 + max(((l - lead) / (n - j) for l, j in logs[:-1]), default=0)
+        largest = max(lead, 0) + n * (max(r, 0) + 1)
+        if largest < _FLOAT_BITS and min(l for l, _ in logs) > -_FLOAT_BITS:
+            return None
+        low, j = logs[0]
+        return round((low - lead) / (n - j)) if j < n else 0
 
 
 class BoundVerdict(NamedTuple):
@@ -144,28 +167,6 @@ class WillsVerdict:
             for row in self.per_index
             if row.verdict.is_equality
         )
-
-
-def _scale_exponent(p: Polynomial) -> int | None:
-    """None when no float met in finding p's roots can leave float range,
-    else the e that brings the geometric mean of the nonzero roots near
-    |y| = 1 in t = 2^e y.  Every root lies in |z| <= R = 2 max_j
-    |c_j/c_n|^(1/(n-j)) (Fujiwara), so the coefficients and values at the
-    roots of p, of a monic factor and of its derivative stay below
-    n max(|c_n|, 1) (2 max(R, 1))^n."""
-    n, d = p.degree, p.denominator
-    logs = []
-    for j, c in enumerate(p.numerators):
-        if c:  # log2 |c_j| from c_j in lowest terms
-            g = gcd(c, d)
-            logs.append((log2(abs(c) // g) - log2(d // g), j))
-    lead = logs[-1][0]
-    r = 1 + max(((l - lead) / (n - j) for l, j in logs[:-1]), default=0)
-    largest = max(lead, 0) + n * (max(r, 0) + 1)
-    if largest < _FLOAT_BITS and min(l for l, _ in logs) > -_FLOAT_BITS:
-        return None
-    low, j = logs[0]
-    return round((low - lead) / (n - j)) if j < n else 0
 
 
 def _scaled(f: Polynomial, e: int) -> Polynomial:
@@ -229,8 +230,20 @@ def find_roots(p: Polynomial) -> RootSet:
     return rs
 
 
+def _mean_on_line(p: Polynomial, target: Fraction | int) -> bool:
+    """True iff the roots of p average -target = -u/v.  They sum to
+    -c_{n-1}/c_n, so this is N_{n-1} v == n N_n u on the numerators."""
+    n, numerators = p.degree, p.numerators
+    u, v = target.numerator, target.denominator
+    return not n or numerators[n - 1] * v == n * numerators[n] * u
+
+
 def _line_shift(p: Polynomial, target: Fraction | int) -> Polynomial | None:
-    """q(t) = p(t - target) if q(-t) = (-1)^n q(t), else None."""
+    """q(t) = p(t - target) if q(-t) = (-1)^n q(t), else None.  q_{n-1} is
+    0 exactly when the roots average -target, so any other line is refused
+    from two coefficients, before the shift."""
+    if not _mean_on_line(p, target):
+        return None
     q = p.shift(-target)
     return None if any(q.numerators[j] for j in range(q.degree - 1, -1, -2)) else q
 

@@ -2,8 +2,11 @@
 library is built around, recomputed from scratch and checked exactly.
 
 Each row is independent; exceptions are caught and reported as failures
-so the table always completes.  The CLI exposes this as ``verify-all``
-and the acceptance test suite asserts every row.
+so the table always completes.  Rows share only two caches, each living
+for one :func:`run_all` call: one for the ``qn`` closed forms and one for
+the Ehrhart polynomials, so no body's polynomial is built twice in a run.
+The CLI exposes this as ``verify-all`` and the acceptance test suite
+asserts every row.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ HYBRID7_COEFFICIENTS = (
 EXCEPTIONAL_TRIANGLE = ((-1, -1), (-1, 2), (2, -1))
 
 _QnCoefficients = Callable[[int], ehrhart.EhrhartPolynomial]
+_EhrhartOf = Callable[[polytopes.LatticePolytope], ehrhart.EhrhartPolynomial]
 
 RANDOM_POLYGON_SEED = 1729
 RANDOM_POLYGON_SAMPLES = 50
@@ -89,14 +93,9 @@ def _row(number: int, name: str, fn, *args) -> CheckRow:
     return CheckRow(number, name, bool(passed), detail)
 
 
-def _hybrid7_polynomial() -> ehrhart.EhrhartPolynomial:
-    p7 = pn_family(7)
-    return ehrhart_of(p7, dilation_counter(p7))
-
-
-def check_hybrid7_reproduction() -> tuple[bool, str]:
+def check_hybrid7_reproduction(ehr_of: _EhrhartOf) -> tuple[bool, str]:
     start = time.perf_counter()
-    ehr = _hybrid7_polynomial()
+    ehr = ehr_of(pn_family(7))  # row 1 runs first: this computes it
     elapsed = time.perf_counter() - start
     ok = ehr.coefficients == HYBRID7_COEFFICIENTS and elapsed <= 10.0
     return ok, f"coefficients {'match' if ok else 'MISMATCH'}, {elapsed:.3f}s"
@@ -130,15 +129,14 @@ def check_first_coefficient_closed_form(qn: _QnCoefficients) -> tuple[bool, str]
     return ok, "n = 2..20, even dimensions collapse to 2(n-1)"
 
 
-def check_counterexample_propagation() -> tuple[bool, str]:
-    hybrid = _hybrid7_polynomial()
+def check_counterexample_propagation(ehr_of: _EhrhartOf) -> tuple[bool, str]:
+    hybrid = ehr_of(pn_family(7))
     ok = True
     for m in range(6):
         if m == 0:
             c1 = hybrid.coefficient(1)
         else:
-            cube_m = ehrhart_of(cube(m), dilation_counter(cube(m)))
-            c1 = product_coefficients(hybrid, cube_m).coefficient(1)
+            c1 = product_coefficients(hybrid, ehr_of(cube(m))).coefficient(1)
         ok &= c1 == Fraction(1534, 105) + 2 * m
         ok &= c1 > 2 * (7 + m)
     return ok, "first coefficient exceeds the cube bound in dimensions 7..12"
@@ -175,12 +173,12 @@ def _deficiency_brute(m: int, a: int, b: int) -> int:
     return count_box_scan(inside)
 
 
-def check_wills_verdicts(qn: _QnCoefficients) -> tuple[bool, str]:
+def check_wills_verdicts(qn: _QnCoefficients, ehr_of: _EhrhartOf) -> tuple[bool, str]:
     ok = True
     for n in range(1, 11):
-        verdict = wills_check(ehrhart_of(cube(n), dilation_counter(cube(n))))
+        verdict = wills_check(ehr_of(cube(n)))
         ok &= verdict.overall and verdict.equalities == tuple(range(n + 1))
-    hybrid = wills_check(_hybrid7_polynomial())
+    hybrid = wills_check(ehr_of(pn_family(7)))
     ok &= hybrid.violations == (1,)
     for n, idx in ((9, 1), (11, 3), (13, 5)):
         verdict = wills_check(qn(n))
@@ -189,11 +187,11 @@ def check_wills_verdicts(qn: _QnCoefficients) -> tuple[bool, str]:
     return ok, "cube all-equality; violations at the known indices"
 
 
-def check_inequality_suite() -> tuple[bool, str]:
+def check_inequality_suite(ehr_of: _EhrhartOf) -> tuple[bool, str]:
     ok = True
     for n in range(1, 9):
         for body, is_cube in ((cube(n), True), (crosspolytope(n), False)):
-            ehr_poly = ehrhart_of(body, dilation_counter(body))
+            ehr_poly = ehr_of(body)
             ok &= parity_necessary_check(ehr_poly, 2)
             ok &= common_real_part(RootSet(ehr_poly.poly), Fraction(1, 2))
             for s in range(n + 1):
@@ -214,29 +212,26 @@ def check_inequality_suite() -> tuple[bool, str]:
     return ok, "parity, root line, and all three bounds with a = 2, n <= 8"
 
 
-def check_wills_for_root_line_class() -> tuple[bool, str]:
+def check_wills_for_root_line_class(ehr_of: _EhrhartOf) -> tuple[bool, str]:
     ok = True
     for n in range(1, 11):
-        body = crosspolytope(n)
-        verdict = wills_check(ehrhart_of(body, dilation_counter(body)))
-        ok &= verdict.overall
+        ok &= wills_check(ehr_of(crosspolytope(n))).overall
     return ok, "crosspolytopes satisfy every coefficient bound up to n = 10"
 
 
-def check_reflexivity() -> tuple[bool, str]:
+def check_reflexivity(ehr_of: _EhrhartOf) -> tuple[bool, str]:
     ok = True
     for body in (cube(2), cube(3)):
-        ehr_poly = ehrhart_of(body, dilation_counter(body))
-        report = reflexivity.reflexivity_equivalence(body, ehr_poly)
+        report = reflexivity.reflexivity_equivalence(body, ehr_of(body))
         ok &= report.agree and report.def_check and report.index_l == 1
     triangle = hull2d(EXCEPTIONAL_TRIANGLE)
-    tri_ehr = ehrhart_of(triangle, dilation_counter(triangle))
+    tri_ehr = ehr_of(triangle)
     report = reflexivity.reflexivity_equivalence(triangle, tri_ehr)
     ok &= report.agree and report.def_check and report.index_l == 1
     tri = tri_ehr.poly  # its roots are exactly -2/3 and -1/3
     ok &= tri.degree == 2 and tri(Fraction(-2, 3)) == 0 == tri(Fraction(-1, 3))
     doubled = dilate(cube(2), 2)
-    doubled_ehr = ehrhart_of(doubled, dilation_counter(doubled))
+    doubled_ehr = ehr_of(doubled)
     doubled_roots = RootSet(doubled_ehr.poly)
     ok &= polytopes.index(doubled) == 2
     ok &= common_real_part(doubled_roots, Fraction(1, 4))
@@ -276,20 +271,14 @@ def check_growth_bounds() -> tuple[bool, str]:
     return ok, "signed first coefficient inside exact bounds for n = 5..15 odd"
 
 
-def check_braun_disc(qn: _QnCoefficients) -> tuple[bool, str]:
-    cases: list[tuple[ehrhart.EhrhartPolynomial, int]] = []
-    cases.append((_hybrid7_polynomial(), 7))
+def check_braun_disc(qn: _QnCoefficients, ehr_of: _EhrhartOf) -> tuple[bool, str]:
+    cases = [(ehr_of(pn_family(7)), 7)]
     for n in range(1, 9):
-        for body in (cube(n), crosspolytope(n)):
-            cases.append((ehrhart_of(body, dilation_counter(body)), n))
-    for n in (9, 11, 13):
-        cases.append((qn(n), n))
-    triangle = hull2d(EXCEPTIONAL_TRIANGLE)
-    cases.append((ehrhart_of(triangle, dilation_counter(triangle)), 2))
-    doubled = dilate(cube(2), 2)
-    cases.append((ehrhart_of(doubled, dilation_counter(doubled)), 2))
-    mixed = product(pn_family(3), cube(2))
-    cases.append((ehrhart_of(mixed, dilation_counter(mixed)), 5))
+        cases += [(ehr_of(cube(n)), n), (ehr_of(crosspolytope(n)), n)]
+    cases += [(qn(n), n) for n in (9, 11, 13)]
+    cases.append((ehr_of(hull2d(EXCEPTIONAL_TRIANGLE)), 2))
+    cases.append((ehr_of(dilate(cube(2), 2)), 2))
+    cases.append((ehr_of(product(pn_family(3), cube(2))), 5))
     ok = all(braun_disc_check(RootSet(ehr_poly.poly), n) for ehr_poly, n in cases)
     return ok, f"{len(cases)} root sets inside |z + 1/2| <= n(n - 1/2)"
 
@@ -297,16 +286,18 @@ def check_braun_disc(qn: _QnCoefficients) -> tuple[bool, str]:
 def run_all() -> list[CheckRow]:
     """Run the whole verification table in order."""
     qn = cache(qn_coefficients)  # rows 2, 3, 6 and 11: once per n in this call
+    # Rows 1, 4, 6, 7, 8, 9 and 11: each body's polynomial once in this call.
+    ehr_of = cache(lambda body: ehrhart_of(body, dilation_counter(body)))
     return [
-        _row(1, "degree-7 hybrid coefficients", check_hybrid7_reproduction),
+        _row(1, "degree-7 hybrid coefficients", check_hybrid7_reproduction, ehr_of),
         _row(2, "bipyramid coefficients", check_bipyramid_coefficients, qn),
         _row(3, "first-coefficient closed form", check_first_coefficient_closed_form, qn),
-        _row(4, "counterexample propagation", check_counterexample_propagation),
+        _row(4, "counterexample propagation", check_counterexample_propagation, ehr_of),
         _row(5, "oracle equivalence", check_oracle_equivalence),
-        _row(6, "coefficient bound verdicts", check_wills_verdicts, qn),
-        _row(7, "inequality suite", check_inequality_suite),
-        _row(8, "bounds for the root-line class", check_wills_for_root_line_class),
-        _row(9, "reflexivity equivalence", check_reflexivity),
+        _row(6, "coefficient bound verdicts", check_wills_verdicts, qn, ehr_of),
+        _row(7, "inequality suite", check_inequality_suite, ehr_of),
+        _row(8, "bounds for the root-line class", check_wills_for_root_line_class, ehr_of),
+        _row(9, "reflexivity equivalence", check_reflexivity, ehr_of),
         _row(10, "growth bounds", check_growth_bounds),
-        _row(11, "root disc sanity", check_braun_disc, qn),
+        _row(11, "root disc sanity", check_braun_disc, qn, ehr_of),
     ]

@@ -28,6 +28,7 @@ from ehrhartlab.cli import (
 )
 from ehrhartlab.counting import dilation_counter
 from ehrhartlab.ehrhart import ehrhart_of, qn_coefficients
+from ehrhartlab.exact import Polynomial
 from ehrhartlab.polytopes import (
     crosspolytope,
     cube,
@@ -500,6 +501,58 @@ def test_cli_roots_reports_common_real_part(capsys):
     assert payload["parity_necessary_check"] is True
     assert payload["braun_disc_check"] is True
     assert payload["roots"] == [[-0.25, 0.0], [-0.25, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "argv,verdicts",
+    [
+        (("--family", "cross:8"), (True, -0.5, True)),
+        (("--family", "qn:9"), (False, None, True)),
+        (("--family", "pn:7"), (False, None, False)),
+        (("--family", "cross:3", "-a", "4"), (False, -0.5, False)),
+    ],
+)
+def test_cli_roots_root_line_verdicts(capsys, argv, verdicts):
+    """(common_real_part, detected_common_real_part, parity_necessary_check):
+    on the line, symmetric about it with roots off it, neither, and on the
+    roots' mean -1/2 but not on the line -1/4."""
+    code, out = run_cli(capsys, "roots", *argv, "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    keys = ("common_real_part", "detected_common_real_part", "parity_necessary_check")
+    assert tuple(payload[key] for key in keys) == verdicts
+
+
+@pytest.mark.parametrize(
+    "argv,shifts",
+    [
+        (("roots", "--family", "pn:7"), 1),
+        (("bounds", "--family", "pn:7"), 1),
+        (("bounds", "--family", "cross:8"), 1),
+        (("roots", "--family", "cross:3", "-a", "4"), 1),
+        (("roots", "--family", "qn:9"), 2),  # parity holds, the roots are off the line
+        (("reflexive", "--family", "cross:3"), 0),
+        (("reflexive", "--json", "triangle.json"), 0),
+    ],
+)
+def test_cli_root_line_shifts(capsys, monkeypatch, tmp_path, argv, shifts):
+    """One line test per request: a line other than the roots' mean is
+    refused from two coefficients, without a shift."""
+    # Edges at lattice distances 1, 1 and 2: not reflexive, no identity.
+    triangle = {"dimension": 2, "vertices": [[-1, -1], [3, -1], [-1, 3]]}
+    (tmp_path / "triangle.json").write_text(json.dumps(triangle))
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    shift = Polynomial.shift
+
+    def counted(self, a):
+        calls.append(a)
+        return shift(self, a)
+
+    monkeypatch.setattr(Polynomial, "shift", counted)
+    main(list(argv))
+    capsys.readouterr()
+    assert len(calls) == shifts
 
 
 def test_cli_bounds_crosspolytope(capsys):
@@ -1086,6 +1139,22 @@ def test_run_all_computes_each_bipyramid_closed_form_once(monkeypatch):
     for runs in (1, 2):
         assert all(row.passed for row in verification.run_all())
         assert len(calls) == 19 * runs and sorted(set(calls)) == list(range(2, 21))
+
+
+def test_run_all_computes_each_ehrhart_polynomial_once(monkeypatch):
+    """Rows 1, 4, 6, 7, 8, 9 and 11 share one cache of polynomials, so no
+    body reaches ehrhart_of twice in a run (77 calls, 121 without it); the
+    cache lives for one run_all call."""
+    calls = []
+
+    def counted(body, counter):
+        calls.append(body)
+        return ehrhart_of(body, counter)
+
+    monkeypatch.setattr(verification, "ehrhart_of", counted)
+    for runs in (1, 2):
+        assert all(row.passed for row in verification.run_all())
+        assert len(calls) == 77 * runs and len(set(calls[-77:])) == 77
 
 
 SQUARE_HALFSPACES = [

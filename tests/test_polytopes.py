@@ -14,6 +14,8 @@ from ehrhartlab.polytopes import (
     LatticePolytope,
     OriginNotInteriorError,
     _hull_chain,
+    _polar_scaled,
+    _require_interior_halfspaces,
     crosspolytope,
     cube,
     dilate,
@@ -22,7 +24,6 @@ from ehrhartlab.polytopes import (
     is_primitive,
     list_sizes,
     pn_family,
-    polar_scaled,
     product,
     qn_family,
 )
@@ -294,17 +295,17 @@ def test_hull_chain_drops_collinear_boundary_points():
 
 
 def test_polar_of_cube_is_crosspolytope():
-    result = polar_scaled(cube(3), 1)
+    result = _polar_scaled(cube(3).halfspaces, 1)
     assert result.is_lattice
     as_ints = {tuple(int(c) for c in v) for v in result.vertices}
     assert as_ints == set(crosspolytope(3).vertices)
 
 
 def test_polar_applied_twice_returns_cube_vertices():
-    once = polar_scaled(cube(4), 1)
+    once = _polar_scaled(cube(4).halfspaces, 1)
     assert once.is_lattice
     # the polar's vertex set is the crosspolytope's, whose polar is the cube
-    back = polar_scaled(crosspolytope(4), 1)
+    back = _polar_scaled(crosspolytope(4).halfspaces, 1)
     assert back.is_lattice
     assert {tuple(int(c) for c in v) for v in back.vertices} == set(
         cube(4).vertices
@@ -313,7 +314,7 @@ def test_polar_applied_twice_returns_cube_vertices():
 
 def test_polar_of_triangle():
     triangle = hull2d([(-1, -1), (-1, 2), (2, -1)])
-    result = polar_scaled(triangle, 1)
+    result = _polar_scaled(triangle.halfspaces, 1)
     assert result.is_lattice
     assert {tuple(int(c) for c in v) for v in result.vertices} == {
         (0, -1),
@@ -324,15 +325,16 @@ def test_polar_of_triangle():
 
 def test_polar_of_tall_rhombus_is_not_lattice_at_scale_one():
     rhombus = hull2d([(1, 0), (-1, 0), (0, 2), (0, -2)])
-    result = polar_scaled(rhombus, 1)
+    result = _polar_scaled(rhombus.halfspaces, 1)
     assert not result.is_lattice
     assert any(c == Fraction(1, 2) for v in result.vertices for c in v)
 
 
 def test_polar_requires_interior_origin():
+    # the reflexivity report takes the polar of the half-spaces this guard returns
     unit_square = hull2d([(0, 0), (2, 0), (0, 2), (2, 2)])
     with pytest.raises(OriginNotInteriorError):
-        polar_scaled(unit_square, 1)
+        _require_interior_halfspaces(unit_square)
 
 
 @pytest.mark.parametrize(

@@ -11,11 +11,11 @@ from ehrhartlab.counting import dilation_counter
 from ehrhartlab.ehrhart import ehrhart_of
 from ehrhartlab.polytopes import (
     OriginNotInteriorError,
+    _polar_scaled,
     crosspolytope,
     cube,
     dilate,
     hull2d,
-    polar_scaled,
     qn_family,
 )
 from ehrhartlab.reflexivity import (
@@ -186,7 +186,7 @@ def test_polar_side_matches_an_actual_polar_hull():
     for poly in cases:
         l = index(poly)
         r = report(poly)
-        polar = polar_scaled(poly, l)
+        polar = _polar_scaled(poly.halfspaces, l)
         if not polar.is_lattice:
             assert not r.polar_check
             continue
@@ -198,14 +198,14 @@ def test_polar_side_matches_an_actual_polar_hull():
 
 def test_reflexive_polygon_polar_round_trip():
     triangle = hull2d(TRIANGLE)
-    polar = polar_scaled(triangle, 1)
+    polar = _polar_scaled(triangle.halfspaces, 1)
     assert polar.is_lattice
     dual = hull2d([tuple(int(c) for c in v) for v in polar.vertices])
     dual_ehr = ehr(dual)
     r = reflexivity_equivalence(dual, dual_ehr)
     assert r.def_check and r.index_l == 1
     # and the dual's dual is the original vertex set
-    back = polar_scaled(dual, 1)
+    back = _polar_scaled(dual.halfspaces, 1)
     assert back.is_lattice
     assert {tuple(int(c) for c in v) for v in back.vertices} == set(
         triangle.vertices

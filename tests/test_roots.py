@@ -458,3 +458,45 @@ def test_find_roots_computes_the_floats_when_called():
     """The benchmark's tracer charges the float stage to find_roots' span."""
     assert "roots" in vars(find_roots(ehr(cube(3)).poly))
     assert "roots" not in vars(RootSet(ehr(cube(3)).poly))
+
+
+def test_root_set_reads_its_scale_exponent_once(monkeypatch):
+    """roots and residual_bound share one reading of the coefficients' sizes."""
+    calls = []
+    exponent = RootSet._scale_exponent.func
+
+    def counted(self):
+        calls.append(self.poly)
+        return exponent(self)
+
+    monkeypatch.setattr(RootSet._scale_exponent, "func", counted)
+    rs = find_roots(qn_coefficients(9).poly)
+    assert rs.residual_bound < 1e-12
+    assert len(calls) == 1
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+            st.integers(-9, 9).filter(bool),
+        )
+    ),
+    st.booleans(),
+    st.integers(-20, 20),
+    st.integers(1, 20),
+)
+def test_mean_test_is_only_a_shortcut(coefficients, own_mean, u, v):
+    """_line_shift refuses a line other than the roots' mean before it
+    shifts; that changes no verdict of the shift and its parity test."""
+    low, lead = coefficients
+    p = Polynomial([*low, lead])
+    n = p.degree
+    target = (
+        Fraction(p.numerators[n - 1], n * p.numerators[n]) if own_mean else Fraction(u, v)
+    )
+    q = p.shift(-target)
+    parity = not any(q.numerators[j] for j in range(n - 1, -1, -2))
+    assert (roots._line_shift(p, target) is not None) == parity
+    if parity:
+        assert roots._line_shift(p, target) == q
