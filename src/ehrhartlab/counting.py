@@ -48,7 +48,7 @@ _BLOCK = 2**14
 _MAX_BOX = 2**60
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MembershipOracle:
     """Membership predicate plus a box that certainly contains the polytope.
 
@@ -170,22 +170,27 @@ def count_box_scan(oracle: MembershipOracle, max_points: int | None = None) -> i
         raise ValueError(f"box scan of {_shown(side)}^{dim} points is too large to index")
     import numpy as np
 
-    # A block holds the leading d coordinates constant, steps coordinate d
-    # through a run of c values, and pairs each value with the grid of the
-    # last j coordinates, the largest that fits, built once: lexicographic
-    # order, and no coordinate divided out of a flat index.
+    # Blocks are coordinate-major: the transpose makes each x[..., i]
+    # contiguous.  Coordinate i varies along axis i of a grid, filled by
+    # broadcasting, which is faster than np.indices and np.tile.
     fit = max(_BLOCK // dim, 1)
+    if side**dim <= fit:  # the whole box is one block, like verify-all's many tiny boxes
+        box = np.empty((dim,) + (side,) * dim, dtype=np.int64)
+        axis = np.arange(-r, r + 1, dtype=np.int64)
+        for i in range(dim):
+            box[i] = axis.reshape((side,) + (1,) * (dim - 1 - i))
+        return int(np.count_nonzero(oracle.contains(box.reshape(dim, -1).T)))
+    # Otherwise a block holds the leading d coordinates constant, steps
+    # coordinate d through a run of c values, and pairs each value with the
+    # grid of the last j coordinates, the largest that fits, built once:
+    # lexicographic order, and no coordinate divided out of a flat index.
     j = 0
     while j < dim - 1 and side ** (j + 1) <= fit:
         j += 1
     inner = side**j
     d, c = dim - j - 1, min(side, fit // inner)
-    # Coordinate-major: the transpose makes each x[..., i] contiguous.
     block = np.empty((dim, c * inner), dtype=np.int64)
-    # Grid coordinate i varies along axis i of a (c, side, ..., side) view of
-    # its row; broadcasting fills it faster than np.indices and np.tile, which
-    # matters for verify-all's many tiny boxes.
-    for i in range(1, j + 1):
+    for i in range(1, j + 1):  # grid coordinate d + i, on a (c, side, ..., side) view
         block[d + i].reshape((c,) + (side,) * j)[...] = np.arange(
             -r, r + 1, dtype=np.int64
         ).reshape((side,) + (1,) * (j - i))
@@ -301,9 +306,10 @@ def dilation_counter(
             return counter
     if p.dimension == 2:  # a polygon's vertices are its hull chain
         hull = p.vertices
-        edges = list(zip(hull, hull[1:] + hull[:1]))
-        twice_area = sum(u[0] * v[1] - v[0] * u[1] for u, v in edges)
-        boundary = sum(gcd(v[0] - u[0], v[1] - u[1]) for u, v in edges)
+        twice_area = boundary = 0
+        for (ux, uy), (vx, vy) in zip(hull, hull[1:] + hull[:1]):
+            twice_area += ux * vy - vx * uy
+            boundary += gcd(vx - ux, vy - uy)
         return lambda k: (twice_area * k * k + boundary * k) // 2 + 1
 
     return scan_counter(p, max_box_points)

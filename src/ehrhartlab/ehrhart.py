@@ -34,7 +34,7 @@ from .exact import (
 from .polytopes import LatticePolytope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EhrhartPolynomial:
     """Ehrhart polynomial of a polytope of dimension ``dimension``.
 
@@ -110,16 +110,18 @@ def qn_coefficients(n: int) -> EhrhartPolynomial:
     if n < 2:
         raise ValueError("this family requires dimension >= 2")
     # With B_m = b[m] / d over one common denominator d, each c_i is one
-    # integer over n d.
-    d = lcm(*(bernoulli(m).denominator for m in range(n)))
-    b = [bernoulli(m).numerator * (d // bernoulli(m).denominator) for m in range(n)]
+    # integer over n d.  C(n, j+1) C(j+1, i) = C(n, i) C(n-i, j+1-i) turns the
+    # sum for c_i into C(n, i) 2^(i-1) s[n-i], s[r] = sum_m C(r, m) b[m] 2^m:
+    # the b[m] 2^m are the forward differences of s at 0, undone by additions.
+    bs = [bernoulli(m).as_integer_ratio() for m in range(n)]
+    d = lcm(*(q for _, q in bs))
+    s = [p * (d // q) << m for m, (p, q) in enumerate(bs)]
+    for level in range(n - 1, 0, -1):
+        for r in range(level, n):
+            s[r] += s[r - 1]
     numerators = [n * d]
     for i in range(1, n + 1):
-        tail = sum(
-            comb(n, j + 1) * comb(j + 1, i) * b[j - i + 1] << j
-            for j in range(i - 1, n)
-        )
-        numerators.append((comb(n - 1, i) * n * d << i) + 2 * tail)
+        numerators.append((comb(n - 1, i) * n * d + comb(n, i) * s[n - i]) << i)
     return EhrhartPolynomial(n, Polynomial(numerators, n * d))
 
 
@@ -128,7 +130,8 @@ def qn_first_coefficient(n: int) -> Fraction:
     2(n-1) + (4 - 2^n) B_{n-1}."""
     if n < 2:
         raise ValueError("this family requires dimension >= 2")
-    return 2 * (n - 1) + (4 - 2**n) * bernoulli(n - 1)
+    p, q = bernoulli(n - 1).as_integer_ratio()
+    return Fraction(2 * (n - 1) * q + (4 - 2**n) * p, q)
 
 
 def qn_growth_check(k: int) -> bool:

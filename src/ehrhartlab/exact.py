@@ -70,10 +70,10 @@ def bernoulli_magnitude_bounds(j: int) -> tuple[Fraction, Fraction]:
     """
     if j < 1:
         raise ValueError("bernoulli_magnitude_bounds requires j >= 1")
-    lower = Fraction(2 * factorial(2 * j)) / (2 * PI_UPPER) ** (2 * j)
-    upper = Fraction(2 * factorial(2 * j)) / (2 * PI_LOWER) ** (2 * j)
-    upper /= 1 - Fraction(2) ** (1 - 2 * j)
-    return lower, upper
+    e, scale = 2 * j, 2 * factorial(2 * j)
+    lower = Fraction(scale * PI_UPPER.denominator**e, (2 * PI_UPPER.numerator) ** e)
+    upper = Fraction(scale * PI_LOWER.denominator**e, (2 * PI_LOWER.numerator) ** e)
+    return lower, upper / (1 - Fraction(1, 2 ** (e - 1)))
 
 
 @dataclass(frozen=True)
@@ -91,19 +91,19 @@ class Polynomial:
     denominator: int
 
     def __init__(
-        self, coefficients: Iterable[RationalLike], denominator: int = 1
+        self, coefficients: Iterable[RationalLike], denominator: int | None = None
     ) -> None:
-        if not denominator:
+        nums = list(coefficients)
+        if denominator is None:  # rationals: over their common denominator
+            denominator = lcm(*(c.denominator for c in nums))
+            nums = [c.numerator * (denominator // c.denominator) for c in nums]
+        elif not denominator:
             raise ZeroDivisionError("polynomial with denominator 0")
-        cs = list(coefficients)
-        common = lcm(*(c.denominator for c in cs))
-        nums = [c.numerator * (common // c.denominator) for c in cs] or [0]
         while len(nums) > 1 and not nums[-1]:
             nums.pop()
-        d = common * denominator
-        g = gcd(*nums, d) if d > 0 else -gcd(*nums, d)
-        object.__setattr__(self, "numerators", tuple(x // g for x in nums))
-        object.__setattr__(self, "denominator", d // g)
+        g = gcd(*nums, denominator) if denominator > 0 else -gcd(*nums, denominator)
+        object.__setattr__(self, "numerators", tuple(x // g for x in nums) or (0,))
+        object.__setattr__(self, "denominator", denominator // g)
 
     @cached_property
     def coefficients(self) -> tuple[Fraction, ...]:

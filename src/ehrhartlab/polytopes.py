@@ -14,13 +14,14 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
-from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from operator import index as _index, mul
+from typing import Iterable, NamedTuple, Sequence, SupportsIndex
 
 IntVector = tuple[int, ...]
 
@@ -37,8 +38,7 @@ class FamilyTag(str, Enum):
     PRODUCT = "product"
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Construction recipe of a family polytope, read by every counter.
 
     ``scale`` accumulates dilations, so ``dilate(cube(2), 3)`` is the cube
@@ -47,29 +47,36 @@ class Family:
 
     tag: FamilyTag
     scale: int = 1
-    factors: tuple["LatticePolytope", ...] = field(default=())
+    factors: tuple["LatticePolytope", ...] = ()
 
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(NamedTuple("Halfspace", [("normal", IntVector), ("rhs", int)])):
     """Closed half-space {x : normal . x <= rhs} with primitive normal.
 
     ``rhs`` is an integer; it is >= 1 for every half-space of a polytope
     containing the origin in its interior (enforced where that matters,
-    not here, so hulls away from the origin remain representable).
+    not here, so hulls away from the origin remain representable).  Ints,
+    bools and NumPy integers pass; a float or a Fraction is refused, not
+    truncated.
     """
 
-    normal: IntVector
-    rhs: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "normal", tuple(map(int, self.normal)))
-        object.__setattr__(self, "rhs", int(self.rhs))
-        content = gcd(*self.normal)  # 0 for an empty or zero normal
+    def __new__(cls, normal: Iterable[SupportsIndex], rhs: SupportsIndex) -> Halfspace:
+        try:
+            normal, rhs = tuple(map(_index, normal)), _index(rhs)
+        except TypeError:
+            raise ValueError(f"half-space {normal}.x <= {rhs} is not integral") from None
+        content = gcd(*normal)  # 0 for an empty or zero normal
         if content == 0:
             raise ValueError("half-space normal must be nonzero")
         if content != 1:
-            raise ValueError(f"half-space normal {self.normal} is not primitive")
+            raise ValueError(f"half-space normal {normal} is not primitive")
+        return tuple.__new__(cls, (normal, rhs))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Halfspace:  # _replace validates too
+        return cls(*iterable)
 
 
 _Lists = tuple[tuple[IntVector, ...], tuple[Halfspace, ...] | None]
@@ -83,10 +90,10 @@ class LatticePolytope:
     ``vertices`` or ``halfspaces`` builds that one list from the recipe and
     keeps nothing (cube(20) lists 2^20 vertices and 40 half-spaces), so a
     caller that needs a list twice binds it once.  Explicit lists (JSON,
-    :func:`hull2d`, their dilates) are always validated.  A polygon keeps
-    the counterclockwise hull chain of the points it is given as its
-    vertices, and its half-spaces must be that chain's edges (any order,
-    kept as given); without them it gets one per edge.
+    :func:`hull2d`) are always validated, and a dilate scales validated
+    ones.  A polygon keeps the counterclockwise hull chain of the points it
+    is given as its vertices, and its half-spaces must be that chain's
+    edges (any order, kept as given); without them it gets one per edge.
     """
 
     dimension: int
@@ -97,7 +104,10 @@ class LatticePolytope:
     def __post_init__(self) -> None:
         if self.family is not None:
             return
-        verts = tuple(tuple(int(c) for c in v) for v in self._vertices or ())
+        try:  # a float or a Fraction is refused, not truncated
+            verts = tuple([tuple(map(_index, v)) for v in self._vertices or ()])
+        except TypeError:
+            raise ValueError("vertex coordinates must be integers") from None
         halfspaces = None if self._halfspaces is None else tuple(self._halfspaces)
         if not verts:
             raise ValueError("polytope needs at least one vertex")
@@ -260,17 +270,23 @@ def dilate(p: LatticePolytope, k: int) -> LatticePolytope:
     """Scale every vertex (and rhs) by k >= 1; family scale accumulates."""
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
-    if p.family is None:
-        return LatticePolytope(p.dimension, *_scaled(p.vertices, p.halfspaces, k))
-    scaled = replace(p.family, scale=p.family.scale * k)
-    return LatticePolytope(p.dimension, family=scaled)
+    fam = p.family
+    if fam is not None:
+        return LatticePolytope(p.dimension, family=fam._replace(scale=fam.scale * k))
+    # k times a hull chain is a hull chain, and every half-space stays tight
+    # where it was: the lists are scaled, not checked and hulled again.
+    verts, halfspaces = _scaled(p.vertices, p.halfspaces, k)
+    q = copy(p)
+    vars(q).update(_vertices=verts, _halfspaces=halfspaces)
+    return q
 
 
 def is_primitive(v: Sequence[int]) -> bool:
     """True iff the segment from 0 to v contains no interior lattice point."""
-    if all(c == 0 for c in v):
+    content = gcd(*v)
+    if not content:
         raise ValueError("the zero vector is neither primitive nor imprimitive")
-    return gcd(*(abs(c) for c in v)) == 1
+    return content == 1
 
 
 def _require_interior_halfspaces(p: LatticePolytope) -> tuple[Halfspace, ...]:
@@ -296,21 +312,15 @@ class PolarScaled(NamedTuple):
 
 
 def _polar_scaled(hs: Sequence[Halfspace], l: int) -> PolarScaled:
-    """Vertices of l * (polar): the point l*u_i/l_i per facet, each
-    coordinate an int when integral, else a Fraction (not deduplicated)."""
-    verts = tuple(
-        tuple(
-            l * c // h.rhs if l * c % h.rhs == 0 else Fraction(l * c, h.rhs)
-            for c in h.normal
-        )
-        for h in hs
-    )
-    lattice = all(c.denominator == 1 for v in verts for c in v)
-    return PolarScaled(lattice, verts)
-
-
-def _cross2(o: IntVector, a: IntVector, b: IntVector) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    """Vertices of l * (polar): the point l*u_i/l_i per facet (not
+    deduplicated).  A normal is primitive, so that point is integral iff l_i
+    divides l: its coordinates are then ints, else Fractions."""
+    verts, lattice = [], True
+    for normal, rhs in hs:
+        q, r = divmod(l, rhs)
+        verts.append(tuple(Fraction(l * c, rhs) if r else q * c for c in normal))
+        lattice = lattice and not r
+    return PolarScaled(lattice, tuple(verts))
 
 
 def _hull_chain(points: Iterable[IntVector]) -> tuple[IntVector, ...]:
@@ -321,21 +331,24 @@ def _hull_chain(points: Iterable[IntVector]) -> tuple[IntVector, ...]:
     pts = sorted(set(points))
     if len(pts) < 3:
         raise ValueError("hull2d needs at least three distinct points")
-    # Build lower then upper chain, dropping collinear middles.
-    lower: list[IntVector] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[IntVector] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+    hull = _left_chain(pts)[:-1] + _left_chain(reversed(pts))[:-1]  # lower, upper
     if len(hull) < 3:
         raise ValueError("input points are collinear")
     return tuple(hull)
+
+
+def _left_chain(pts: Iterable[IntVector]) -> list[IntVector]:
+    """The points kept where the chain through them turns strictly left."""
+    chain: list[IntVector] = []
+    for p in pts:
+        x, y = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 def hull2d(points: Iterable[Sequence[int]]) -> LatticePolytope:

@@ -53,7 +53,7 @@ from .polytopes import (
 from .roots import RootSet, _mean_on_line, common_real_part
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReflexivityReport:
     """Three-way l-reflexivity verdict for one polytope.
 
@@ -94,18 +94,19 @@ def reflexivity_equivalence(
     hs = _require_interior_halfspaces(p)  # a family builds its lists per read
     if ehr.dimension != p.dimension:
         raise ValueError("Ehrhart polynomial does not match the polytope")
-    l = lcm(*(h.rhs for h in hs))
+    rhs = [h.rhs for h in hs]
+    l = lcm(*rhs)
 
-    vertices_primitive = all(is_primitive(v) for v in p.vertices)
+    vertices_primitive = all(map(is_primitive, p.vertices))
     # Equal facet distances are their own lcm, so they all equal l.
-    def_check = vertices_primitive and all(h.rhs == l for h in hs)
+    def_check = vertices_primitive and rhs.count(l) == len(rhs)
 
     polar = _polar_scaled(hs, l)
     # Dual facet distances: vertex v = content * w gives the polar facet
     # {w . x <= l/content}; all are l  iff  every vertex is primitive.
     polar_check = (
         polar.is_lattice
-        and all(is_primitive(v) for v in polar.vertices)
+        and all(map(is_primitive, polar.vertices))
         and vertices_primitive
     )
 

@@ -130,13 +130,14 @@ class BoundVerdict(NamedTuple):
 
 def _bound_verdict(p: int, q: int, r: int, s: int) -> BoundVerdict:
     """The verdict on p/q <= r/s: multiplying by (qs)^2 > 0 keeps the order."""
-    if not q * s:
+    qs = q * s
+    if not qs:
         raise ZeroDivisionError("bound with denominator 0")
-    left, right = p * q * s * s, r * s * q * q
+    left, right = p * s * qs, r * q * qs
     return BoundVerdict(left <= right, left == right, (p, q), (r, s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WillsIndexVerdict:
     """Row i: the verdict on c_i <= 2^i C(n, i)."""
 
@@ -148,7 +149,7 @@ class WillsIndexVerdict:
     bound = property(lambda self: self.verdict.rhs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WillsVerdict:
     """Per-coefficient comparison against the cube bound 2^i C(n, i)."""
 
@@ -158,15 +159,11 @@ class WillsVerdict:
 
     @property
     def violations(self) -> tuple[int, ...]:
-        return tuple(row.index for row in self.per_index if not row.holds)
+        return tuple(row.index for row in self.per_index if not row.verdict.holds)
 
     @property
     def equalities(self) -> tuple[int, ...]:
-        return tuple(
-            row.index
-            for row in self.per_index
-            if row.verdict.is_equality
-        )
+        return tuple(row.index for row in self.per_index if row.verdict.is_equality)
 
 
 def _scaled(f: Polynomial, e: int) -> Polynomial:
@@ -312,7 +309,7 @@ def wills_check(ehr: EhrhartPolynomial) -> WillsVerdict:
         WillsIndexVerdict(i, _bound_verdict(c, d, comb(n, i) << i, 1))
         for i, c in enumerate(ehr.poly.numerators)
     )
-    return WillsVerdict(n, rows, all(r.holds for r in rows))
+    return WillsVerdict(n, rows, all(r.verdict.holds for r in rows))
 
 
 def coefficient_ratio_bound(

@@ -77,7 +77,7 @@ RANDOM_POLYGON_SEED = 1729
 RANDOM_POLYGON_SAMPLES = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckRow:
     number: int
     name: str
@@ -113,7 +113,7 @@ def check_bipyramid_coefficients(qn: _QnCoefficients) -> tuple[bool, str]:
         closed = qn(n)
         interp = ehrhart_of(qn_family(n), lambda k, n=n: count_qn_closed(n, k))
         ok &= closed.coefficient(i) == expected
-        ok &= closed.coefficients == interp.coefficients
+        ok &= closed.poly == interp.poly
     elapsed = time.perf_counter() - start
     ok = ok and elapsed <= 1.0
     return ok, f"three reference coefficients + interpolation, {elapsed:.3f}s"
@@ -146,12 +146,8 @@ def check_oracle_equivalence() -> tuple[bool, str]:
     ok = True
     for n in range(2, 5):
         for k in range(4):
-            box_q = (
-                count_box_scan(oracle_for(dilate(qn_family(n), k))) if k else 1
-            )
-            box_p = (
-                count_box_scan(oracle_for(dilate(pn_family(n), k))) if k else 1
-            )
+            box_q = count_box_scan(oracle_for(dilate(qn_family(n), k))) if k else 1
+            box_p = count_box_scan(oracle_for(dilate(pn_family(n), k))) if k else 1
             ok &= box_q == count_qn_closed(n, k)
             ok &= box_p == count_pn_sliced(n, k)
     for m in range(1, 4):
@@ -167,8 +163,9 @@ def _deficiency_brute(m: int, a: int, b: int) -> int:
     box scan of [-(a+b), a+b]^m, independent of the closed form it checks."""
     import numpy as np
 
+    # max(|x_i| - a, 0) = max(|x_i|, a) - a
     inside = MembershipOracle(
-        m, lambda x: np.maximum(np.abs(x) - a, 0).sum(-1) <= b, a + b
+        m, lambda x: np.maximum(np.abs(x), a).sum(-1) <= b + m * a, a + b
     )
     return count_box_scan(inside)
 

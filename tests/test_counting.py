@@ -331,6 +331,8 @@ def test_polygon_hull_is_computed_once(monkeypatch):
     listed = ((0, 2), (-1, -1), (2, 0), (0, 0), (1, -1), (0, 2))
     expected = [1] + [count_box_scan(oracle_for(dilate(hull2d(listed), k)))
                       for k in range(1, 6)]
+    # k times the points, hulled from scratch
+    dilates = [hull2d([(k * x, k * y) for x, y in listed]) for k in range(1, 6)]
     calls = []
     hull_chain = polytopes._hull_chain
 
@@ -343,6 +345,11 @@ def test_polygon_hull_is_computed_once(monkeypatch):
     assert len(calls) == 1
     counter = dilation_counter(polygon)
     assert [counter(k) for k in range(6)] == expected
+    assert len(calls) == 1
+    # A dilate scales the stored chain and edges: no second hull at any k.
+    assert [dilate(polygon, k) for k in range(1, 6)] == dilates
+    scan = scan_counter(polygon)
+    assert [scan(k) for k in range(6)] == expected
     assert len(calls) == 1
 
 

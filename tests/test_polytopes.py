@@ -152,6 +152,44 @@ def test_halfspace_requires_primitive_normal():
         Halfspace((0, 0), 1)
 
 
+@pytest.mark.parametrize(
+    "normal, rhs",
+    [
+        ((1.7, 0), 2),
+        ((1, 0), 2.9),
+        ((Fraction(1, 2), 1), 1),
+        ((1, 0), Fraction(4, 2)),
+        ((1.0, 0), 1),
+    ],
+)
+def test_halfspace_refuses_non_integers(normal, rhs):
+    """Half-spaces hold ints: a float or a Fraction, even an integral one, is
+    refused rather than truncated ((1.7, 0).x <= 2.9 used to become x <= 2)."""
+    with pytest.raises(ValueError, match="not integral"):
+        Halfspace(normal, rhs)
+
+
+def test_halfspace_takes_bools_and_numpy_integers_as_ints():
+    np = pytest.importorskip("numpy")
+    h = Halfspace((np.int64(1), True), np.int32(3))
+    assert h == Halfspace((1, 1), 3)
+    assert all(type(c) is int for c in (*h.normal, h.rhs))
+
+
+@pytest.mark.parametrize(
+    "bad", [(0.5, 0), (Fraction(1, 2), 0), (Fraction(2, 1), 0), (1.0, 2)]
+)
+def test_polytopes_refuse_non_integer_vertices(bad):
+    """hull2d used to turn Fraction(1, 2) into 0; every explicit polytope now
+    refuses a non-integer coordinate."""
+    with pytest.raises(ValueError, match="must be integers"):
+        hull2d([bad, (3, 0), (0, 3)])
+    with pytest.raises(ValueError, match="must be integers"):
+        LatticePolytope(2, ((3, 0), (0, 3), bad), (Halfspace((1, 1), 3),))
+    with pytest.raises(ValueError, match="must be integers"):
+        LatticePolytope(3, ((0, 0, 0), (*bad, 1)))
+
+
 def test_polytope_validation_catches_violations():
     with pytest.raises(ValueError):
         LatticePolytope(2, ((2, 0),), (Halfspace((1, 0), 1),))

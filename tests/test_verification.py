@@ -1,0 +1,27 @@
+"""The verify-all report: pinned to a checked-in expectation, and free of
+state carried from one run to the next."""
+
+import re
+from pathlib import Path
+
+from ehrhartlab.cli import EXIT_OK, main
+from ehrhartlab.verification import run_all
+
+EXPECTED = Path(__file__).with_name("verify_all_expected.json")
+
+
+def _masked(text: str) -> str:
+    """The report with its wall-clock seconds (rows 1 and 2) masked."""
+    return re.sub(r"\d+\.\d{3}s\b", "#.###s", text)
+
+
+def test_verify_all_json_report_is_pinned(capsys):
+    assert main(["verify-all", "--format", "json"]) == EXIT_OK
+    assert _masked(capsys.readouterr().out) == EXPECTED.read_text()
+
+
+def test_run_all_carries_no_state_between_calls():
+    first, second = run_all(), run_all()
+    assert [(r.number, r.name, r.passed, _masked(r.detail)) for r in first] == [
+        (r.number, r.name, r.passed, _masked(r.detail)) for r in second
+    ]
