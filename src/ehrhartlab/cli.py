@@ -16,10 +16,11 @@ Polytopes come either from the family grammar
     cube:N | cross:N | pn:N | qn:N | product(SPEC,SPEC) | dilate(SPEC,K)
 
 or from a JSON file (see README for the schema).  Exact values are always
-rendered as fraction strings; decimals appear only for roots, rounded to
-12 significant digits.  Exit status: 0 success, 1 a check reported a
-violation (a finding, not an error), 2 a usage or input error, with one
-``error: ...`` line on stderr that shortens long values.
+rendered as fraction strings; decimals appear only for roots, printed to
+12 significant digits but not certified (cross:60 is off by 1.6e-6).
+Exit status: 0 success, 1 a check reported a violation (a finding, not
+an error), 2 a usage or input error, with one ``error: ...`` line on
+stderr that shortens long values.
 """
 
 from __future__ import annotations
@@ -47,14 +48,12 @@ from .polytopes import (
     product,
     qn_family,
 )
-from .reflexivity import _root_line_consequence, reflexivity_equivalence
+from .reflexivity import reflexivity_equivalence
 from .roots import (
-    RootSet,
     braun_disc_check,
     coefficient_ratio_bound,
     common_real_part,
     find_roots,
-    parity_necessary_check,
     point_count_bound,
     volume_bound,
     wills_check,
@@ -464,20 +463,16 @@ def _cmd_ehrhart(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
 
 def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any]:
     rs = find_roots(ehr.poly)
-    target = 1 / req.a
-    # The roots sum to -c_{n-1}/c_n, so a common real part is their mean:
-    # one line test decides both verdicts, and parity on the line is implied.
-    mean = -ehr.coefficient(ehr.dimension - 1) / (ehr.dimension * ehr.volume)
-    on_mean = common_real_part(rs, -mean)
-    on_line = on_mean and -mean == target
+    # Roots on one line lie on their mean; parity at -1/a reads the same shift.
+    on_mean = common_real_part(rs, -rs.mean)
+    on_target = rs.mean == -1 / req.a
     return {
         "roots": [[_round12(z.real), _round12(z.imag)] for z in rs.roots],
         "residual_bound": _round12(rs.residual_bound),
-        "source_degree": rs.poly.degree,
-        "real_part_target": str(-target),
-        "common_real_part": on_line,
-        "detected_common_real_part": _round12(float(mean)) if on_mean else None,
-        "parity_necessary_check": on_line or parity_necessary_check(ehr, req.a),
+        "real_part_target": str(-1 / req.a),
+        "common_real_part": on_mean and on_target,
+        "detected_common_real_part": _round12(float(rs.mean)) if on_mean else None,
+        "parity_necessary_check": on_target and rs.mean_shift is not None,
         "braun_disc_check": braun_disc_check(rs, ehr.dimension),
     }
 
@@ -554,9 +549,6 @@ def _cmd_reflexive(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
         report_obj = reflexivity_equivalence(p, ehr)
     except OriginNotInteriorError as exc:
         raise SpecError(f"hypothesis failure: {exc}") from exc
-    consequence = _root_line_consequence(
-        report_obj.index_l, report_obj.coefficient_identity, RootSet(ehr.poly)
-    )
     report = {
         "index_l": report_obj.index_l,
         "def_check": report_obj.def_check,
@@ -567,7 +559,6 @@ def _cmd_reflexive(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
         "identity_lhs": str(report_obj.identity_lhs),
         "identity_rhs": str(report_obj.identity_rhs),
         "agree": report_obj.agree,
-        "root_line_consequence": consequence,
     }
     return report, EXIT_OK if report_obj.def_check else EXIT_FINDING
 

@@ -132,11 +132,6 @@ def reflexivity_equivalence(
     )
 
 
-def _root_line_consequence(l: int, identity: bool, rs: RootSet) -> bool:
-    """The identity, or the roots do not all have real part -1/(2l)."""
-    return identity or not common_real_part(rs, Fraction(1, 2 * l))
-
-
 def root_line_reflexivity_consequence(
     p: LatticePolytope, ehr: EhrhartPolynomial, rs: RootSet
 ) -> bool:
@@ -145,7 +140,8 @@ def root_line_reflexivity_consequence(
 
     This is the unimodular-invariant consequence of the root-line
     hypothesis (conjugate pairing makes the root sum real, and the root
-    sum is c_{n-1}/vol).  Vacuously true when the hypothesis fails.
+    sum is c_{n-1}/vol).  Vacuously true when the hypothesis fails, and
+    never false: the line test refuses any line but the roots' mean.
     """
-    l = index(p)
-    return _root_line_consequence(l, _mean_on_line(ehr.poly, Fraction(1, 2 * l)), rs)
+    target = Fraction(1, 2 * index(p))
+    return _mean_on_line(ehr.poly, target) or not common_real_part(rs, target)

@@ -9,15 +9,17 @@ could leave its range (high degree or huge coefficients), all of this runs
 on the monic factor in t = 2^e y, e read off the coefficients' sizes,
 which leaves the backward error unchanged; otherwise nothing is scaled.
 
-Whether all roots have real part -1/a is decided exactly: q(t) =
-p(t - 1/a) must satisfy q(-t) = (-1)^n q(t) (the parity condition), and
-then r(y) = i^-n q(iy) is real and must have only real roots, which
-Sturm's theorem counts on its squarefree part.  Braun's disc
-|z + 1/2| <= n(n - 1/2) is decided exactly too: Fujiwara's bound on the
-shifted integer coefficients proves it, or else a Routh-Hurwitz count
-after a Moebius map counts the roots outside.  No verdict here reads a
-float root.  :func:`find_roots` is the one entry point that computes the
-floats; the exact checks take ``RootSet(poly)``, which computes none.
+Whether all roots have real part -1/a is decided exactly.  Roots on one
+line lie on their mean m = -c_{n-1}/(n c_n), so any other line is refused
+from two coefficients, and ``RootSet`` shifts once, to q(t) = p(t + m):
+q(-t) = (-1)^n q(t) must hold (the parity condition), and then r(y) =
+i^-n q(iy) is real and must have only real roots, which Sturm's theorem
+counts on its squarefree part.  Braun's disc |z + 1/2| <= n(n - 1/2) is
+decided exactly too: Fujiwara's bound on the shifted integer coefficients
+proves it, or else a Routh-Hurwitz count after a Moebius map counts the
+roots outside.  No verdict here reads a float root.  :func:`find_roots`
+is the one entry point that computes the floats; the exact checks take
+``RootSet(poly)``, which computes none.
 
 The inequality checks themselves (coefficient ratios, the volume bound,
 and the point-count bound) are exact rational comparisons valid for
@@ -56,10 +58,10 @@ class RootSet:
     """All complex roots of ``poly`` with multiplicity, sorted by (real,
     imag); ``residual_bound`` is their largest backward error.  Both are
     computed on first read: :func:`find_roots` reads ``roots`` before it
-    returns, and the exact checks, which read only ``poly``, take a
-    ``RootSet(poly)`` built directly and never pay for the floats.  Exact
-    squarefree splitting comes first, so multiple roots (the dilated-cube
-    polynomials are the extreme case) come out exact instead of scattered."""
+    returns, and the exact checks, which read ``poly`` and its one shift
+    ``mean_shift``, take a ``RootSet(poly)`` and never pay for the floats.
+    Exact squarefree splitting comes first, so multiple roots (the
+    dilated-cube polynomials) come out exact instead of scattered."""
 
     poly: Polynomial
 
@@ -89,6 +91,19 @@ class RootSet:
         if e is None:
             return _backward_error(self.poly, self.roots)
         return _backward_error(_scaled(self.poly, e), [z * 2.0**-e for z in self.roots])
+
+    @cached_property
+    def mean(self) -> Fraction:
+        """The roots' mean -c_{n-1}/(n c_n); 0 for a constant, which has none."""
+        c, n = self.poly.numerators, self.poly.degree
+        return Fraction(-c[n - 1], n * c[n]) if n else Fraction(0)
+
+    @cached_property
+    def mean_shift(self) -> Polynomial | None:
+        """q(t) = p(t + mean) if q(-t) = (-1)^n q(t), else None: the one
+        shift that every line test reads."""
+        q = self.poly.shift(self.mean)
+        return None if any(q.numerators[j] for j in range(q.degree - 1, -1, -2)) else q
 
     @cached_property
     def _scale_exponent(self) -> int | None:
@@ -235,21 +250,10 @@ def _mean_on_line(p: Polynomial, target: Fraction | int) -> bool:
     return not n or numerators[n - 1] * v == n * numerators[n] * u
 
 
-def _line_shift(p: Polynomial, target: Fraction | int) -> Polynomial | None:
-    """q(t) = p(t - target) if q(-t) = (-1)^n q(t), else None.  q_{n-1} is
-    0 exactly when the roots average -target, so any other line is refused
-    from two coefficients, before the shift."""
-    if not _mean_on_line(p, target):
-        return None
-    q = p.shift(-target)
-    return None if any(q.numerators[j] for j in range(q.degree - 1, -1, -2)) else q
-
-
 def common_real_part(rs: RootSet, target: Fraction | int) -> bool:
     """True iff every root of ``rs.poly`` has real part exactly -target
     (callers pass 1/a), decided as the module docstring describes."""
-    q = _line_shift(rs.poly, target)
-    if q is None:
+    if not _mean_on_line(rs.poly, target) or (q := rs.mean_shift) is None:
         return False
     n = q.degree
     r = Polynomial(
@@ -263,13 +267,13 @@ def common_real_part(rs: RootSet, target: Fraction | int) -> bool:
 def parity_necessary_check(ehr: EhrhartPolynomial, a: Fraction | int) -> bool:
     """Exact root-free necessary condition for all roots on Re = -1/a.
 
-    Shifts the polynomial by -1/a and tests q(-t) == (-1)^n q(t)
+    Shifts the polynomial to -1/a and tests q(-t) == (-1)^n q(t)
     coefficient-wise.  Roots on the line force this symmetry; the
     converse fails, so :func:`common_real_part` decides sufficiency.
     """
     if a <= 0:
         raise ValueError("a must be positive")
-    return _line_shift(ehr.poly, Fraction(a.denominator, a.numerator)) is not None
+    return _mean_on_line(ehr.poly, 1 / Fraction(a)) and RootSet(ehr.poly).mean_shift is not None
 
 
 def braun_disc_check(rs: RootSet, n: int) -> bool:

@@ -501,6 +501,7 @@ def test_cli_roots_reports_common_real_part(capsys):
     assert payload["parity_necessary_check"] is True
     assert payload["braun_disc_check"] is True
     assert payload["roots"] == [[-0.25, 0.0], [-0.25, 0.0]]
+    assert "source_degree" not in payload  # it repeated len(roots)
 
 
 @pytest.mark.parametrize(
@@ -530,14 +531,15 @@ def test_cli_roots_root_line_verdicts(capsys, argv, verdicts):
         (("bounds", "--family", "pn:7"), 1),
         (("bounds", "--family", "cross:8"), 1),
         (("roots", "--family", "cross:3", "-a", "4"), 1),
-        (("roots", "--family", "qn:9"), 2),  # parity holds, the roots are off the line
+        (("roots", "--family", "qn:9"), 1),  # parity holds, the roots are off the line
         (("reflexive", "--family", "cross:3"), 0),
         (("reflexive", "--json", "triangle.json"), 0),
+        (("bounds", "--family", "qn:9"), 1),
     ],
 )
 def test_cli_root_line_shifts(capsys, monkeypatch, tmp_path, argv, shifts):
-    """One line test per request: a line other than the roots' mean is
-    refused from two coefficients, without a shift."""
+    """One shift per request, to the roots' mean: the line test and the
+    parity verdict both read it, and reflexive tests no root line."""
     # Edges at lattice distances 1, 1 and 2: not reflexive, no identity.
     triangle = {"dimension": 2, "vertices": [[-1, -1], [3, -1], [-1, 3]]}
     (tmp_path / "triangle.json").write_text(json.dumps(triangle))
@@ -565,6 +567,7 @@ def test_cli_bounds_crosspolytope(capsys):
     assert payload["point_count_bound"]["is_equality"] is True
     top = [r for r in payload["ratio_bounds"] if (r["s"], r["t"]) == (2, 3)]
     assert top[0]["is_equality"] is True
+    assert "source_degree" not in payload["hypothesis"]
 
 
 def test_cli_reflexive_reports(capsys):
@@ -581,7 +584,7 @@ def test_cli_reflexive_reports(capsys):
     payload = json.loads(out)
     assert payload["def_check"] is False
     assert payload["coefficient_identity"] is True
-    assert payload["root_line_consequence"] is True
+    assert "root_line_consequence" not in payload  # it was True for every input
 
 
 def test_cli_json_file_input(tmp_path, capsys):
@@ -741,7 +744,7 @@ def test_cli_reflexive_refuses_long_family_lists(monkeypatch, capsys):
 def test_cli_reflexive_builds_each_family_list_once(monkeypatch, capsys, spec, lists):
     """A family builds its lists on each read: the report binds them once,
     tests each vertex and each polar vertex for primitivity once, and does
-    not test the root line where the coefficient identity already holds."""
+    not test the root line."""
     calls = {"vertices": 0, "halfspaces": 0, "is_primitive": 0, "common_real_part": 0}
 
     def counted(module, name, key):
@@ -758,7 +761,7 @@ def test_cli_reflexive_builds_each_family_list_once(monkeypatch, capsys, spec, l
     counted(reflexivity, "is_primitive", "is_primitive")
     counted(reflexivity, "common_real_part", "common_real_part")
     code, out = run_cli(capsys, "reflexive", "--family", spec, "--format", "json")
-    assert code == EXIT_OK and json.loads(out)["root_line_consequence"] is True
+    assert code == EXIT_OK and "root_line_consequence" not in json.loads(out)
     assert calls == {"vertices": 1, "halfspaces": 1, "is_primitive": sum(lists),
                      "common_real_part": 0}
 

@@ -20,18 +20,27 @@ and at most two of them, ``-k`` up to 50 or one of two huge values
 ``--max-box-points`` of at most 10^4.  Output goes through
 ``contextlib.redirect_stdout``/``redirect_stderr`` because Hypothesis
 rejects the function-scoped ``capsys``.
+
+The three root-line verdicts of ``roots`` equal the library's on the
+families up to dimension 10, their dilates by 2 and 3, and random
+polygons, at a = 1, 3/2, 2 and 4 and where -1/a is the roots' mean.
 """
 
 import contextlib
 import io
 import json
 import math
+from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ehrhartlab.cli import EXIT_USAGE, main
+from ehrhartlab.cli import EXIT_OK, EXIT_USAGE, main, parse_polytope_spec, polytope_to_json
+from ehrhartlab.counting import dilation_counter
+from ehrhartlab.ehrhart import ehrhart_of
 from ehrhartlab.polytopes import hull2d
+from ehrhartlab.roots import common_real_part, find_roots, parity_necessary_check
 from test_cli import assert_matches_oracle
 
 FLAGS = {
@@ -310,3 +319,49 @@ PARSER_TOKENS = st.sampled_from(
 @settings(max_examples=200, deadline=None)
 def test_parser_matches_eager_reference_on_token_argvs(argv):
     assert_matches_oracle(argv)
+
+
+LINE_AS = ("1", "3/2", "2", "4")
+LINE_FAMILIES = [f"{f}:{n}" for f in ("cube", "cross", "pn", "qn")
+                 for n in range(1 if f in ("cube", "cross") else 2, 11)]
+
+
+def assert_line_verdicts_match_library(source: list[str], polytope) -> None:
+    """``roots`` reports common_real_part and parity_necessary_check as the
+    library decides them at -1/a, and a detected common real part exactly
+    when the roots lie on their mean, read here off the Fraction
+    coefficients.  Besides ``LINE_AS``, a is also taken where -1/a is that
+    mean: pn:3..10 are not symmetric about their mean, so there parity
+    fails on the line that the coefficients alone allow."""
+    ehr = ehrhart_of(polytope, dilation_counter(polytope))
+    n = ehr.dimension
+    rs = find_roots(ehr.poly)
+    target = ehr.coefficient(n - 1) / (n * ehr.volume)
+    on_own_mean = common_real_part(rs, target)
+    for a in LINE_AS + ((str(1 / target),) if target > 0 else ()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["roots", *source, "-a", a, "--format", "json"]) == EXIT_OK
+        report = json.loads(out.getvalue())
+        assert report["common_real_part"] == common_real_part(rs, 1 / Fraction(a)), a
+        assert report["parity_necessary_check"] == parity_necessary_check(ehr, Fraction(a)), a
+        assert (report["detected_common_real_part"] is not None) == on_own_mean, a
+
+
+@pytest.mark.parametrize(
+    "spec", LINE_FAMILIES + [f"dilate({s},{k})" for k in (2, 3) for s in LINE_FAMILIES]
+)
+def test_cli_line_verdicts_match_library_on_families(spec):
+    assert_line_verdicts_match_library(["--family", spec], parse_polytope_spec(spec))
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_cli_line_verdicts_match_library_on_polygons(tmp_path_factory, points):
+    try:
+        polygon = hull2d(points)
+    except ValueError:  # fewer than three distinct points, or collinear
+        return
+    path = tmp_path_factory.getbasetemp() / "line_polygon.json"
+    path.write_text(json.dumps(polytope_to_json(polygon)))
+    assert_line_verdicts_match_library(["--json", str(path)], polygon)

@@ -445,6 +445,12 @@ def test_braun_disc_check_refuses_the_zero_polynomial():
     assert braun_disc_check(RootSet(Polynomial([5])), 2)
 
 
+def test_constant_has_every_common_real_part():
+    """A constant has no roots, so every line holds them all."""
+    for target in (Fraction(1, 2), 3, Fraction(-2, 7)):
+        assert common_real_part(RootSet(Polynomial([3])), target) is True
+
+
 def test_exact_checks_compute_no_float_root(monkeypatch, capsys):
     def no_floats(self):
         raise AssertionError("a float root was computed")
@@ -487,8 +493,10 @@ def test_root_set_reads_its_scale_exponent_once(monkeypatch):
     st.integers(1, 20),
 )
 def test_mean_test_is_only_a_shortcut(coefficients, own_mean, u, v):
-    """_line_shift refuses a line other than the roots' mean before it
-    shifts; that changes no verdict of the shift and its parity test."""
+    """Symmetry about a line -target forces the line to be the roots' mean,
+    so the line tests refuse any other line from two coefficients and read
+    RootSet's one shift to the mean; that changes no verdict of a shift by
+    -target and its parity test."""
     low, lead = coefficients
     p = Polynomial([*low, lead])
     n = p.degree
@@ -497,6 +505,7 @@ def test_mean_test_is_only_a_shortcut(coefficients, own_mean, u, v):
     )
     q = p.shift(-target)
     parity = not any(q.numerators[j] for j in range(n - 1, -1, -2))
-    assert (roots._line_shift(p, target) is not None) == parity
+    rs = RootSet(p)
+    assert (rs.mean == -target and rs.mean_shift is not None) == parity
     if parity:
-        assert roots._line_shift(p, target) == q
+        assert rs.mean_shift == q

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 from ehrhartlab.cli import EXIT_OK, main
+from ehrhartlab.exact import Polynomial
 from ehrhartlab.verification import run_all
 
 EXPECTED = Path(__file__).with_name("verify_all_expected.json")
@@ -25,3 +26,18 @@ def test_run_all_carries_no_state_between_calls():
     assert [(r.number, r.name, r.passed, _masked(r.detail)) for r in first] == [
         (r.number, r.name, r.passed, _masked(r.detail)) for r in second
     ]
+
+
+def test_run_all_shift_count(monkeypatch):
+    """Row 7 shifts twice for each of its 16 polynomials (the parity check
+    and the line test each build a RootSet) and row 9 once."""
+    calls = []
+    shift = Polynomial.shift
+
+    def counted(self, c):
+        calls.append(c)
+        return shift(self, c)
+
+    monkeypatch.setattr(Polynomial, "shift", counted)
+    run_all()
+    assert len(calls) == 33
