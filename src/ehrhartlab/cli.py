@@ -467,7 +467,8 @@ def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any
     on_mean = common_real_part(rs, -rs.mean)
     on_target = rs.mean == -1 / req.a
     return {
-        "roots": [[_round12(z.real), _round12(z.imag)] for z in rs.roots],
+        # By printed pairs: float noise below 12 digits sets no order.
+        "roots": sorted([_round12(z.real), _round12(z.imag)] for z in rs.roots),
         "residual_bound": _round12(rs.residual_bound),
         "real_part_target": str(-1 / req.a),
         "common_real_part": on_mean and on_target,

@@ -162,9 +162,6 @@ class Polynomial:
             [x * powers[j] for j, x in enumerate(a)], self.denominator * powers[n]
         )
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(_derivative(self.numerators), self.denominator)
-
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("zero polynomial has no monic form")

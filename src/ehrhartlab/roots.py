@@ -2,9 +2,11 @@
 
 Root finding is multiplicity-safe: the polynomial is first split into
 squarefree factors by exact rational arithmetic (Yun's algorithm), each
-factor's roots come from the companion-matrix eigenvalues, and a few
-Newton steps polish every simple root.  The residual is the componentwise
-backward error max |p(z)| / sum |c_j| |z|^j (Higham).  Where a float
+factor's roots come from the companion-matrix eigenvalues, and Newton
+steps polish every simple root, one Horner pass for p and p' per step,
+until a step is at most 2^-50 max(1, |z|) (four ulps), 8 steps at most.
+The residual is the componentwise backward error max |p(z)| /
+sum |c_j| |z|^j (Higham), one Horner pass per root.  Where a float
 could leave its range (high degree or huge coefficients), all of this runs
 on the monic factor in t = 2^e y, e read off the coefficients' sizes,
 which leaves the backward error unchanged; otherwise nothing is scaled.
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, log2
-from typing import TYPE_CHECKING, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .ehrhart import EhrhartPolynomial
 from .exact import (
@@ -47,9 +49,6 @@ from .exact import (
     squarefree_decomposition,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 _FLOAT_BITS = 1000  # log2 of the largest float allowed, with room for a factor n
 
 
@@ -57,7 +56,7 @@ _FLOAT_BITS = 1000  # log2 of the largest float allowed, with room for a factor 
 class RootSet:
     """All complex roots of ``poly`` with multiplicity, sorted by (real,
     imag); ``residual_bound`` is their largest backward error.  Both are
-    computed on first read: :func:`find_roots` reads ``roots`` before it
+    computed on first read: :func:`find_roots` reads both before it
     returns, and the exact checks, which read ``poly`` and its one shift
     ``mean_shift``, take a ``RootSet(poly)`` and never pay for the floats.
     Exact squarefree splitting comes first, so multiple roots (the
@@ -77,18 +76,15 @@ class RootSet:
                 value = complex(-factor.numerators[0] / factor.denominator)
                 roots.extend([value] * multiplicity)
                 continue
-            if e is not None:
-                factor = _scaled(factor, e)
-            companion_roots = np.roots(_floats(factor)[::-1])
-            for y in _newton_polish(factor, companion_roots):
+            coeffs = _floats(factor if e is None else _scaled(factor, e))[::-1]
+            for y in _newton_polish(coeffs, np.roots(coeffs)):
                 roots.extend([y if e is None else y * 2.0**e] * multiplicity)
         roots.sort(key=lambda z: (z.real, z.imag))
         return tuple(roots)
 
     @cached_property
     def residual_bound(self) -> float:
-        e = self._scale_exponent
-        if e is None:
+        if (e := self._scale_exponent) is None:
             return _backward_error(self.poly, self.roots)
         return _backward_error(_scaled(self.poly, e), [z * 2.0**-e for z in self.roots])
 
@@ -196,49 +192,55 @@ def _floats(p: Polynomial) -> list[float]:
     return [x / p.denominator for x in p.numerators]
 
 
-def _horner(cs: list[float], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(cs):
-        acc = acc * z + c
-    return acc
-
-
-def _newton_polish(factor: Polynomial, roots: np.ndarray) -> list[complex]:
-    coeffs = _floats(factor)
-    deriv = _floats(factor.derivative())
+def _newton_polish(coeffs: list[float], eigenvalues: Iterable[complex]) -> list[complex]:
+    """Newton from each eigenvalue (real coefficients, leading first).  From
+    conj(z) each step mirrors the one from z, exactly unless a part is 0."""
+    by_start: dict[complex, complex] = {}
     polished = []
-    for raw in roots:
-        z = complex(raw)
+    for raw in eigenvalues:
+        z = start = complex(raw)
+        mirror = by_start.get(start.conjugate(), 0j)  # a real start ends real: no mirror
+        if mirror.real and mirror.imag:
+            polished.append(mirror.conjugate())
+            continue
         for _ in range(8):
-            dv = _horner(deriv, z)
-            if dv == 0:
+            value = slope = 0j
+            for c in coeffs:
+                slope = slope * z + value
+                value = value * z + c
+            if slope == 0:
                 break
-            step = _horner(coeffs, z) / dv
+            step = value / slope
             z -= step
-            if abs(step) <= 1e-16 * max(1.0, abs(z)):
+            if abs(step) <= 2.0**-50 * max(1.0, abs(z)):
                 break
+        by_start[start] = z
         polished.append(z)
     return polished
 
 
 def _backward_error(p: Polynomial, roots: tuple[complex, ...]) -> float:
-    """max |p(z)| / sum |c_j| |z|^j over the roots (0/0 reads as 0)."""
-    coeffs = _floats(p)
-    sizes = [abs(c) for c in coeffs]
-    return max(
-        abs(_horner(coeffs, z)) / (_horner(sizes, abs(z)).real or 1.0) for z in roots
-    )
+    """max |p(z)| / sum |c_j| |z|^j over the roots up to conjugation (0/0 is 0)."""
+    terms = [(c, abs(c)) for c in reversed(_floats(p))]
+    errors = []
+    for z in dict.fromkeys(complex(z.real, abs(z.imag)) for z in roots):
+        r, value, size = abs(z), 0j, 0.0
+        for c, s in terms:
+            value = value * z + c
+            size = size * r + s
+        errors.append(abs(value) / (size or 1.0))
+    return max(errors)
 
 
 def find_roots(p: Polynomial) -> RootSet:
     """All complex roots of p with multiplicity, as a :class:`RootSet`
-    whose float roots are computed when this is called."""
+    whose float roots and residual are computed when this is called."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no root set")
     if p.degree < 1:
         raise ValueError("root finding requires degree >= 1")
     rs = RootSet(p)
-    rs.roots  # the float stage runs inside find_roots, the one float entry point
+    rs.residual_bound  # the float stage, roots and residual, runs inside find_roots
     return rs
 
 

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -464,6 +465,31 @@ def test_cli_roots_residual_is_a_backward_error(capsys, spec):
     code, out = run_cli(capsys, "roots", "--family", spec, "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["residual_bound"] <= 1e-15
+
+
+# Sorted printed root pairs of ``roots --format json``: cube, cross, pn and
+# qn with n <= 16, their dilates by 2, and two products, recorded under the
+# older Newton stop |step| <= 1e-16 max(1, |z|): the four-ulp stop must not
+# move a printed digit.
+ROOTS_EXPECTED = json.loads(Path(__file__).with_name("roots_expected.json").read_text())
+
+
+@pytest.mark.parametrize("spec", ROOTS_EXPECTED)
+def test_cli_printed_roots_are_pinned(capsys, spec):
+    code, out = run_cli(capsys, "roots", "--family", spec, "--format", "json")
+    assert code == EXIT_OK
+    roots = json.loads(out)["roots"]
+    assert roots == sorted(roots)
+    assert roots == ROOTS_EXPECTED[spec]
+
+
+@pytest.mark.parametrize("n", range(1, 24))
+def test_cli_cross_roots_print_on_their_line(capsys, n):
+    """Every root of cross:n has real part -1/2; up to n = 23 all 12
+    printed digits say so (from n = 24 they do not)."""
+    code, out = run_cli(capsys, "roots", "--family", f"cross:{n}", "--format", "json")
+    assert code == EXIT_OK
+    assert {re for re, _ in json.loads(out)["roots"]} == {-0.5}
 
 
 def test_cli_survives_a_reader_that_leaves_early():

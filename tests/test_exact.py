@@ -192,20 +192,24 @@ def fraction_minus(a, b):
     return Polynomial(a.coefficient(i) - b.coefficient(i) for i in range(n))
 
 
+def fraction_derivative(p):
+    return Polynomial([j * c for j, c in enumerate(p.coefficients)][1:])
+
+
 def fraction_yun(p):
     """Yun's algorithm over Fraction: the oracle for the integer kernel."""
     p = p.monic()
-    dp = p.derivative()
+    dp = fraction_derivative(p)
     a = fraction_gcd(p, dp)
     b, c = fraction_divmod(p, a)[0], fraction_divmod(dp, a)[0]
-    d = fraction_minus(c, b.derivative())
+    d = fraction_minus(c, fraction_derivative(b))
     out, mult = [], 1
     while b.degree > 0:
         ai = fraction_gcd(b, d)
         if ai.degree > 0:
             out.append((ai, mult))
         b, c = fraction_divmod(b, ai)[0], fraction_divmod(d, ai)[0]
-        d = fraction_minus(c, b.derivative())
+        d = fraction_minus(c, fraction_derivative(b))
         mult += 1
     return out
 
@@ -359,9 +363,6 @@ def test_polynomial_algebra_matches_fraction_reference(a, b, x):
     assert list((p * q).coefficients) == ref_mul(a, b)
     assert list(p.shift(x).coefficients) == ref_shift(a, x)
     assert p(x) == ref_value(a, x)
-    assert list(p.derivative().coefficients) == ref_trim(
-        [j * c for j, c in enumerate(a)][1:]
-    )
     assert [p.coefficient(i) for i in range(len(a) + 2)] == a + [0, 0]
     assert p.leading_coefficient == a[-1]
     if p.is_zero:

@@ -462,8 +462,40 @@ def test_exact_checks_compute_no_float_root(monkeypatch, capsys):
 
 def test_find_roots_computes_the_floats_when_called():
     """The benchmark's tracer charges the float stage to find_roots' span."""
-    assert "roots" in vars(find_roots(ehr(cube(3)).poly))
+    assert {"roots", "residual_bound"} <= set(vars(find_roots(ehr(cube(3)).poly)))
     assert "roots" not in vars(RootSet(ehr(cube(3)).poly))
+
+
+integer_polynomials_st = st.lists(st.integers(-9, 9), min_size=3, max_size=16).filter(
+    lambda c: c[-1]
+)
+
+
+@given(integer_polynomials_st)
+def test_newton_polish_mirrors_exactly(coefficients):
+    """A root whose conjugate was polished takes the mirror image: bitwise
+    what polishing it in a call of its own, where nothing mirrors, gives."""
+    coeffs = [float(c) for c in reversed(coefficients)]
+    eigenvalues = np.roots(coeffs)
+    alone = [roots._newton_polish(coeffs, [z])[0] for z in eigenvalues]
+    polished = roots._newton_polish(coeffs, eigenvalues)
+    assert list(map(repr, polished)) == list(map(repr, alone))
+
+
+@given(integer_polynomials_st)
+def test_backward_error_matches_one_pass_per_root(coefficients):
+    p = Polynomial(coefficients)
+    rs = find_roots(p)
+    assume(rs._scale_exponent is None)
+    cs = [c / p.denominator for c in reversed(p.numerators)]
+
+    def error(z):
+        value, size = 0j, 0.0
+        for c in cs:
+            value, size = value * z + c, size * abs(z) + abs(c)
+        return abs(value) / (size or 1.0)
+
+    assert repr(rs.residual_bound) == repr(max(map(error, rs.roots)))
 
 
 def test_root_set_reads_its_scale_exponent_once(monkeypatch):
