@@ -3,10 +3,10 @@
 Three layers, from slow-and-universal to fast-and-specialized:
 
 * :func:`count_box_scan` - scan the bounding box in lexicographic order,
-  one array predicate per block of at most 2^14 coordinates; a block is a
-  fixed grid of the last coordinates, a run of values of the one before,
-  and constant earlier ones, so no coordinate is divided out of a flat
-  index.  Ground truth for everything
+  one array predicate per block of at most 2^17 bytes of coordinates; a
+  block is a fixed grid of the last coordinates, a run of values of the
+  one before, and constant earlier ones, so no coordinate is divided out
+  of a flat index.  Ground truth for everything
   else (verify-all row 5 checks the closed form below against such a scan
   of its deficiency predicate); kept to desk scale, and the automatic counter
   only for JSON polytopes of dimension 1 or >= 3.
@@ -20,8 +20,9 @@ Three layers, from slow-and-universal to fast-and-specialized:
 
 All counts are exact Python ints; (2k+1)^(n-1) at n = 13 already exceeds
 64-bit ranges, so nothing here ever touches floats.  A box scan holds
-coordinates in int64 (its box is capped well inside that range) and takes
-half-space dot products over Python ints.
+coordinates in the narrowest signed integer type that holds dim * r (at
+most int64: its box is capped well inside that range), in buffers it
+allocates once, and takes half-space dot products over Python ints.
 """
 
 from __future__ import annotations
@@ -37,14 +38,15 @@ from .polytopes import FamilyTag, LatticePolytope, dilate
 if TYPE_CHECKING:
     import numpy as np
 
-# Coordinates per block of a box scan, so points = _BLOCK // dim: large enough
-# that NumPy's per-call cost vanishes.  Blocks do not escape page faults: amid
-# other requests a pn:4 scan at k = 8 takes ~900 minor faults (glibc trims and
-# regrows the heap top); 2**13 removes them but slows the qn:5 scan.
-_BLOCK = 2**14
-# Box coordinates and the oracles' sums over them are int64: 2^60 points
-# bound every coordinate, and every sum of up to dim of them, well inside
-# that range, and no box this large could be scanned anyway.
+# Bytes of coordinates per block of a box scan, so points = _BLOCK // (dim *
+# itemsize): large enough that NumPy's per-call cost vanishes.  The scan
+# allocates its block, scratch rows and answers once, because temporaries
+# of a block's size, freed block after block, make glibc trim and regrow
+# the heap top and pay a page fault per page.
+_BLOCK = 2**17
+# A box of 2^60 points bounds dim * r, and so every sum of up to dim
+# coordinates, below 2^63: int64 always holds them, and no box this large
+# could be scanned anyway.
 _MAX_BOX = 2**60
 
 
@@ -54,79 +56,131 @@ class MembershipOracle:
 
     ``contains`` reads coordinates from the last axis of an integer array
     (``x[..., i]``), so it answers for one point, ``contains((1, 1))``, and
-    for a block of points at once, returning one boolean per point.  A box
-    scan hands it views of one reused buffer: ``contains`` must not keep
-    ``x``, because the next block overwrites it.
+    for a block of points at once, returning one boolean per point.
+
+    A box scan hands it views of one buffer that the scan owns: each
+    coordinate ``x[..., i]`` is a contiguous row, in the narrowest signed
+    integer type that holds ``dimension * bounding_radius``.  So a sum of up
+    to ``dimension`` absolute coordinates fits that type; a predicate that
+    needs more range casts up itself.  When ``scratch_rows`` is positive the
+    scan calls ``contains(x, scratch, out)``: ``scratch`` is a
+    ``(scratch_rows, len(x))`` array of x's type for the predicate's
+    temporaries, written through ``out=``, and ``out`` a boolean array of
+    ``len(x)`` that receives the answers and is returned.  The predicate
+    must keep none of the three, nor assume what they hold on entry: the
+    next block overwrites them.
     """
 
     dimension: int
-    contains: Callable[[np.ndarray], np.ndarray]
+    contains: Callable[..., np.ndarray]
     bounding_radius: int
+    scratch_rows: int = 0
+
+
+def _family_oracle(
+    dim: int, radius: int, rows: int, test: Callable[..., np.ndarray]
+) -> MembershipOracle:
+    """Oracle whose predicate ``test(x, scratch, out)`` needs ``rows`` scratch
+    rows; a call without them, like ``contains((1, 1))``, gets its own."""
+
+    def contains(
+        x: np.ndarray, scratch: np.ndarray | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        if scratch is not None:
+            return test(x, scratch, out)
+        import numpy as np
+
+        x = np.asarray(x)
+        points = x.reshape(-1, dim)
+        scratch = np.empty((rows, len(points)), points.dtype)
+        return test(points, scratch, np.empty(len(points), bool)).reshape(x.shape[:-1])
+
+    return MembershipOracle(dim, contains, radius, rows)
 
 
 def oracle_for(p: LatticePolytope) -> MembershipOracle:
     """Membership oracle for a family polytope or one with half-spaces.
 
     Family oracles account for the accumulated dilation scale, so the
-    oracle of ``dilate(pn_family(3), 2)`` answers for the dilated body.
-    Building one touches no array: NumPy loads when ``contains`` first
-    runs, so a box scan refused for its size never loads it.
+    oracle of ``dilate(pn_family(3), 2)`` answers for the dilated body, and
+    they take scratch from a box scan.  Building one touches no array:
+    NumPy loads when ``contains`` first runs, so a box scan refused for its
+    size never loads it.
     """
     fam = p.family
     if fam is not None:
-        s = fam.scale
+        s, dim = fam.scale, p.dimension
         if fam.tag is FamilyTag.CUBE:
 
-            def inside_cube(x: np.ndarray) -> np.ndarray:
+            def inside_cube(x, scratch, out) -> np.ndarray:
                 import numpy as np
 
-                return np.abs(x).max(-1) <= s
+                a = np.abs(x, out=scratch[:dim].T)
+                m = np.maximum.reduce(a, axis=-1, out=scratch[dim])
+                return np.less_equal(m, s, out=out)
 
-            return MembershipOracle(p.dimension, inside_cube, s)
+            return _family_oracle(dim, s, dim + 1, inside_cube)
         if fam.tag is FamilyTag.CROSSPOLYTOPE:
 
-            def inside_cross(x: np.ndarray) -> np.ndarray:
+            def inside_cross(x, scratch, out) -> np.ndarray:
                 import numpy as np
 
-                return np.abs(x).sum(-1) <= s
+                a = np.abs(x, out=scratch[:dim].T)
+                total = np.add.reduce(a, axis=-1, dtype=a.dtype, out=scratch[dim])
+                return np.less_equal(total, s, out=out)
 
-            return MembershipOracle(p.dimension, inside_cross, s)
+            return _family_oracle(dim, s, dim + 1, inside_cross)
         if fam.tag is FamilyTag.PN_FAMILY:
 
-            def inside_pn(x: np.ndarray) -> np.ndarray:
+            def inside_pn(x, scratch, out) -> np.ndarray:
                 import numpy as np
 
-                # At height h the slice is (s-h)*C_m + h*C_m*: the
-                # deficiency sum_i max(|x_i| - (s-h), 0) is at most h.
-                a = np.abs(x)
-                h = a[..., -1]
-                deficiency = np.maximum(a[..., :-1] - (s - h)[..., None], 0).sum(-1)
-                return (h <= s) & (deficiency <= h)
+                # At height h the slice is (s-h)*C_m + h*C_m*: with t = s - h,
+                # the deficiency sum_i max(|x_i| - t, 0) is at most h = s - t,
+                # that is sum_i max(|x_i|, t) - (m-1)t <= s, and t >= 0.  The
+                # last column holds -(m-1)t once h is read.  No maximum with
+                # a scalar: NumPy runs that one element at a time.  Where
+                # t < 0 the sums may wrap, but the minimum with t decides.
+                a = np.abs(x, out=scratch[:dim].T)
+                t = np.subtract(s, a[..., -1], out=scratch[dim])
+                np.multiply(t, 2 - dim, out=a[..., -1])
+                np.maximum(a[..., :-1], t[..., None], out=a[..., :-1])
+                slack = np.add.reduce(a, axis=-1, dtype=a.dtype, out=scratch[dim + 1])
+                np.subtract(s, slack, out=slack)
+                np.minimum(slack, t, out=slack)
+                return np.greater_equal(slack, 0, out=out)
 
-            return MembershipOracle(p.dimension, inside_pn, s)
+            return _family_oracle(dim, s, dim + 2, inside_pn)
         if fam.tag is FamilyTag.QN_FAMILY:
 
-            def inside_qn(x: np.ndarray) -> np.ndarray:
+            def inside_qn(x, scratch, out) -> np.ndarray:
                 import numpy as np
 
-                a = np.abs(x)
-                return a[..., -1] + a[..., :-1].max(-1) <= s
+                a = np.abs(x, out=scratch[:dim].T)
+                m = np.maximum.reduce(a[..., :-1], axis=-1, out=scratch[dim])
+                np.add(m, a[..., -1], out=m)
+                return np.less_equal(m, s, out=out)
 
-            return MembershipOracle(p.dimension, inside_qn, s)
+            return _family_oracle(dim, s, dim + 1, inside_qn)
         if fam.tag is FamilyTag.PRODUCT:
             sub = [oracle_for(dilate(f, s) if s > 1 else f) for f in fam.factors]
             ends = list(itertools.accumulate(o.dimension for o in sub))
 
-            def inside_product(x: np.ndarray) -> np.ndarray:
+            def inside_product(x, scratch, out) -> np.ndarray:
                 import numpy as np
 
-                x = np.asarray(x)
-                return np.logical_and.reduce(
-                    [o.contains(x[..., e - o.dimension : e]) for o, e in zip(sub, ends)]
-                )
+                # The first scratch row counts the factors that contain each
+                # point; each factor takes the rows after it as its scratch.
+                count = scratch[0]
+                count.fill(0)
+                for o, e in zip(sub, ends):
+                    buffers = (scratch[1:], out) if o.scratch_rows else ()
+                    np.add(count, o.contains(x[..., e - o.dimension : e], *buffers), out=count)
+                return np.equal(count, len(sub), out=out)
 
             radius = max(o.bounding_radius for o in sub)
-            return MembershipOracle(p.dimension, inside_product, radius)
+            rows = 1 + max(o.scratch_rows for o in sub)
+            return _family_oracle(dim, radius, rows, inside_product)
     if p.halfspaces is not None:
         halfspaces = p.halfspaces
 
@@ -152,7 +206,9 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
 def count_box_scan(oracle: MembershipOracle, max_points: int | None = None) -> int:
     """Exact point count by scanning the bounding box in blocks of points.
 
-    ``max_points`` refuses scans whose box exceeds the budget.
+    ``max_points`` refuses scans whose box exceeds the budget.  The oracle
+    sees coordinates in the narrowest signed type holding ``dimension *
+    bounding_radius`` (see :class:`MembershipOracle`).
     """
     r = oracle.bounding_radius
     dim = oracle.dimension
@@ -166,20 +222,30 @@ def count_box_scan(oracle: MembershipOracle, max_points: int | None = None) -> i
             f"box scan of {_shown(side)}^{dim} points exceeds the budget of "
             f"{_shown(max_points)}; use a family counter instead"
         )
-    if low >= _MAX_BOX.bit_length() or side**dim >= _MAX_BOX:
+    if low >= _MAX_BOX.bit_length() or (points := side**dim) >= _MAX_BOX:
         raise ValueError(f"box scan of {_shown(side)}^{dim} points is too large to index")
     import numpy as np
 
+    # The narrowest signed type that holds dim * r, so that a block of
+    # _BLOCK bytes holds as many points as it can.
+    bound = dim * r
+    size = 1 if bound < 2**7 else 2 if bound < 2**15 else 4 if bound < 2**31 else 8
+    dtype = f"i{size}"
+    fit = max(_BLOCK // (dim * size), 1)
+    rows, contains = oracle.scratch_rows, oracle.contains
     # Blocks are coordinate-major: the transpose makes each x[..., i]
-    # contiguous.  Coordinate i varies along axis i of a grid, filled by
+    # contiguous, and the rows after the coordinates are the oracle's
+    # scratch.  Coordinate i varies along axis i of a grid, filled by
     # broadcasting, which is faster than np.indices and np.tile.
-    fit = max(_BLOCK // dim, 1)
-    if side**dim <= fit:  # the whole box is one block, like verify-all's many tiny boxes
-        box = np.empty((dim,) + (side,) * dim, dtype=np.int64)
-        axis = np.arange(-r, r + 1, dtype=np.int64)
+    if points <= fit:  # the whole box is one block, like verify-all's many tiny boxes
+        box = np.empty((dim + rows,) + (side,) * dim, dtype)
+        axis = np.arange(-r, r + 1, dtype=dtype)
         for i in range(dim):
-            box[i] = axis.reshape((side,) + (1,) * (dim - 1 - i))
-        return int(np.count_nonzero(oracle.contains(box.reshape(dim, -1).T)))
+            box[i] = axis[(...,) + (None,) * (dim - 1 - i)]
+        flat = box.reshape(dim + rows, -1)
+        x = flat[:dim].T
+        inside = contains(x, flat[dim:], np.empty(points, bool)) if rows else contains(x)
+        return int(np.count_nonzero(inside))
     # Otherwise a block holds the leading d coordinates constant, steps
     # coordinate d through a run of c values, and pairs each value with the
     # grid of the last j coordinates, the largest that fits, built once:
@@ -189,19 +255,28 @@ def count_box_scan(oracle: MembershipOracle, max_points: int | None = None) -> i
         j += 1
     inner = side**j
     d, c = dim - j - 1, min(side, fit // inner)
-    block = np.empty((dim, c * inner), dtype=np.int64)
-    for i in range(1, j + 1):  # grid coordinate d + i, on a (c, side, ..., side) view
-        block[d + i].reshape((c,) + (side,) * j)[...] = np.arange(
-            -r, r + 1, dtype=np.int64
-        ).reshape((side,) + (1,) * (j - i))
-    run = np.arange(c, dtype=np.int64).repeat(inner)
+    block = np.empty((dim + rows, c * inner), dtype)
+    answers = np.empty(c * inner, bool)
+    # The grid for the run's first value, then copied to the other c - 1:
+    # copies of whole grids are faster than broadcasts along short axes.
+    if j:
+        axis = np.arange(-r, r + 1, dtype=dtype)
+        grid = block[d + 1 : dim]
+        for i in range(j):
+            grid[i, :inner].reshape((side,) * j)[...] = axis[(...,) + (None,) * (j - 1 - i)]
+        grid.reshape(j, c, inner)[:, 1:] = grid[:, None, :inner]
+    # Offsets below c <= 2r + 1 exceed the type only in dimension 1; there
+    # they wrap, and each sum with the run's start, in [-r, r], is exact.
+    run = np.arange(c).astype(dtype).repeat(inner)
     total = 0
     for outer in itertools.product(range(-r, r + 1), repeat=d):
         block[:d].T[...] = outer
         for lo in range(-r, r + 1, c):
             n = min(c, r + 1 - lo) * inner
             np.add(run[:n], lo, out=block[d, :n])
-            total += int(np.count_nonzero(oracle.contains(block[:, :n].T)))
+            x = block[:dim, :n].T
+            inside = contains(x, block[dim:, :n], answers[:n]) if rows else contains(x)
+            total += int(np.count_nonzero(inside))
     return total
 
 

@@ -163,9 +163,12 @@ def _deficiency_brute(m: int, a: int, b: int) -> int:
     box scan of [-(a+b), a+b]^m, independent of the closed form it checks."""
     import numpy as np
 
-    # max(|x_i| - a, 0) = max(|x_i|, a) - a
+    # max(|x_i| - a, 0) = max(|x_i|, a) - a; each term is at most a + b, the
+    # radius, so the sum stays in the scan's type.
     inside = MembershipOracle(
-        m, lambda x: np.maximum(np.abs(x), a).sum(-1) <= b + m * a, a + b
+        m,
+        lambda x: np.add.reduce(np.maximum(np.abs(x), a), axis=-1, dtype=x.dtype) <= b + m * a,
+        a + b,
     )
     return count_box_scan(inside)
 

@@ -1,10 +1,12 @@
 """Counting kernels: box scan, slice decompositions, DP, closed forms."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 from math import gcd
 from operator import mul
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -93,17 +95,22 @@ def test_box_scan_refuses_a_huge_box_with_the_exact_message():
     )
 
 
-def test_box_scan_hands_the_oracle_int64_coordinates():
-    # The predicate reads int64, so its own arithmetic has the range that
-    # the box guard leaves it.
-    seen = set()
+def test_box_scan_hands_the_oracle_the_narrowest_type_holding_dim_r():
+    # Every family predicate sums at most dim absolute coordinates, so the
+    # type holds dim * r; the largest radii here stop at the first block.
+    cases = [(3, 2, "int8"), (1, 127, "int8"), (1, 128, "int16"), (2, 63, "int8"),
+             (2, 64, "int16"), (1, 32767, "int16"), (2, 16384, "int32"),
+             (1, 2**31 - 1, "int32"), (1, 2**31, "int64")]
+    for dim, radius, name in cases:
+        seen = []
 
-    def contains(x):
-        seen.add(str(x.dtype))
-        return x[..., 0] == 0
+        def contains(x):
+            seen.append(str(x.dtype))
+            raise StopIteration
 
-    assert count_box_scan(MembershipOracle(3, contains, 2)) == 25
-    assert seen == {"int64"}
+        with pytest.raises(StopIteration):
+            count_box_scan(MembershipOracle(dim, contains, radius))
+        assert seen == [name], (dim, radius)
 
 
 def test_box_scan_past_int32_indexes_in_int64():
@@ -117,6 +124,33 @@ def test_box_scan_past_int32_indexes_in_int64():
     with pytest.raises(StopIteration):
         count_box_scan(MembershipOracle(1, contains, 2**31))
     assert first == [-(2**31)]
+
+
+@pytest.mark.parametrize(
+    "p, k, type_name",
+    [
+        (crosspolytope(1), 127, "int8"),
+        (crosspolytope(1), 128, "int16"),
+        (pn_family(2), 63, "int8"),
+        (pn_family(2), 64, "int16"),
+        (qn_family(2), 63, "int8"),
+        (qn_family(2), 64, "int16"),
+        (cube(1), 32767, "int16"),
+        (cube(1), 32768, "int32"),  # 65,537 points, 2^15 per block: the last holds one
+    ],
+)
+def test_box_scan_at_the_type_edges_equals_the_closed_forms(p, k, type_name):
+    """dim * r on each side of 127/128 and of 32767/32768: the narrow type
+    still holds every sum the predicate forms."""
+    oracle = oracle_for(dilate(p, k))
+    seen = set()
+
+    def recording(x, *buffers):
+        seen.add(str(x.dtype))
+        return oracle.contains(x, *buffers)
+
+    assert count_box_scan(replace(oracle, contains=recording)) == dilation_counter(p)(k)
+    assert seen == {type_name}
 
 
 @pytest.mark.parametrize(
@@ -442,11 +476,10 @@ def scanned_polytopes(draw):
 
 
 @given(scanned_polytopes())
-@example(dilate(qn_family(5), 4))  # 9^3 grid, runs of 4, 4 and 1 of the 2nd coordinate
-@example(dilate(pn_family(4), 8))  # 17^2 grid, runs of 14 and 3: a short last run
-@example(dilate(cube(1), 10_000))  # 20,001 > 2^14 points: no grid, runs of 2^14 and 3,617
+@example(dilate(qn_family(5), 4))  # int8: 9^4 grid, runs of 3, 3 and 3 of the 1st coordinate
+@example(dilate(pn_family(4), 8))  # int8: 17^3 grid, runs of 6, 6 and 5: a short last run
 @example(dilate(crosspolytope(3), 2))  # 5^3 points: the whole box in one block
-@example(dilate(crosspolytope(7), 2))  # 5^4 grid, runs of 3 and 2, two constant coordinates
+@example(dilate(crosspolytope(7), 2))  # int8: 5^6 grid, runs of 1
 @settings(max_examples=60, deadline=None)
 def test_box_scan_equals_the_point_by_point_loop(p):
     """The block scan visits every box point once, in order, and each block's
@@ -460,8 +493,8 @@ def _assert_scan_is_the_point_by_point_loop(oracle):
     answers = [bool(oracle.contains(x)) for x in box]
     blocks = []
 
-    def recording(x):
-        answer = oracle.contains(x)
+    def recording(x, *buffers):
+        answer = oracle.contains(x, *buffers)
         blocks.append((x.tolist(), answer.tolist()))
         return answer
 
@@ -472,27 +505,73 @@ def _assert_scan_is_the_point_by_point_loop(oracle):
 
 def test_box_scan_with_fewer_block_points_than_a_side(monkeypatch):
     """When a block holds fewer points than one side of the box has, there
-    is no grid, and all but the last coordinate stay constant."""
-    monkeypatch.setattr(counting, "_BLOCK", 12)  # 2 points of dimension 6
+    is no grid, and all but the last coordinate stay constant; when it holds
+    a grid and a few of its copies, the coordinates before them do."""
+    monkeypatch.setattr(counting, "_BLOCK", 12)  # 2 int8 points of dimension 6
     _assert_scan_is_the_point_by_point_loop(oracle_for(qn_family(6)))
-    monkeypatch.setattr(counting, "_BLOCK", 27)  # 4 points of dimension 6
+    monkeypatch.setattr(counting, "_BLOCK", 27)  # 4 int8 points of dimension 6
     _assert_scan_is_the_point_by_point_loop(oracle_for(dilate(crosspolytope(6), 2)))
+    monkeypatch.setattr(counting, "_BLOCK", 8)  # 8 int8 points: runs of 8 and a last 1
+    _assert_scan_is_the_point_by_point_loop(oracle_for(dilate(cube(1), 20)))
+    # 20 int8 points of dimension 5: a 3^2 grid, runs of 2 and 1, and two
+    # constant coordinates.
+    monkeypatch.setattr(counting, "_BLOCK", 100)
+    _assert_scan_is_the_point_by_point_loop(oracle_for(crosspolytope(5)))
 
 
 @pytest.mark.parametrize("p", [
     cube(1), dilate(cube(1), 10_000), dilate(cube(2), 100), dilate(pn_family(4), 8),
     dilate(qn_family(5), 4), dilate(crosspolytope(6), 3), dilate(qn_family(6), 2),
-    cube(13),
+    cube(13), dilate(cube(1), 40_000), dilate(cube(2), 200),
 ])
 def test_box_scan_blocks_hold_at_most_the_block_size(p):
-    sizes = []
+    """_BLOCK counts bytes: a block holds at most that many bytes of
+    coordinates, so a narrower type means more points per block."""
+    sizes, types = [], set()
 
-    def recording(x):
-        sizes.append(x.size)
-        return oracle.contains(x)
+    def recording(x, *buffers):
+        sizes.append(x.nbytes)
+        types.add(x.dtype)
+        return oracle.contains(x, *buffers)
 
     oracle = oracle_for(p)
     side = 2 * oracle.bounding_radius + 1
     assert count_box_scan(replace(oracle, contains=recording)) == count_box_scan(oracle)
-    assert sum(sizes) == side**oracle.dimension * oracle.dimension
+    (dtype,) = types
+    assert sum(sizes) == side**oracle.dimension * oracle.dimension * dtype.itemsize
     assert max(sizes) <= counting._BLOCK
+
+
+@pytest.mark.parametrize("family, n, k, more", [(pn_family, 4, 8, 16), (qn_family, 5, 4, 8)])
+def test_box_scan_allocates_no_numpy_data_per_block(family, n, k, more):
+    """The scan allocates its buffers once: at dilation k and at a larger one,
+    which has many more blocks, the same NumPy data is live at every block,
+    and between two blocks the traced peak rises by less than a page, far
+    less than one coordinate row of a block."""
+
+    def trace(p):
+        oracle = oracle_for(p)
+        live, rises, since = set(), [], [0]
+
+        def recording(x, *buffers):
+            # The traced peak since the previous block began: that block's
+            # test, its count, and the scan's step to this block.
+            rises.append(tracemalloc.get_traced_memory()[1] - since[0])
+            live.add(len(tracemalloc.take_snapshot().filter_traces([numpy_data]).traces))
+            tracemalloc.reset_peak()
+            since[0] = tracemalloc.get_traced_memory()[0]
+            return oracle.contains(x, *buffers)
+
+        tracemalloc.start()
+        try:
+            count_box_scan(replace(oracle, contains=recording))
+        finally:
+            tracemalloc.stop()
+        return live, rises[1:], len(rises)
+
+    numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    live, rises, blocks = trace(dilate(family(n), k))
+    more_live, more_rises, more_blocks = trace(dilate(family(n), more))
+    assert blocks > 1 and more_blocks > 10 * blocks
+    assert len(live) == 1 and more_live == live
+    assert max(rises + more_rises) < 4096
