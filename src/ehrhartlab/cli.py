@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Any
 
 from .counting import dilation_counter, scan_counter
-from .ehrhart import EhrhartPolynomial, ehrhart_of
+from .ehrhart import EhrhartPolynomial, ehrhart_from_recipe, ehrhart_of
 from .polytopes import (
     FamilyTag,
     Halfspace,
@@ -435,7 +435,8 @@ def _load_polytope(req: CommandRequest) -> LatticePolytope:
 
 
 def _ehrhart_for(req: CommandRequest, p: LatticePolytope) -> EhrhartPolynomial:
-    return ehrhart_of(p, dilation_counter(p, max_box_points=req.max_box_points))
+    ehr = ehrhart_from_recipe(p)  # None: only counts describe p
+    return ehr or ehrhart_of(p, dilation_counter(p, max_box_points=req.max_box_points))
 
 
 def _is_lattice(p: LatticePolytope) -> bool:

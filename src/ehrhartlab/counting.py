@@ -379,12 +379,17 @@ def dilation_counter(
                 return total
 
             return counter
-    if p.dimension == 2:  # a polygon's vertices are its hull chain
-        hull = p.vertices
-        twice_area = boundary = 0
-        for (ux, uy), (vx, vy) in zip(hull, hull[1:] + hull[:1]):
-            twice_area += ux * vy - vx * uy
-            boundary += gcd(vx - ux, vy - uy)
+    if p.dimension == 2:
+        boundary, twice_area = pick_sums(p)
         return lambda k: (twice_area * k * k + boundary * k) // 2 + 1
 
     return scan_counter(p, max_box_points)
+
+
+def pick_sums(p: LatticePolytope) -> tuple[int, int]:
+    """(B, 2A): a polygon's boundary points and twice its area, from its hull."""
+    hull, boundary, twice_area = p.vertices, 0, 0
+    for (ux, uy), (vx, vy) in zip(hull, hull[1:] + hull[:1]):
+        twice_area += ux * vy - vx * uy
+        boundary += gcd(vx - ux, vy - uy)
+    return boundary, twice_area

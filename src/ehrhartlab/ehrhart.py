@@ -2,9 +2,9 @@
 
 The central object is :class:`EhrhartPolynomial`: the degree-n polynomial
 whose value at k is the number of lattice points in the k-fold dilate of
-an n-dimensional lattice polytope.  Construction is by exact interpolation
-through counts at k = 0..n (no oversampling; a degree mismatch means the
-counter is buggy and is reported as such).
+an n-dimensional lattice polytope, read off a recipe where there is one
+(:func:`ehrhart_from_recipe`), else interpolated through counts at k = 0..n
+(no oversampling: a degree mismatch reports a buggy counter).
 
 The bipyramid family additionally has closed-form coefficients
 
@@ -25,13 +25,16 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable
 
+from .counting import pick_sums
 from .exact import (
     Polynomial,
+    _taylor_shift,
     bernoulli,
     bernoulli_magnitude_bounds,
+    from_differences,
     interpolate,
 )
-from .polytopes import LatticePolytope
+from .polytopes import FamilyTag, LatticePolytope
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,6 +97,47 @@ def ehrhart_of(
     return EhrhartPolynomial(n, interpolate(values))
 
 
+def ehrhart_from_recipe(p: LatticePolytope) -> EhrhartPolynomial | None:
+    """From p's recipe, the Ehrhart polynomial of a family or polygon; else None."""
+    fam, n = p.family, p.dimension
+    if fam is None:  # a polygon by Pick's theorem: L(k) = (2A k^2 + B k + 2)/2
+        if n != 2:
+            return None
+        return EhrhartPolynomial(2, Polynomial([2, *pick_sums(p)], 2))
+    if fam.tag is FamilyTag.CUBE:  # (2k + 1)^n
+        poly = Polynomial([comb(n, i) << i for i in range(n + 1)], 1)
+    elif fam.tag is FamilyTag.CROSSPOLYTOPE:  # h* = (1 + t)^n
+        poly = from_differences([comb(n, j) << j for j in range(n + 1)])
+    elif fam.tag is FamilyTag.QN_FAMILY:
+        poly = qn_coefficients(n).poly
+    elif fam.tag is FamilyTag.PN_FAMILY:
+        # Delta^i L(0) is x^i in sum_j h_j x^j (1 + x)^(n - j) = x^n R(1 + 1/x),
+        # R the reversal of h*: by additions alone, a Taylor shift by 1.
+        poly = from_differences(_taylor_shift(pn_h_star(n)[::-1], 1)[::-1])
+    else:
+        factors = [ehrhart_from_recipe(f) for f in fam.factors]
+        if None in factors:
+            return None
+        poly = product_coefficients(*factors).poly
+    scaled = [c * fam.scale**i for i, c in enumerate(poly.numerators)]  # L(sk)
+    return EhrhartPolynomial(n, Polynomial(scaled, poly.denominator))
+
+
+def pn_h_star(n: int) -> list[int]:
+    """h* of the cube-crosspolytope hybrid (the slices of ``count_pn_sliced``
+    summed over heights), with m = n - 1 and B_r the type-B Eulerian
+    polynomial, B_0 = 1, B_r = (1 + (2r-1)t) B_(r-1) + 2t(1 - t) B'_(r-1):
+    h* = (1 + t) B_m(t) + 2 sum_{i=1..m} C(m, i) 2^i t^i B_(m-i)(t)."""
+    m, h, b = n - 1, [0] * (n + 1), [1]
+    for r in range(m):  # b is B_r, the term i = m - r
+        for j, x in enumerate(b, m - r):
+            h[j] += (comb(m, r) << (m - r + 1)) * x
+        # t^j in B_(r+1): (2j + 1) b_j + (2(r + 1 - j) + 1) b_(j-1)
+        b = [(2 * j + 1) * x + (2 * (r + 1 - j) + 1) * y
+             for j, (x, y) in enumerate(zip(b + [0], [0] + b))]
+    return [x + y + z for x, y, z in zip(h, b + [0], [0] + b)]  # + (1 + t) B_m
+
+
 def product_coefficients(
     ehr_p: EhrhartPolynomial, ehr_q: EhrhartPolynomial
 ) -> EhrhartPolynomial:
@@ -113,6 +157,7 @@ def qn_coefficients(n: int) -> EhrhartPolynomial:
     # integer over n d.  C(n, j+1) C(j+1, i) = C(n, i) C(n-i, j+1-i) turns the
     # sum for c_i into C(n, i) 2^(i-1) s[n-i], s[r] = sum_m C(r, m) b[m] 2^m:
     # the b[m] 2^m are the forward differences of s at 0, undone by additions.
+    bernoulli(n - 1)  # one table build, where rising indices would rebuild it
     bs = [bernoulli(m).as_integer_ratio() for m in range(n)]
     d = lcm(*(q for _, q in bs))
     s = [p * (d // q) << m for m, (p, q) in enumerate(bs)]

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import comb, factorial, gcd, lcm
+from functools import cached_property
+from math import factorial, gcd, lcm
 from operator import ne
 from typing import Iterable, Sequence
 
 RationalLike = Fraction | int
+_BERNOULLI: list[Fraction] = []  # B_0, B_1, ... as far as bernoulli() was asked
 
 # Directed rational enclosure of pi, wide enough for the magnitude bounds
 # up to index ~15 (enclosure error ~3e-15 relative vs. bound gaps >~1e-9).
@@ -41,21 +42,23 @@ PI_LOWER = Fraction(314159265358979, 10**14)
 PI_UPPER = Fraction(314159265358980, 10**14)
 
 
-@lru_cache(maxsize=None)
 def bernoulli(j: int) -> Fraction:
-    """Return the j-th Bernoulli number B_j, with B_1 = -1/2.
-
-    Computed by the defining recurrence sum_{m=0}^{j} C(j+1, m) B_m = 0
-    and memoized; desk scale needs indices up to ~30 only.
-    """
+    """The j-th Bernoulli number, B_1 = -1/2.  A table too short is rebuilt at
+    least twice as long from the tangent numbers T_k, by Brent and Harvey's
+    O(k^2) integer recurrence (2011): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
     if j < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if j == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for m in range(j):
-        total += comb(j + 1, m) * bernoulli(m)
-    return -total / (j + 1)
+    if len(_BERNOULLI) <= j:
+        m = max(j // 2, len(_BERNOULLI))
+        t = [0] + [factorial(k - 1) for k in range(1, m + 1)]  # T_k once done
+        for k in range(2, m + 1):
+            for i in range(k, m + 1):
+                t[i] = (i - k) * t[i - 1] + (i - k + 2) * t[i]
+        _BERNOULLI[:] = [Fraction(1), Fraction(-1, 2)]
+        for k in range(1, m + 1):  # B_2k and B_2k+1
+            b = Fraction(2 * k * t[k], (4**k - 1) << 2 * k)
+            _BERNOULLI.extend((b if k % 2 else -b, Fraction(0)))
+    return _BERNOULLI[j]
 
 
 def bernoulli_magnitude_bounds(j: int) -> tuple[Fraction, Fraction]:
@@ -344,14 +347,19 @@ def _unit_disc_exterior(g: list[int]) -> int:
 
 
 def interpolate(values: Sequence[int]) -> Polynomial:
-    """The p of degree < len(values) with p(k) = values[k]: with n the last
-    k and D_j = Delta^j p(0), n! p(t) = sum_j D_j (n!/j!) t(t-1)...(t-j+1)
-    is expanded in Z[t] by Horner's rule and divided by n! once."""
+    """The p of degree < len(values) with p(k) = values[k]."""
     a = list(values)
     n = len(a) - 1
     for level in range(1, n + 1):
         for i in range(n, level - 1, -1):
             a[i] -= a[i - 1]
+    return from_differences(a)
+
+
+def from_differences(a: list[int]) -> Polynomial:
+    """The p of degree n < len(a) with Delta^j p(0) = a[j], overwriting a: n! p(t)
+    = sum_j a[j] (n!/j!) t(t-1)...(t-j+1) in Z[t] by Horner's rule, over n!."""
+    n = len(a) - 1
     scale = 1
     for j in range(n, -1, -1):
         a[j] *= scale

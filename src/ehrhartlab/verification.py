@@ -249,9 +249,9 @@ def _random_polygon_agreement(samples: int) -> int:
     attempts = 0
     while accepted < samples and attempts < 100 * samples:
         attempts += 1
-        points = [
-            (rng.randint(-4, 4), rng.randint(-4, 4))
-            for _ in range(rng.randint(3, 8))
+        points = [  # randrange(a, b + 1) is randint(a, b) without its call
+            (rng.randrange(-4, 5), rng.randrange(-4, 5))
+            for _ in range(rng.randrange(3, 9))
         ]
         try:
             polygon = hull2d(points)

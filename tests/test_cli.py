@@ -307,6 +307,45 @@ def test_cli_count_runs_counters_only_at_nodes(monkeypatch, tmp_path, capsys, so
     assert seen and max(seen) <= n
 
 
+@pytest.mark.parametrize(
+    "cmd", [("ehrhart",), ("roots",), ("wills",), ("bounds",), ("count", "-k", "9")]
+)
+def test_cli_family_and_polygon_polynomials_come_from_the_recipe(
+    monkeypatch, tmp_path, capsys, cmd
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial with a recipe was interpolated")
+
+    path = tmp_path / "pentagon.json"
+    path.write_text(json.dumps({"dimension": 2, "vertices": [list(v) for v in PENTAGON]}))
+    monkeypatch.setattr(cli, "ehrhart_of", refuse)
+    for source in (
+        ["--family", "product(dilate(pn:3,2),cross:2)"],
+        ["--family", "dilate(qn:4,3)"],
+        ["--json", str(path)],
+    ):
+        assert main([*cmd, *source]) in (EXIT_OK, EXIT_FINDING)
+    capsys.readouterr()
+
+
+def test_cli_interpolates_json_polytopes_off_the_plane(monkeypatch, tmp_path, capsys):
+    seen = []
+
+    def recording(p, counter):
+        seen.append(p.dimension)
+        return ehrhart_of(p, counter)
+
+    path = tmp_path / "segment.json"
+    halfspaces = [{"normal": [1], "rhs": 2}, {"normal": [-1], "rhs": 1}]
+    path.write_text(
+        json.dumps({"dimension": 1, "vertices": [[-1], [2]], "halfspaces": halfspaces})
+    )
+    monkeypatch.setattr(cli, "ehrhart_of", recording)
+    code, out = run_cli(capsys, "ehrhart", "--json", str(path), "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["coefficients"] == ["1", "3"]
+    assert seen == [1]
+
+
 def test_cli_count_beyond_nodes_needs_only_the_node_boxes(tmp_path, capsys):
     # The 77-fold box has 309^2 points; the node boxes up to k = 2 have 81.
     path = tmp_path / "pentagon.json"

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ehrhartlab.counting import (
     count_box_scan,
@@ -14,7 +16,9 @@ from ehrhartlab.counting import (
 )
 from ehrhartlab.ehrhart import (
     EhrhartPolynomial,
+    ehrhart_from_recipe,
     ehrhart_of,
+    pn_h_star,
     product_coefficients,
     qn_coefficients,
     qn_first_coefficient,
@@ -22,6 +26,8 @@ from ehrhartlab.ehrhart import (
 )
 from ehrhartlab.exact import Polynomial
 from ehrhartlab.polytopes import (
+    Halfspace,
+    LatticePolytope,
     crosspolytope,
     cube,
     dilate,
@@ -30,6 +36,7 @@ from ehrhartlab.polytopes import (
     product,
     qn_family,
 )
+from ehrhartlab.verification import HYBRID7_COEFFICIENTS
 from test_polytopes import dot
 
 HYBRID7 = (
@@ -206,3 +213,75 @@ def test_triangle_polynomial_from_box_scan():
     triangle = hull2d([(-1, -1), (-1, 2), (2, -1)])
     e = ehr(triangle)
     assert e.coefficients == (Fraction(1), Fraction(9, 2), Fraction(9, 2))
+
+
+def h_star(ehr):
+    """The h*-vector read off the polynomial:
+    h*_j = sum_{i<=j} (-1)^i C(n+1, i) L(j - i)."""
+    n = ehr.dimension
+    return [
+        sum((-1) ** i * comb(n + 1, i) * ehr(j - i) for i in range(j + 1))
+        for j in range(n + 1)
+    ]
+
+
+@st.composite
+def polygons(draw):
+    coordinate = st.integers(-5, 5)
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=8))
+    try:
+        return hull2d(points)
+    except ValueError:  # fewer than three distinct points, or collinear
+        assume(False)
+
+
+bodies = st.recursive(
+    st.one_of(
+        st.builds(cube, st.integers(1, 12)),
+        st.builds(crosspolytope, st.integers(1, 12)),
+        st.builds(pn_family, st.integers(2, 12)),
+        st.builds(qn_family, st.integers(2, 12)),
+        polygons(),
+    ),
+    lambda inner: st.one_of(
+        st.builds(dilate, inner, st.integers(1, 4)), st.builds(product, inner, inner)
+    ),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bodies)
+def test_recipe_polynomial_equals_interpolated_counts(p):
+    recipe = ehrhart_from_recipe(p)
+    assert recipe == ehr(p)
+    assert min(h_star(recipe)) >= 0  # Stanley
+
+
+def test_recipe_named_values():
+    assert ehrhart_from_recipe(pn_family(7)).coefficients == HYBRID7_COEFFICIENTS
+    assert ehrhart_from_recipe(cube(3)).coefficients == (1, 6, 12, 8)
+    assert ehrhart_from_recipe(dilate(crosspolytope(2), 3)).coefficients == (1, 6, 18)
+    triangle = hull2d([(-1, -1), (-1, 2), (2, -1)])
+    assert ehrhart_from_recipe(triangle).coefficients == (1, Fraction(9, 2), Fraction(9, 2))
+
+
+def test_hybrid_h_star_matches_its_counts():
+    for n in range(2, 13):
+        assert pn_h_star(n) == h_star(ehr(pn_family(n)))
+
+
+def test_h_star_nonnegative_and_palindromic_where_reflexive():
+    for n in range(2, 13):
+        assert min(pn_h_star(n)) >= 0
+        for p in (cube(n), crosspolytope(n), qn_family(n)):
+            h = h_star(ehrhart_from_recipe(p))
+            assert min(h) >= 0 and h == h[::-1]
+
+
+def test_no_recipe_for_json_polytopes_off_the_plane():
+    segment = LatticePolytope(1, ((-1,), (2,)), (Halfspace((1,), 2), Halfspace((-1,), 1)))
+    simplex = LatticePolytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for p in (segment, simplex, product(cube(2), segment), dilate(product(simplex, cube(1)), 2)):
+        assert ehrhart_from_recipe(p) is None
+    assert ehrhart_from_recipe(product(segment, hull2d([(0, 0), (1, 0), (0, 1)]))) is None

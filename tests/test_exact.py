@@ -51,6 +51,23 @@ def test_bernoulli_rejects_negative():
         bernoulli(-1)
 
 
+def recurrence_bernoulli(count):
+    """B_0..B_{count-1} by sum_{m=0}^{j} C(j+1, m) B_m = 0, in Fractions."""
+    b = [Fraction(1)]
+    for j in range(1, count):
+        b.append(-sum(comb(j + 1, m) * x for m, x in enumerate(b)) / (j + 1))
+    return b
+
+
+def test_bernoulli_table_matches_the_recurrence(monkeypatch):
+    expected = recurrence_bernoulli(81)
+    monkeypatch.setattr(exact, "_BERNOULLI", [])
+    # Asked in rising order, the table is rebuilt each time it is too short.
+    assert [bernoulli(j) for j in range(81)] == expected
+    monkeypatch.setattr(exact, "_BERNOULLI", [])
+    assert [bernoulli(j) for j in range(80, -1, -1)] == expected[::-1]
+
+
 def test_bernoulli_defining_recurrence():
     # sum_{m=0}^{j} C(j+1, m) B_m = 0 for j >= 1
     for j in range(1, 20):

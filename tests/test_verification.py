@@ -1,9 +1,11 @@
 """The verify-all report: pinned to a checked-in expectation, and free of
 state carried from one run to the next."""
 
+import random
 import re
 from pathlib import Path
 
+from ehrhartlab import verification
 from ehrhartlab.cli import EXIT_OK, main
 from ehrhartlab.exact import Polynomial
 from ehrhartlab.verification import run_all
@@ -41,3 +43,18 @@ def test_run_all_shift_count(monkeypatch):
     monkeypatch.setattr(Polynomial, "shift", counted)
     run_all()
     assert len(calls) == 33
+
+
+def test_row9_draws_the_points_of_a_randint_loop(monkeypatch):
+    """randrange(a, b + 1) is randint(a, b): row 9 samples the same 72
+    point lists, 50 of them accepted, as randint calls seeded with 1729."""
+    drawn = []
+    hull2d = verification.hull2d
+    monkeypatch.setattr(verification, "hull2d", lambda points: drawn.append(points) or hull2d(points))
+    assert verification._random_polygon_agreement(50) == 50
+    rng = random.Random(1729)
+    expected = [
+        [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 8))]
+        for _ in drawn
+    ]
+    assert len(drawn) == 72 and drawn == expected
