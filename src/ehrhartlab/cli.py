@@ -17,7 +17,7 @@ Polytopes come either from the family grammar
 
 or from a JSON file (see README for the schema).  Exact values are always
 rendered as fraction strings; decimals appear only for roots, printed to
-12 significant digits but not certified (cross:60 is off by 1.6e-6).
+12 significant digits but not certified (cross:60 is off by 1.4e-6).
 Exit status: 0 success, 1 a check reported a violation (a finding, not
 an error), 2 a usage or input error, with one ``error: ...`` line on
 stderr that shortens long values.
@@ -54,6 +54,7 @@ from .roots import (
     coefficient_ratio_bound,
     common_real_part,
     find_roots,
+    parity_necessary_check,
     point_count_bound,
     volume_bound,
     wills_check,
@@ -464,17 +465,19 @@ def _cmd_ehrhart(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
 
 def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any]:
     rs = find_roots(ehr.poly)
-    # Roots on one line lie on their mean; parity at -1/a reads the same shift.
-    on_mean = common_real_part(rs, -rs.mean)
-    on_target = rs.mean == -1 / req.a
+    # Roots on one line lie on their mean, so they lie on -1/a iff they lie
+    # on their mean and parity holds at -1/a; both read the polynomial's shift.
+    mean = ehr.poly.mean
+    on_mean = common_real_part(rs, -mean)
+    parity = parity_necessary_check(ehr, req.a)
     return {
         # By printed pairs: float noise below 12 digits sets no order.
         "roots": sorted([_round12(z.real), _round12(z.imag)] for z in rs.roots),
         "residual_bound": _round12(rs.residual_bound),
         "real_part_target": str(-1 / req.a),
-        "common_real_part": on_mean and on_target,
-        "detected_common_real_part": _round12(float(rs.mean)) if on_mean else None,
-        "parity_necessary_check": on_target and rs.mean_shift is not None,
+        "common_real_part": on_mean and parity,
+        "detected_common_real_part": _round12(float(mean)) if on_mean else None,
+        "parity_necessary_check": parity,
         "braun_disc_check": braun_disc_check(rs, ehr.dimension),
     }
 

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from math import comb, gcd
 from typing import TYPE_CHECKING, Callable
 
+from .exact import interpolate
 from .polytopes import FamilyTag, LatticePolytope, dilate
 
 if TYPE_CHECKING:
@@ -351,9 +352,11 @@ def dilation_counter(
 ) -> Callable[[int], int]:
     """Best exact counter k -> #(kP cap Z^n) for the given polytope.
 
-    Family polytopes use their closed forms and polygons Pick's
-    theorem; a JSON polytope of dimension 1 or >= 3 falls back to a box
-    scan of the dilate (guarded by ``max_box_points``).
+    Family polytopes use their closed forms (the bipyramid's and the
+    hybrid's sums, whose terms grow with the dilation, stop growing past
+    dilation n^2) and polygons Pick's theorem; a JSON polytope of
+    dimension 1 or >= 3 falls back to a box scan of the dilate (guarded by
+    ``max_box_points``).
     """
     fam = p.family
     if fam is not None:
@@ -363,9 +366,9 @@ def dilation_counter(
         if fam.tag is FamilyTag.CROSSPOLYTOPE:
             return lambda k: count_minkowski_dp(p.dimension, 0, s * k)
         if fam.tag is FamilyTag.PN_FAMILY:
-            return lambda k: count_pn_sliced(p.dimension, s * k)
+            return _sum_counter(partial(count_pn_sliced, p.dimension), p.dimension, s)
         if fam.tag is FamilyTag.QN_FAMILY:
-            return lambda k: count_qn_closed(p.dimension, s * k)
+            return _sum_counter(partial(count_qn_closed, p.dimension), p.dimension, s)
         if fam.tag is FamilyTag.PRODUCT:
             subs = [
                 dilation_counter(dilate(f, s) if s > 1 else f, max_box_points)
@@ -384,6 +387,15 @@ def dilation_counter(
         return lambda k: (twice_area * k * k + boundary * k) // 2 + 1
 
     return scan_counter(p, max_box_points)
+
+
+def _sum_counter(count: Callable[[int], int], n: int, s: int) -> Callable[[int], int]:
+    """k -> count(s k) for a closed form that sums O(K) terms at dilation K
+    and is a polynomial of degree n in K: past K = n^2 the value is read off
+    that polynomial, interpolated once through count(0..n), so no dilation,
+    however large, costs more than about n^3 terms."""
+    polynomial = cache(lambda: interpolate([count(j) for j in range(n + 1)]))
+    return lambda k: count(s * k) if s * k <= n * n else int(polynomial()(s * k))
 
 
 def pick_sums(p: LatticePolytope) -> tuple[int, int]:

@@ -105,9 +105,9 @@ def ehrhart_from_recipe(p: LatticePolytope) -> EhrhartPolynomial | None:
             return None
         return EhrhartPolynomial(2, Polynomial([2, *pick_sums(p)], 2))
     if fam.tag is FamilyTag.CUBE:  # (2k + 1)^n
-        poly = Polynomial([comb(n, i) << i for i in range(n + 1)], 1)
+        poly = Polynomial([c << i for i, c in enumerate(_binomial_row(n))], 1)
     elif fam.tag is FamilyTag.CROSSPOLYTOPE:  # h* = (1 + t)^n
-        poly = from_differences([comb(n, j) << j for j in range(n + 1)])
+        poly = from_differences([c << j for j, c in enumerate(_binomial_row(n))])
     elif fam.tag is FamilyTag.QN_FAMILY:
         poly = qn_coefficients(n).poly
     elif fam.tag is FamilyTag.PN_FAMILY:
@@ -123,15 +123,26 @@ def ehrhart_from_recipe(p: LatticePolytope) -> EhrhartPolynomial | None:
     return EhrhartPolynomial(n, Polynomial(scaled, poly.denominator))
 
 
+def _binomial_row(n: int) -> list[int]:
+    """C(n, 0), ..., C(n, n) by the running product C(n, i + 1) =
+    C(n, i) (n - i) / (i + 1), each division exact: one small multiplication
+    per entry, where ``math.comb`` would start each entry afresh."""
+    row = [1]
+    for i in range(n):
+        row.append(row[-1] * (n - i) // (i + 1))
+    return row
+
+
 def pn_h_star(n: int) -> list[int]:
     """h* of the cube-crosspolytope hybrid (the slices of ``count_pn_sliced``
     summed over heights), with m = n - 1 and B_r the type-B Eulerian
     polynomial, B_0 = 1, B_r = (1 + (2r-1)t) B_(r-1) + 2t(1 - t) B'_(r-1):
     h* = (1 + t) B_m(t) + 2 sum_{i=1..m} C(m, i) 2^i t^i B_(m-i)(t)."""
     m, h, b = n - 1, [0] * (n + 1), [1]
+    row = _binomial_row(m)
     for r in range(m):  # b is B_r, the term i = m - r
         for j, x in enumerate(b, m - r):
-            h[j] += (comb(m, r) << (m - r + 1)) * x
+            h[j] += (row[r] << (m - r + 1)) * x
         # t^j in B_(r+1): (2j + 1) b_j + (2(r + 1 - j) + 1) b_(j-1)
         b = [(2 * j + 1) * x + (2 * (r + 1 - j) + 1) * y
              for j, (x, y) in enumerate(zip(b + [0], [0] + b))]

@@ -45,20 +45,25 @@ PI_UPPER = Fraction(314159265358980, 10**14)
 def bernoulli(j: int) -> Fraction:
     """The j-th Bernoulli number, B_1 = -1/2.  A table too short is rebuilt at
     least twice as long from the tangent numbers T_k, by Brent and Harvey's
-    O(k^2) integer recurrence (2011): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    O(k^2) integer recurrence (2011): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+    The new table is built apart and published by one assignment, so a caller
+    that reads the table while another builds one sees a whole table."""
+    global _BERNOULLI
     if j < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if len(_BERNOULLI) <= j:
-        m = max(j // 2, len(_BERNOULLI))
+    table = _BERNOULLI
+    if len(table) <= j:
+        m = max(j // 2, len(table))
         t = [0] + [factorial(k - 1) for k in range(1, m + 1)]  # T_k once done
         for k in range(2, m + 1):
             for i in range(k, m + 1):
                 t[i] = (i - k) * t[i - 1] + (i - k + 2) * t[i]
-        _BERNOULLI[:] = [Fraction(1), Fraction(-1, 2)]
+        table = [Fraction(1), Fraction(-1, 2)]
         for k in range(1, m + 1):  # B_2k and B_2k+1
             b = Fraction(2 * k * t[k], (4**k - 1) << 2 * k)
-            _BERNOULLI.extend((b if k % 2 else -b, Fraction(0)))
-    return _BERNOULLI[j]
+            table.extend((b if k % 2 else -b, Fraction(0)))
+        _BERNOULLI = table
+    return table[j]
 
 
 def bernoulli_magnitude_bounds(j: int) -> tuple[Fraction, Fraction]:
@@ -87,7 +92,9 @@ class Polynomial:
     numerators, no trailing zero; zero is (0,) over 1), so ``==`` and
     ``hash`` compare values.  ``Polynomial(coefficients)`` takes Fractions
     or ints, ``Polynomial(numerators, denominator)`` an integer vector.
-    Instances are immutable and safe to share across threads.
+    The Fraction view, the roots' mean and the one shift to it are cached
+    on first read, so every check of one instance shares them.  Instances
+    are immutable and safe to share across threads.
     """
 
     numerators: tuple[int, ...]
@@ -112,6 +119,19 @@ class Polynomial:
     def coefficients(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, built on first read."""
         return tuple(Fraction(x, self.denominator) for x in self.numerators)
+
+    @cached_property
+    def mean(self) -> Fraction:
+        """The roots' mean -c_{n-1}/(n c_n); 0 for a constant, which has none."""
+        c, n = self.numerators, self.degree
+        return Fraction(-c[n - 1], n * c[n]) if n else Fraction(0)
+
+    @cached_property
+    def mean_shift(self) -> "Polynomial | None":
+        """q(t) = p(t + mean) if q(-t) = (-1)^n q(t), else None: the one
+        shift that every root-line test of this polynomial reads."""
+        q = self.shift(self.mean)
+        return None if any(q.numerators[j] for j in range(q.degree - 1, -1, -2)) else q
 
     @property
     def degree(self) -> int:

@@ -10,18 +10,21 @@ sum |c_j| |z|^j (Higham), one Horner pass per root.  Where a float
 could leave its range (high degree or huge coefficients), all of this runs
 on the monic factor in t = 2^e y, e read off the coefficients' sizes,
 which leaves the backward error unchanged; otherwise nothing is scaled.
+Roots that no one scale brings into float range (2^e itself past it, or
+sizes that differ by more than floats span) raise a ValueError.
 
 Whether all roots have real part -1/a is decided exactly.  Roots on one
 line lie on their mean m = -c_{n-1}/(n c_n), so any other line is refused
-from two coefficients, and ``RootSet`` shifts once, to q(t) = p(t + m):
-q(-t) = (-1)^n q(t) must hold (the parity condition), and then r(y) =
-i^-n q(iy) is real and must have only real roots, which Sturm's theorem
-counts on its squarefree part.  Braun's disc |z + 1/2| <= n(n - 1/2) is
-decided exactly too: Fujiwara's bound on the shifted integer coefficients
-proves it, or else a Routh-Hurwitz count after a Moebius map counts the
-roots outside.  No verdict here reads a float root.  :func:`find_roots`
-is the one entry point that computes the floats; the exact checks take
-``RootSet(poly)``, which computes none.
+from two coefficients, and the polynomial caches its one shift to it,
+q(t) = p(t + m) (``Polynomial.mean_shift``): q(-t) = (-1)^n q(t) must
+hold (the parity condition), and then r(y) = i^-n q(iy) is real and must
+have only real roots, which Sturm's theorem counts on its squarefree
+part.  Braun's disc |z + 1/2| <= n(n - 1/2) is decided exactly too:
+Fujiwara's bound on the shifted integer coefficients proves it, or else a
+Routh-Hurwitz count after a Moebius map counts the roots outside.  No
+verdict here reads a float root.  :func:`find_roots` is the one entry
+point that computes the floats; the exact checks take ``RootSet(poly)``,
+which computes none.
 
 The inequality checks themselves (coefficient ratios, the volume bound,
 and the point-count bound) are exact rational comparisons valid for
@@ -34,6 +37,7 @@ have roots off that line (the degree-9 bipyramid is such a case).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -57,8 +61,8 @@ class RootSet:
     """All complex roots of ``poly`` with multiplicity, sorted by (real,
     imag); ``residual_bound`` is their largest backward error.  Both are
     computed on first read: :func:`find_roots` reads both before it
-    returns, and the exact checks, which read ``poly`` and its one shift
-    ``mean_shift``, take a ``RootSet(poly)`` and never pay for the floats.
+    returns, and the exact checks, which read only ``poly`` and the shift
+    it caches, take a ``RootSet(poly)`` and never pay for the floats.
     Exact squarefree splitting comes first, so multiple roots (the
     dilated-cube polynomials) come out exact instead of scattered."""
 
@@ -89,19 +93,6 @@ class RootSet:
         return _backward_error(_scaled(self.poly, e), [z * 2.0**-e for z in self.roots])
 
     @cached_property
-    def mean(self) -> Fraction:
-        """The roots' mean -c_{n-1}/(n c_n); 0 for a constant, which has none."""
-        c, n = self.poly.numerators, self.poly.degree
-        return Fraction(-c[n - 1], n * c[n]) if n else Fraction(0)
-
-    @cached_property
-    def mean_shift(self) -> Polynomial | None:
-        """q(t) = p(t + mean) if q(-t) = (-1)^n q(t), else None: the one
-        shift that every line test reads."""
-        q = self.poly.shift(self.mean)
-        return None if any(q.numerators[j] for j in range(q.degree - 1, -1, -2)) else q
-
-    @cached_property
     def _scale_exponent(self) -> int | None:
         """None when no float met in finding the roots can leave float range,
         else the e that brings the geometric mean of the nonzero roots near
@@ -109,7 +100,8 @@ class RootSet:
         |c_j/c_n|^(1/(n-j)) (Fujiwara), so the coefficients and values at the
         roots of ``poly``, of a monic factor and of its derivative stay
         below n max(|c_n|, 1) (2 max(R, 1))^n.  ``roots`` and
-        ``residual_bound`` share this one reading."""
+        ``residual_bound`` share this one reading; a ValueError, before any
+        float is computed, when 2^e or 2^-e is past float range."""
         n, d = self.poly.degree, self.poly.denominator
         logs = []
         for j, c in enumerate(self.poly.numerators):
@@ -122,7 +114,10 @@ class RootSet:
         if largest < _FLOAT_BITS and min(l for l, _ in logs) > -_FLOAT_BITS:
             return None
         low, j = logs[0]
-        return round((low - lead) / (n - j)) if j < n else 0
+        e = round((low - lead) / (n - j)) if j < n else 0
+        if abs(e) >= sys.float_info.max_exp:  # 2.0**e or 2.0**-e overflows
+            raise ValueError(f"roots past float range: their size is about 2^{e}")
+        return e
 
 
 class BoundVerdict(NamedTuple):
@@ -188,8 +183,13 @@ def _scaled(f: Polynomial, e: int) -> Polynomial:
 
 
 def _floats(p: Polynomial) -> list[float]:
-    """The coefficients, each correctly rounded (int / int is)."""
-    return [x / p.denominator for x in p.numerators]
+    """The coefficients, each correctly rounded (int / int is); a ValueError
+    when one is past float range, as when the roots' sizes spread wider
+    than one scale 2^e brings into it."""
+    try:
+        return [x / p.denominator for x in p.numerators]
+    except OverflowError:
+        raise ValueError("roots past float range: their sizes differ by more than floats span") from None
 
 
 def _newton_polish(coeffs: list[float], eigenvalues: Iterable[complex]) -> list[complex]:
@@ -255,7 +255,7 @@ def _mean_on_line(p: Polynomial, target: Fraction | int) -> bool:
 def common_real_part(rs: RootSet, target: Fraction | int) -> bool:
     """True iff every root of ``rs.poly`` has real part exactly -target
     (callers pass 1/a), decided as the module docstring describes."""
-    if not _mean_on_line(rs.poly, target) or (q := rs.mean_shift) is None:
+    if not _mean_on_line(rs.poly, target) or (q := rs.poly.mean_shift) is None:
         return False
     n = q.degree
     r = Polynomial(
@@ -269,13 +269,14 @@ def common_real_part(rs: RootSet, target: Fraction | int) -> bool:
 def parity_necessary_check(ehr: EhrhartPolynomial, a: Fraction | int) -> bool:
     """Exact root-free necessary condition for all roots on Re = -1/a.
 
-    Shifts the polynomial to -1/a and tests q(-t) == (-1)^n q(t)
-    coefficient-wise.  Roots on the line force this symmetry; the
-    converse fails, so :func:`common_real_part` decides sufficiency.
+    Refuses -1/a unless it is the roots' mean, then tests the polynomial's
+    one shift to it for q(-t) == (-1)^n q(t) coefficient-wise.  Roots on
+    the line force this symmetry; the converse fails, so
+    :func:`common_real_part` decides sufficiency.
     """
     if a <= 0:
         raise ValueError("a must be positive")
-    return _mean_on_line(ehr.poly, 1 / Fraction(a)) and RootSet(ehr.poly).mean_shift is not None
+    return _mean_on_line(ehr.poly, 1 / Fraction(a)) and ehr.poly.mean_shift is not None
 
 
 def braun_disc_check(rs: RootSet, n: int) -> bool:

@@ -705,6 +705,20 @@ def test_cli_box_budget_guard(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--family", f"dilate(cube:1,{10**308})"],  # one root near 2^-1025
+        ["bounds", "--family", f"dilate(cross:2,{10**400})"],
+        ["roots", "--family", f"product(cube:2,dilate(cube:2,{10**308}))"],  # roots 2^1024 apart
+    ],
+)
+def test_cli_roots_past_float_range_exit_2(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: roots past float range") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("k", ["1000000000000000000", "10000000000000000000"])
 def test_cli_box_too_large_to_index_exits_2(capsys, k):
     # 2*10^18 + 1 and 2*10^19 + 1 points: no budget admits a box scan of them.

@@ -14,7 +14,8 @@ The parser answers random token argvs as the argparse oracle in
 forms the parser keeps, help or one stderr line otherwise.
 
 Sizes stay small: family parameters up to 6, dilation factors up to 2
-and at most two of them, ``-k`` up to 50 or one of two huge values
+or one of 10^307, 10^308 and 10^400 (roots near and past float range), and
+at most two of them, ``-k`` up to 50 or one of two huge values
 (10^1500, whose counts can pass the int-to-str digit limit, and a
 5,000-digit value past the limit of ``int()`` itself), and every run passes
 ``--max-box-points`` of at most 10^4.  Output goes through
@@ -78,9 +79,15 @@ leaf_spec = st.builds(
 )
 
 
+# Dilation factors: small ones, and huge ones, whose roots sit near the
+# bottom of the float range (10^307) or past it (10^308, 10^400) and whose
+# slice sums cannot be summed term by term.
+FACTOR = st.one_of(st.integers(0, 2), st.sampled_from([10**307, 10**308, 10**400]))
+
+
 def maybe_dilated(inner):
     return st.one_of(
-        inner, st.builds("dilate({},{})".format, inner, st.integers(0, 2))
+        inner, st.builds("dilate({},{})".format, inner, FACTOR)
     )
 
 

@@ -16,6 +16,7 @@ from ehrhartlab.counting import (
 )
 from ehrhartlab.ehrhart import (
     EhrhartPolynomial,
+    _binomial_row,
     ehrhart_from_recipe,
     ehrhart_of,
     pn_h_star,
@@ -264,6 +265,17 @@ def test_recipe_named_values():
     assert ehrhart_from_recipe(dilate(crosspolytope(2), 3)).coefficients == (1, 6, 18)
     triangle = hull2d([(-1, -1), (-1, 2), (2, -1)])
     assert ehrhart_from_recipe(triangle).coefficients == (1, Fraction(9, 2), Fraction(9, 2))
+
+
+def test_binomial_rows_by_running_product_are_math_comb():
+    for n in (0, 1, 2, 7, 400):
+        assert _binomial_row(n) == [comb(n, i) for i in range(n + 1)]
+    n = 400  # the recipes that read the rows
+    assert ehrhart_from_recipe(cube(n)).poly.numerators == tuple(
+        comb(n, i) << i for i in range(n + 1)
+    )
+    cross = ehrhart_from_recipe(crosspolytope(n))
+    assert [cross(k) for k in range(3)] == [1, 2 * n + 1, 2 * n * n + 2 * n + 1]
 
 
 def test_hybrid_h_star_matches_its_counts():

@@ -1,6 +1,7 @@
 """Exact numerics: Bernoulli numbers, polynomial algebra."""
 
 import sys
+import threading
 from fractions import Fraction
 from math import comb, gcd
 
@@ -66,6 +67,53 @@ def test_bernoulli_table_matches_the_recurrence(monkeypatch):
     assert [bernoulli(j) for j in range(81)] == expected
     monkeypatch.setattr(exact, "_BERNOULLI", [])
     assert [bernoulli(j) for j in range(80, -1, -1)] == expected[::-1]
+
+
+def test_bernoulli_reentry_during_a_build_leaves_a_whole_table(monkeypatch):
+    """A caller that arrives while the table is being built (another thread,
+    or here a re-entrant call from inside the build) must leave every entry
+    right, and both callers must get the right number."""
+    monkeypatch.setattr(exact, "_BERNOULLI", [])
+    real, calls, inner = Fraction, [], []
+
+    def reentrant(*args):
+        calls.append(args)
+        if len(calls) == 3:  # B_2 of the outer build, after B_0 and B_1
+            inner.append(bernoulli(80))
+        return real(*args)
+
+    monkeypatch.setattr(exact, "Fraction", reentrant)
+    outer = bernoulli(10)
+    table = exact._BERNOULLI
+    expected = recurrence_bernoulli(max(len(table), 81))
+    assert (outer, inner) == (expected[10], [expected[80]])
+    assert table == expected[: len(table)]
+
+
+def test_bernoulli_table_stays_whole_under_threads(monkeypatch):
+    """Six threads build the table at once, switching as often as the
+    interpreter allows: every answer and every entry left is right."""
+    # A build that read a table of length L <= j <= 80 leaves 2 + 2 L <= 162 entries.
+    expected = recurrence_bernoulli(162)
+    indices = (10, 20, 40, 60, 70, 80)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            monkeypatch.setattr(exact, "_BERNOULLI", [])
+            got = {}
+            threads = [threading.Thread(target=lambda j=j: got.update({j: bernoulli(j)}))
+                       for j in indices]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == {j: expected[j] for j in indices}
+            table = exact._BERNOULLI
+            assert table == expected[: len(table)]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_bernoulli_defining_recurrence():

@@ -527,8 +527,8 @@ def test_root_set_reads_its_scale_exponent_once(monkeypatch):
 def test_mean_test_is_only_a_shortcut(coefficients, own_mean, u, v):
     """Symmetry about a line -target forces the line to be the roots' mean,
     so the line tests refuse any other line from two coefficients and read
-    RootSet's one shift to the mean; that changes no verdict of a shift by
-    -target and its parity test."""
+    the polynomial's one cached shift to the mean; that changes no verdict
+    of a shift by -target and its parity test."""
     low, lead = coefficients
     p = Polynomial([*low, lead])
     n = p.degree
@@ -537,7 +537,34 @@ def test_mean_test_is_only_a_shortcut(coefficients, own_mean, u, v):
     )
     q = p.shift(-target)
     parity = not any(q.numerators[j] for j in range(n - 1, -1, -2))
-    rs = RootSet(p)
-    assert (rs.mean == -target and rs.mean_shift is not None) == parity
+    assert (p.mean == -target and p.mean_shift is not None) == parity
     if parity:
-        assert rs.mean_shift == q
+        assert p.mean_shift == q
+
+
+@pytest.mark.parametrize("parity_first", [True, False])
+@pytest.mark.parametrize(
+    "make,on_line",
+    [(lambda: ehr(cube(4)), True), (lambda: ehr(crosspolytope(5)), True),
+     (lambda: qn_coefficients(9), False)],  # qn:9 passes parity, its roots are off the line
+)
+def test_parity_and_line_test_share_one_shift(monkeypatch, make, on_line, parity_first):
+    """The parity check and the line test of one polynomial read the shift
+    it caches, so between them they shift it once, in either order."""
+    e = make()
+    calls = []
+    shift = Polynomial.shift
+
+    def counted(self, c):
+        calls.append(c)
+        return shift(self, c)
+
+    monkeypatch.setattr(Polynomial, "shift", counted)
+    checks = {
+        "parity": lambda: parity_necessary_check(e, 2),
+        "line": lambda: common_real_part(RootSet(e.poly), Fraction(1, 2)),
+    }
+    order = ("parity", "line") if parity_first else ("line", "parity")
+    verdicts = {name: checks[name]() for name in order}
+    assert len(calls) == 1
+    assert verdicts == {"parity": True, "line": on_line}

@@ -31,8 +31,8 @@ def test_run_all_carries_no_state_between_calls():
 
 
 def test_run_all_shift_count(monkeypatch):
-    """Row 7 shifts twice for each of its 16 polynomials (the parity check
-    and the line test each build a RootSet) and row 9 once."""
+    """Row 7 shifts once for each of its 16 polynomials (the parity check
+    and the line test read the shift the polynomial caches) and row 9 once."""
     calls = []
     shift = Polynomial.shift
 
@@ -42,7 +42,7 @@ def test_run_all_shift_count(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "shift", counted)
     run_all()
-    assert len(calls) == 33
+    assert len(calls) == 17
 
 
 def test_row9_draws_the_points_of_a_randint_loop(monkeypatch):
