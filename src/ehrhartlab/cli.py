@@ -43,6 +43,7 @@ from .polytopes import (
     crosspolytope,
     cube,
     dilate,
+    hull2d,
     list_sizes,
     pn_family,
     product,
@@ -372,18 +373,28 @@ def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
 
 
 def _polytope_summary(poly_json: dict[str, Any]) -> str:
-    """Family label and dimension; a vertex count only for explicit lists."""
+    """The family spec, as ``--family`` reads it, and the dimension; a vertex
+    count for explicit lists, and a factor count for a product with them."""
     dimension = poly_json["dimension"]
     if "family" not in poly_json:
         return f"generic, dimension {dimension}, {len(poly_json['vertices'])} vertices"
-    fam, params = poly_json["family"]["tag"], poly_json["family"]["params"]
-    if fam == "product":
-        label = f"product of {len(params['factors'])} factors"
-    else:
-        label = f"{fam}:{params['n']}"
-        if params["scale"] != 1:
-            label = f"dilate({label},{params['scale']})"
+    label = _spec_text(poly_json["family"])
+    if label is None:
+        label = f"product of {len(poly_json['family']['params']['factors'])} factors"
     return f"{label}, dimension {dimension}"
+
+
+def _spec_text(family: dict[str, Any]) -> str | None:
+    """The grammar spec of a family's JSON; None if explicit lists are in it."""
+    tag, params = family["tag"], family["params"]
+    if tag == "product":
+        factors = [f.get("family") and _spec_text(f["family"]) for f in params["factors"]]
+        if None in factors:
+            return None
+        text = f"product({','.join(factors)})"
+    else:
+        text = f"{'cross' if tag == 'crosspolytope' else tag}:{params['n']}"
+    return text if params["scale"] == 1 else f"dilate({text},{params['scale']})"
 
 
 def render_report(report: dict[str, Any], fmt: str) -> str:
@@ -440,21 +451,9 @@ def _ehrhart_for(req: CommandRequest, p: LatticePolytope) -> EhrhartPolynomial:
     return ehr or ehrhart_of(p, dilation_counter(p, max_box_points=req.max_box_points))
 
 
-def _is_lattice(p: LatticePolytope) -> bool:
-    """Known to have integral vertices: families, polygons (the type checks
-    their half-spaces) and intervals (normals +-1).  Half-spaces given in
-    dimension >= 3 may cut out a rational polytope: its counts are no polynomial."""
-    fam = p.family  # a product's factors must be lattice polytopes too
-    return p.dimension <= 2 or fam is not None and all(map(_is_lattice, fam.factors))
-
-
 def _cmd_count(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
-    if req.method == "box":  # the oracle scans at k itself
-        value = scan_counter(p, req.max_box_points)(req.k)
-    elif req.k <= p.dimension or not _is_lattice(p):
-        value = dilation_counter(p, max_box_points=req.max_box_points)(req.k)
-    else:  # L_P is integer-valued, and its values at k = 0..n fix it
-        value = int(_ehrhart_for(req, p)(req.k))
+    counter = scan_counter if req.method == "box" else dilation_counter
+    value = counter(p, req.max_box_points)(req.k)
     method = "box-scan" if req.method == "box" else "auto"
     return {"k": req.k, "count": value, "method": method}, EXIT_OK
 
@@ -542,16 +541,17 @@ def _cmd_bounds(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
 
 def _cmd_reflexive(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
     n_vertices, n_halfspaces = list_sizes(p)
-    if n_halfspaces is None:
+    if n_halfspaces is None and p.dimension != 2:
         raise SpecError(
             "reflexivity needs a half-space representation (2D hulls are "
             "built automatically; higher dimensions must supply halfspaces)"
         )
-    if max(n_vertices, n_halfspaces) > _MAX_LISTED:
+    if max(n_vertices, n_halfspaces or 0) > _MAX_LISTED:
         raise SpecError(f"reflexivity would list over {_MAX_LISTED} vertices/facets")
     ehr = _ehrhart_for(req, p)
+    body = p if n_halfspaces is not None else hull2d(p.vertices)  # pn:2: its hull
     try:
-        report_obj = reflexivity_equivalence(p, ehr)
+        report_obj = reflexivity_equivalence(body, ehr)
     except OriginNotInteriorError as exc:
         raise SpecError(f"hypothesis failure: {exc}") from exc
     report = {

@@ -18,6 +18,11 @@ Three layers, from slow-and-universal to fast-and-specialized:
   (area A, B lattice points on its boundary), read off its vertices, which
   are its hull chain.
 
+:func:`dilation_counter` picks among them and holds the one node rule:
+closed forms answer at every dilation, while the sums and a segment's box
+scan, whose cost grows with the dilation, count only while s k <= n and
+past that read the Ehrhart polynomial.
+
 All counts are exact Python ints; (2k+1)^(n-1) at n = 13 already exceeds
 64-bit ranges, so nothing here ever touches floats.  A box scan holds
 coordinates in the narrowest signed integer type that holds dim * r (at
@@ -30,11 +35,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, partial
-from math import comb, gcd
+from math import comb
 from typing import TYPE_CHECKING, Callable
 
-from .exact import interpolate
-from .polytopes import FamilyTag, LatticePolytope, dilate
+from .ehrhart import ehrhart_from_recipe, ehrhart_of
+from .polytopes import FamilyTag, LatticePolytope, dilate, pick_sums
 
 if TYPE_CHECKING:
     import numpy as np
@@ -350,58 +355,55 @@ def scan_counter(
 def dilation_counter(
     p: LatticePolytope, max_box_points: int | None = None
 ) -> Callable[[int], int]:
-    """Best exact counter k -> #(kP cap Z^n) for the given polytope.
+    """Exact counter k -> #(kP cap Z^n), with the one node rule.
 
-    Family polytopes use their closed forms (the bipyramid's and the
-    hybrid's sums, whose terms grow with the dilation, stop growing past
-    dilation n^2) and polygons Pick's theorem; a JSON polytope of
-    dimension 1 or >= 3 falls back to a box scan of the dilate (guarded by
-    ``max_box_points``).
+    Closed forms answer at every k: cubes, crosspolytopes, polygons by
+    Pick's theorem, and products of these.  A counter whose cost grows with
+    the dilation it counts (the hybrid's and bipyramid's sums, the box scan
+    of a JSON segment) counts only while s k <= n, s the family scale; past
+    that it reads p's Ehrhart polynomial, from p's recipe or else
+    interpolated through its own counts at k = 0..n.  A JSON polytope of
+    dimension >= 3 is scanned at every k (guarded by ``max_box_points``):
+    half-spaces given there may cut out a rational polytope, whose counts
+    are no polynomial.
     """
-    fam = p.family
-    if fam is not None:
-        s = fam.scale
-        if fam.tag is FamilyTag.CUBE:
-            return lambda k: (2 * s * k + 1) ** p.dimension
-        if fam.tag is FamilyTag.CROSSPOLYTOPE:
-            return lambda k: count_minkowski_dp(p.dimension, 0, s * k)
-        if fam.tag is FamilyTag.PN_FAMILY:
-            return _sum_counter(partial(count_pn_sliced, p.dimension), p.dimension, s)
-        if fam.tag is FamilyTag.QN_FAMILY:
-            return _sum_counter(partial(count_qn_closed, p.dimension), p.dimension, s)
-        if fam.tag is FamilyTag.PRODUCT:
-            subs = [
-                dilation_counter(dilate(f, s) if s > 1 else f, max_box_points)
-                for f in fam.factors
-            ]
+    fam, n = p.family, p.dimension
+    s = 1 if fam is None else fam.scale
+    if fam is None:
+        if n == 2:
+            boundary, twice_area = pick_sums(p)
+            return lambda k: (twice_area * k * k + boundary * k) // 2 + 1
+        count = scan_counter(p, max_box_points)
+        if n >= 3:
+            return count
+    elif fam.tag is FamilyTag.CUBE:
+        return lambda k: (2 * s * k + 1) ** n
+    elif fam.tag is FamilyTag.CROSSPOLYTOPE:
+        return lambda k: count_minkowski_dp(n, 0, s * k)
+    elif fam.tag is FamilyTag.PRODUCT:
+        subs = [
+            dilation_counter(dilate(f, s) if s > 1 else f, max_box_points)
+            for f in fam.factors
+        ]
 
-            def counter(k: int) -> int:
-                total = 1
-                for c in subs:
-                    total *= c(k)
-                return total
+        def counter(k: int) -> int:
+            total = 1
+            for c in subs:
+                total *= c(k)
+            return total
 
-            return counter
-    if p.dimension == 2:
-        boundary, twice_area = pick_sums(p)
-        return lambda k: (twice_area * k * k + boundary * k) // 2 + 1
+        return counter
+    else:
+        closed = count_pn_sliced if fam.tag is FamilyTag.PN_FAMILY else count_qn_closed
+        count = partial(closed, n)  # of the unscaled body, at dilation s k
+    polynomial = None
 
-    return scan_counter(p, max_box_points)
+    def node_rule(k: int) -> int:
+        nonlocal polynomial
+        if s * k <= n:
+            return count(s * k)
+        # Only a body with no recipe is interpolated, and its scale s is 1.
+        polynomial = polynomial or ehrhart_from_recipe(p) or ehrhart_of(p, count)
+        return int(polynomial(k))
 
-
-def _sum_counter(count: Callable[[int], int], n: int, s: int) -> Callable[[int], int]:
-    """k -> count(s k) for a closed form that sums O(K) terms at dilation K
-    and is a polynomial of degree n in K: past K = n^2 the value is read off
-    that polynomial, interpolated once through count(0..n), so no dilation,
-    however large, costs more than about n^3 terms."""
-    polynomial = cache(lambda: interpolate([count(j) for j in range(n + 1)]))
-    return lambda k: count(s * k) if s * k <= n * n else int(polynomial()(s * k))
-
-
-def pick_sums(p: LatticePolytope) -> tuple[int, int]:
-    """(B, 2A): a polygon's boundary points and twice its area, from its hull."""
-    hull, boundary, twice_area = p.vertices, 0, 0
-    for (ux, uy), (vx, vy) in zip(hull, hull[1:] + hull[:1]):
-        twice_area += ux * vy - vx * uy
-        boundary += gcd(vx - ux, vy - uy)
-    return boundary, twice_area
+    return node_rule

@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable
 
-from .counting import pick_sums
 from .exact import (
     Polynomial,
     _taylor_shift,
@@ -34,7 +33,7 @@ from .exact import (
     from_differences,
     interpolate,
 )
-from .polytopes import FamilyTag, LatticePolytope
+from .polytopes import FamilyTag, LatticePolytope, pick_sums
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,7 +6,8 @@ cube-crosspolytope hybrid families the vertex list is the generator list
 (generators may fail to be extreme in low dimensions - route through
 :func:`hull2d` when a minimal polygon description is needed).  Half-space
 representations use primitive integer normals.  A polygon (explicit lists
-in dimension 2) is stored as its hull chain and one half-space per edge.
+in dimension 2) is stored as its hull chain and one half-space per edge, a
+segment (dimension 1) as its two ends and two half-spaces.
 There is deliberately no vertex-to-facet conversion in dimension >= 3:
 every family here has either an explicit H-representation or a membership
 oracle.
@@ -94,6 +95,8 @@ class LatticePolytope:
     ones.  A polygon keeps the counterclockwise hull chain of the points it
     is given as its vertices, and its half-spaces must be that chain's
     edges (any order, kept as given); without them it gets one per edge.
+    A segment (dimension 1) keeps its two ends, lowest first, and the
+    half-spaces x <= max and -x <= -min, given exactly or derived.
     """
 
     dimension: int
@@ -116,14 +119,19 @@ class LatticePolytope:
                 raise ValueError(
                     f"vertex {v} has {len(v)} coordinates, expected {self.dimension}"
                 )
-        if self.dimension == 2:
-            # Half-spaces other than the hull's edges may cut out a polygon
-            # with rational vertices, whose counts are no polynomial.
-            verts = _hull_chain(verts)
-            edges = tuple(map(_edge, verts, verts[1:] + verts[:1]))
-            if halfspaces is not None and set(halfspaces) != set(edges):
-                raise ValueError("half-spaces are not the edges of the vertices' hull")
-            halfspaces = halfspaces or edges
+        if self.dimension <= 2:
+            # Half-spaces other than the hull's facets may cut out a polygon
+            # with rational vertices, whose counts are no polynomial, or
+            # leave a segment's box scan unbounded on one side.
+            if self.dimension == 1:
+                verts, facets = _segment(verts)
+            else:
+                verts = _hull_chain(verts)
+                facets = tuple(map(_edge, verts, verts[1:] + verts[:1]))
+            if halfspaces is not None and set(halfspaces) != set(facets):
+                kind = "ends" if self.dimension == 1 else "edges"
+                raise ValueError(f"half-spaces are not the {kind} of the vertices' hull")
+            halfspaces = halfspaces or facets
         else:
             for hs in halfspaces or ():
                 if len(hs.normal) != self.dimension:
@@ -323,6 +331,14 @@ def _polar_scaled(hs: Sequence[Halfspace], l: int) -> PolarScaled:
     return PolarScaled(lattice, tuple(verts))
 
 
+def _segment(points: Sequence[IntVector]) -> _Lists:
+    """A segment's two ends, lowest first, and x <= max, -x <= -min."""
+    lo, hi = min(points), max(points)
+    if lo == hi:
+        raise ValueError("a segment needs two distinct points")
+    return (lo, hi), (Halfspace((1,), hi[0]), Halfspace((-1,), -lo[0]))
+
+
 def _hull_chain(points: Iterable[IntVector]) -> tuple[IntVector, ...]:
     """Hull vertices of integer points in the plane (monotone chain):
     counterclockwise from the lexicographic minimum, collinear middles
@@ -360,6 +376,15 @@ def hull2d(points: Iterable[Sequence[int]]) -> LatticePolytope:
     points, or all collinear) is rejected.
     """
     return LatticePolytope(2, tuple(points))
+
+
+def pick_sums(p: LatticePolytope) -> tuple[int, int]:
+    """(B, 2A): a polygon's boundary points and twice its area, from its hull."""
+    hull, boundary, twice_area = p.vertices, 0, 0
+    for (ux, uy), (vx, vy) in zip(hull, hull[1:] + hull[:1]):
+        twice_area += ux * vy - vx * uy
+        boundary += gcd(vx - ux, vy - uy)
+    return boundary, twice_area
 
 
 def _edge(u: IntVector, v: IntVector) -> Halfspace:

@@ -2,12 +2,14 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -27,7 +29,7 @@ from ehrhartlab.cli import (
     polytope_from_json,
     polytope_to_json,
 )
-from ehrhartlab.counting import dilation_counter
+from ehrhartlab.counting import dilation_counter, scan_counter
 from ehrhartlab.ehrhart import ehrhart_of, qn_coefficients
 from ehrhartlab.exact import Polynomial
 from ehrhartlab.polytopes import (
@@ -278,6 +280,9 @@ def pick_count(vertices, k):
     ],
 )
 def test_cli_count_runs_counters_only_at_nodes(monkeypatch, tmp_path, capsys, source):
+    """No box scan and no hybrid or bipyramid sum runs past s k = n (s the
+    family scale, n the dimension it counts in): closed forms answer at any
+    k, and the other counters read their polynomial past the nodes."""
     if source.endswith(".json"):
         (tmp_path / source).write_text(
             json.dumps({"dimension": 2, "vertices": [list(v) for v in PENTAGON]})
@@ -288,23 +293,48 @@ def test_cli_count_runs_counters_only_at_nodes(monkeypatch, tmp_path, capsys, so
         argv = ["--family", source]
         poly = parse_polytope_spec(source)
     n = poly.dimension
-    seen = []
+    expected = ehrhart_of(poly, scan_counter(poly))  # scans at k <= n, no recipe
+    sums, scans = [], []
 
-    def recording_counter(*args, **kwargs):
-        counter = dilation_counter(*args, **kwargs)
+    def recording_sum(name):
+        original = getattr(counting, name)
+        return lambda m, k: sums.append((m, k)) or original(m, k)
 
-        def record(k):
-            seen.append(k)
-            return counter(k)
-
-        return record
-
-    monkeypatch.setattr(cli, "dilation_counter", recording_counter)
+    for name in ("count_pn_sliced", "count_qn_closed"):
+        monkeypatch.setattr(counting, name, recording_sum(name))
+    box_scan = counting.count_box_scan
+    monkeypatch.setattr(counting, "count_box_scan",
+                        lambda oracle, **kw: scans.append(oracle) or box_scan(oracle, **kw))
     for k in (0, n, n + 1, 23):
         code, out = run_cli(capsys, "count", *argv, "-k", str(k), "--format", "json")
         assert code == EXIT_OK
-        assert json.loads(out)["count"] == dilation_counter(poly)(k)
-    assert seen and max(seen) <= n
+        assert json.loads(out)["count"] == expected(k)
+    assert all(k <= m for m, k in sums)
+    assert bool(sums) == ("pn" in source or "qn" in source)
+    assert not scans
+
+
+def test_cli_segment_given_by_its_ends(monkeypatch, tmp_path, capsys):
+    """A JSON segment given by vertices alone is stored as its hull, with
+    the half-spaces x <= 3 and -x <= 2; its count scans no dilate past k = 1."""
+    path = tmp_path / "segment.json"
+    path.write_text(json.dumps({"dimension": 1, "vertices": [[3], [0], [-2]]}))
+    code, out = run_cli(capsys, "ehrhart", "--json", str(path), "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["coefficients"] == ["1", "5"]
+    assert payload["polytope"]["vertices"] == [[-2], [3]]
+    assert payload["polytope"]["halfspaces"] == [
+        {"normal": [1], "rhs": 3}, {"normal": [-1], "rhs": 2}
+    ]
+    radii = []
+    box_scan = counting.count_box_scan
+    monkeypatch.setattr(counting, "count_box_scan",
+                        lambda oracle, **kw: radii.append(oracle.bounding_radius)
+                        or box_scan(oracle, **kw))
+    code, out = run_cli(capsys, "count", "--json", str(path), "-k", "7", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["count"] == 36
+    assert radii and max(radii) <= 3
 
 
 @pytest.mark.parametrize(
@@ -652,6 +682,16 @@ def test_cli_reflexive_reports(capsys):
     assert "root_line_consequence" not in payload  # it was True for every input
 
 
+@pytest.mark.parametrize("spec,status,index_l", [("pn:2", EXIT_OK, 1), ("dilate(pn:2,3)", EXIT_FINDING, 3)])
+def test_cli_reflexive_builds_the_hull_of_a_plane_family(capsys, spec, status, index_l):
+    """pn:2 lists no half-spaces, but it is the square [-1, 1]^2 (h* = (1, 6, 1)):
+    the report reads its hull."""
+    code, out = run_cli(capsys, "reflexive", "--family", spec, "--format", "json")
+    payload = json.loads(out)
+    assert code == status and payload["index_l"] == index_l
+    assert payload["def_check"] is (status == EXIT_OK) and payload["agree"] is True
+
+
 def test_cli_json_file_input(tmp_path, capsys):
     path = tmp_path / "triangle.json"
     triangle = hull2d([(-1, -1), (-1, 2), (2, -1)])
@@ -908,6 +948,22 @@ def test_cli_answer_past_the_digit_limit_exits_2(capsys, fmt, family, k):
     assert captured.err.startswith("error: Exceeds the limit")
 
 
+@pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 4504, reason="needs Python's int-to-str digit limit")
+@pytest.mark.parametrize("family,k", [("cube:20000", 20001), ("product(cube:3000,cross:500)", 4000)])
+def test_cli_count_one_step_past_the_nodes_stays_closed_form(capsys, family, k):
+    """Cubes and crosspolytopes answer in closed form at every k, so these
+    counts reach the renderer's digit limit in milliseconds and exit 2 with
+    one line.  Read off the Ehrhart polynomial past k = n, they took 0.7-1.1 s
+    and 15 s in process (2-vCPU VM)."""
+    start = time.perf_counter()
+    code = main(["count", "--family", family, "-k", str(k)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert elapsed < 0.2
+
+
 @pytest.mark.parametrize("method", ["auto", "box"])
 def test_cli_max_box_points_must_be_nonnegative(capsys, method):
     base = ["count", "--family", "cube:2", "-k", "3", "--method", method]
@@ -946,6 +1002,42 @@ def test_polytope_is_the_first_key_of_every_report(capsys, cmd, fmt):
         assert out.splitlines()[:2] == ["key,value", "polytope,\"cube:2, dimension 2\""]
     else:
         assert out.splitlines()[0].split(None, 1) == ["polytope", "cube:2, dimension 2"]
+
+
+# The family specs of the benchmark's three workloads and the README Quick start.
+LABELLED_SPECS = [
+    "cross:3", "cross:6", "cross:8", "cross:12", "cross:13", "cross:14",
+    "cube:2", "cube:6", "cube:12", "cube:13", "cube:14", "dilate(cube:2,2)",
+    "pn:4", "pn:5", "pn:7", "pn:8", "pn:9", "pn:10", "pn:11",
+    "qn:5", "qn:9", "qn:11", "qn:12", "qn:13", "qn:14", "qn:15", "qn:16",
+    "product(pn:7,cube:5)", "product(cross:6,product(cross:6,cross:6))",
+]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_plain_and_csv_labels_are_family_specs(capsys, fmt):
+    """The polytope row names a family as --family reads it."""
+    for spec in LABELLED_SPECS:
+        code, out = run_cli(capsys, "count", "--family", spec, "-k", "0", "--format", fmt)
+        assert code == EXIT_OK
+        row = out.splitlines()[0] if fmt == "plain" else next(csv.reader(out.splitlines()[1:2]))[1]
+        label, _, dimension = row.removeprefix("polytope").strip().rpartition(", dimension ")
+        assert parse_polytope_spec(label) == parse_polytope_spec(spec)
+        assert int(dimension) == parse_polytope_spec(spec).dimension
+
+
+def test_labels_with_explicit_lists_count_them(tmp_path, capsys):
+    triangle = polytope_to_json(hull2d([(-1, -1), (-1, 2), (2, -1)]))
+    for document, label in (
+        (triangle, "generic, dimension 2, 3 vertices"),
+        ({"dimension": 3, "family": {"tag": "product", "params": {
+            "scale": 2, "factors": [triangle, polytope_to_json(cube(1))]}}},
+         "product of 2 factors, dimension 3"),
+    ):
+        path = tmp_path / "lists.json"
+        path.write_text(json.dumps(document))
+        code, out = run_cli(capsys, "count", "--json", str(path), "-k", "0")
+        assert code == EXIT_OK and out.splitlines()[0].split(None, 1) == ["polytope", label]
 
 
 def test_verify_all_report_has_no_polytope(capsys):

@@ -396,10 +396,10 @@ def test_dilation_counter_scaled_family():
 @pytest.mark.parametrize("family,closed", [(pn_family, count_pn_sliced), (qn_family, count_qn_closed)])
 def test_sums_past_dilation_n_squared_read_their_polynomial(family, closed):
     """The hybrid and bipyramid sums take O(K) terms at dilation K, so past
-    K = n^2 they are read off their polynomial: equal to the sum itself,
+    K = n they are read off their polynomial: equal to the sum itself,
     and a dilation of 10^400 answers at once."""
     n = 3
-    direct = dilation_counter(dilate(family(n), 5))  # 5k > 9 from k = 2
+    direct = dilation_counter(dilate(family(n), 5))  # 5k > 3 from k = 1
     assert [direct(k) for k in range(5)] == [closed(n, 5 * k) for k in range(5)]
     huge = dilation_counter(dilate(family(n), 10**400))
     assert huge(2) == interpolate([closed(n, k) for k in range(n + 1)])(2 * 10**400)

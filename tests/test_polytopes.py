@@ -272,6 +272,20 @@ def test_polygon_halfspaces_must_be_the_hull_edges():
             LatticePolytope(2, square, given)
 
 
+def test_segment_is_stored_as_its_ends():
+    ends = ((-2,), (3,))
+    facets = (Halfspace((1,), 3), Halfspace((-1,), 2))
+    segment = LatticePolytope(1, ((3,), (0,), (-2,), (3,)))
+    assert (segment.vertices, segment.halfspaces) == (ends, facets)
+    assert LatticePolytope(1, ends, facets[::-1]).halfspaces == facets[::-1]  # kept as given
+    assert dilate(segment, 2) == LatticePolytope(1, ((-4,), (6,)))
+    for given in (facets[:1], facets + (Halfspace((1,), 4),), (Halfspace((1,), 4), facets[1]), ()):
+        with pytest.raises(ValueError, match="not the ends"):
+            LatticePolytope(1, ends, given)
+    with pytest.raises(ValueError, match="two distinct points"):
+        LatticePolytope(1, ((1,), (1,)))
+
+
 @given(st.lists(point2, min_size=3, max_size=12))
 def test_hull2d_halfspaces_contain_all_input_points(points):
     try:

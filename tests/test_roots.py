@@ -424,6 +424,16 @@ def test_braun_disc_check_counts_exactly_on_the_boundary(monkeypatch):
     assert braun_disc_check(RootSet(on * on * disc_factor(3, 1, Fraction(0), True)), 3)
 
 
+@pytest.mark.parametrize("root,inside", [(Fraction(13, 5), False), (Fraction(12, 5), True),
+                                         (Fraction(5, 2), True)])
+def test_braun_disc_near_its_radius_in_dimension_2(root, inside):
+    """Roots {root, -1} against |z + 1/2| <= 3: 13/5 lies outside, 12/5
+    inside, and 5/2 on the circle.  Fujiwara's bound with twice the
+    leading term would pass the first."""
+    p = Polynomial([-root, 1]) * Polynomial([1, 1])
+    assert braun_disc_check(RootSet(p), 2) is inside
+
+
 @given(
     st.integers(1, 4),
     st.lists(st.integers(-30, 30), min_size=1, max_size=6),
