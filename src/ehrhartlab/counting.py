@@ -298,6 +298,9 @@ def count_minkowski_dp(m: int, a: int, b: int) -> int:
     choose the i coordinates with positive deficiency, their signs, and
     deficiencies d_1..d_i >= 1 with sum at most b (C(b, i) such
     compositions of the budget); every other coordinate has 2a+1 choices.
+    The binomials are taken once, at i = min(m, b), and stepped down by
+    C(m, i - 1) = C(m, i) i / (m - i + 1), one exact division per term: a
+    ``comb`` per term is quadratic bigint work (cross:3000 at k = 3001).
     """
     if m < 1:
         raise ValueError("dimension must be >= 1")
@@ -305,9 +308,11 @@ def count_minkowski_dp(m: int, a: int, b: int) -> int:
         raise ValueError("scales must be nonnegative")
     core, top = 2 * a + 1, min(m, b)
     total, power = 0, core ** (m - top)
-    for i in range(top, -1, -1):  # power = core^(m-i)
-        total += comb(m, i) * comb(b, i) * power << i
+    cm, cb = comb(m, top), comb(b, top)
+    for i in range(top, -1, -1):  # power = core^(m-i), cm = C(m, i), cb = C(b, i)
+        total += cm * cb * power << i
         power *= core
+        cm, cb = cm * i // (m - i + 1), cb * i // (b - i + 1)
     return total
 
 

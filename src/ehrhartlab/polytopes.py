@@ -326,7 +326,7 @@ def _polar_scaled(hs: Sequence[Halfspace], l: int) -> PolarScaled:
     verts, lattice = [], True
     for normal, rhs in hs:
         q, r = divmod(l, rhs)
-        verts.append(tuple(Fraction(l * c, rhs) if r else q * c for c in normal))
+        verts.append(tuple([Fraction(l * c, rhs) if r else q * c for c in normal]))
         lattice = lattice and not r
     return PolarScaled(lattice, tuple(verts))
 
@@ -389,7 +389,10 @@ def pick_sums(p: LatticePolytope) -> tuple[int, int]:
 
 def _edge(u: IntVector, v: IntVector) -> Halfspace:
     """The half-space of the counterclockwise hull edge u -> v: its outward
-    normal made primitive, tight at u and v."""
+    normal made primitive, tight at u and v.  Built as a bare tuple: the
+    quotients by g are plain ints with gcd 1, all that ``Halfspace()``
+    would check, by taking that gcd again."""
     nx, ny = v[1] - u[1], u[0] - v[0]
-    g = gcd(nx, ny)
-    return Halfspace((nx // g, ny // g), (nx * u[0] + ny * u[1]) // g)
+    g = gcd(nx, ny)  # nonzero: consecutive chain vertices differ
+    normal = (nx // g, ny // g)
+    return tuple.__new__(Halfspace, (normal, (nx * u[0] + ny * u[1]) // g))

@@ -244,6 +244,12 @@ def check_reflexivity(ehr_of: _EhrhartOf) -> tuple[bool, str]:
 
 
 def _random_polygon_agreement(samples: int) -> int:
+    """Three-way reflexivity agreement on random polygons: hulls of 3-8
+    points drawn from [-4, 4]^2 (seed ``RANDOM_POLYGON_SEED``), skipping
+    degenerate hulls and hulls without the origin inside, until ``samples``
+    are accepted.  A polygon's polynomial is Pick's, read from its recipe:
+    interpolating its Pick counts at k = 0, 1, 2 gives the same polynomial.
+    """
     rng = random.Random(RANDOM_POLYGON_SEED)
     accepted = 0
     attempts = 0
@@ -259,7 +265,7 @@ def _random_polygon_agreement(samples: int) -> int:
             continue
         if any(h.rhs < 1 for h in polygon.halfspaces):  # origin not interior
             continue
-        ehr_poly = ehrhart_of(polygon, dilation_counter(polygon))
+        ehr_poly = ehrhart.ehrhart_from_recipe(polygon)
         # Raises RuntimeError when the three verdicts disagree.
         reflexivity.reflexivity_equivalence(polygon, ehr_poly)
         accepted += 1

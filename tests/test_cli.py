@@ -964,6 +964,28 @@ def test_cli_count_one_step_past_the_nodes_stays_closed_form(capsys, family, k):
     assert elapsed < 0.2
 
 
+@pytest.mark.parametrize(
+    "argv,bound",
+    [
+        (("ehrhart", "--family", "pn:300", "--format", "json"), 1.0),
+        (("ehrhart", "--family", "cube:800", "--format", "json"), 0.5),
+        (("count", "--family", "cross:3000", "-k", "3001"), 0.3),
+    ],
+    ids=["pn:300", "cube:800", "cross:3000"],
+)
+def test_cli_time_bound_steps_in_process(capsys, argv, bound):
+    """In-process twins of CI's ``timeout 3 ... pn:300`` and ``timeout 2
+    ... cube:800`` steps, and of the crosspolytope count that a ``comb`` per
+    term of ``count_minkowski_dp`` held at about 1 s: exit 0, no stderr,
+    inside the bound (seconds, 2-vCPU VM)."""
+    start = time.perf_counter()
+    code = main(list(argv))
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == EXIT_OK and captured.out and captured.err == ""
+    assert elapsed < bound
+
+
 @pytest.mark.parametrize("method", ["auto", "box"])
 def test_cli_max_box_points_must_be_nonnegative(capsys, method):
     base = ["count", "--family", "cube:2", "-k", "3", "--method", method]
@@ -1317,8 +1339,9 @@ def test_run_all_computes_each_bipyramid_closed_form_once(monkeypatch):
 
 def test_run_all_computes_each_ehrhart_polynomial_once(monkeypatch):
     """Rows 1, 4, 6, 7, 8, 9 and 11 share one cache of polynomials, so no
-    body reaches ehrhart_of twice in a run (77 calls, 121 without it); the
-    cache lives for one run_all call."""
+    body reaches ehrhart_of twice in a run (27 calls, 71 without it; row 9's
+    random polygons read Pick's recipe); the cache lives for one run_all
+    call."""
     calls = []
 
     def counted(body, counter):
@@ -1328,7 +1351,7 @@ def test_run_all_computes_each_ehrhart_polynomial_once(monkeypatch):
     monkeypatch.setattr(verification, "ehrhart_of", counted)
     for runs in (1, 2):
         assert all(row.passed for row in verification.run_all())
-        assert len(calls) == 77 * runs and len(set(calls[-77:])) == 77
+        assert len(calls) == 27 * runs and len(set(calls[-27:])) == 27
 
 
 SQUARE_HALFSPACES = [

@@ -3,7 +3,7 @@
 import itertools
 import tracemalloc
 from dataclasses import replace
-from math import gcd
+from math import comb, gcd
 from operator import mul
 
 import numpy as np
@@ -253,6 +253,19 @@ def deficiency_dp(m, a, b):
 @example(10, 20, 3)  # b < m: the sum stops at i = b
 def test_minkowski_closed_form_matches_the_dp(m, a, b):
     assert count_minkowski_dp(m, a, b) == deficiency_dp(m, a, b)
+
+
+@given(st.integers(1, 40), st.integers(0, 5), st.integers(0, 60))
+@example(40, 0, 60)  # b > m: the binomials start at C(m, m) and C(b, m)
+@example(40, 5, 40)  # b = m
+@example(40, 5, 7)  # b < m: they start at C(m, b) and C(b, b)
+def test_minkowski_binomial_steps_match_the_comb_formula(m, a, b):
+    """The stepped binomials give the sum with one ``comb`` per factor and term."""
+    formula = sum(
+        comb(m, i) * comb(b, i) * 2**i * (2 * a + 1) ** (m - i)
+        for i in range(min(m, b) + 1)
+    )
+    assert count_minkowski_dp(m, a, b) == formula
 
 
 def test_pn_sliced_matches_the_dp_slice_sum():

@@ -288,6 +288,9 @@ def test_segment_is_stored_as_its_ends():
 
 @given(st.lists(point2, min_size=3, max_size=12))
 def test_hull2d_halfspaces_contain_all_input_points(points):
+    """Every input point satisfies every hull half-space, and each edge,
+    built without Halfspace's checks, passes them: plain ints, primitive
+    normal."""
     try:
         hull = hull2d(points)
     except ValueError:
@@ -295,6 +298,9 @@ def test_hull2d_halfspaces_contain_all_input_points(points):
     for p in points:
         for h in hull.halfspaces:
             assert dot(h.normal, p) <= h.rhs
+    for h in hull.halfspaces:
+        assert h == Halfspace(h.normal, h.rhs) and type(h) is Halfspace
+        assert all(type(c) is int for c in (*h.normal, h.rhs))
 
 
 @given(st.lists(point2, min_size=3, max_size=12))

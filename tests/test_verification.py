@@ -5,7 +5,7 @@ import random
 import re
 from pathlib import Path
 
-from ehrhartlab import verification
+from ehrhartlab import ehrhart, verification
 from ehrhartlab.cli import EXIT_OK, main
 from ehrhartlab.exact import Polynomial
 from ehrhartlab.verification import run_all
@@ -43,6 +43,23 @@ def test_run_all_shift_count(monkeypatch):
     monkeypatch.setattr(Polynomial, "shift", counted)
     run_all()
     assert len(calls) == 17
+
+
+def test_run_all_interpolation_count(monkeypatch):
+    """Rows 1 (1), 4 (5), 6 (5), 7 (8), 8 (2), 9 (2: its named polytopes)
+    and 11 (1) interpolate each polynomial that ``ehr_of`` builds, and row 2
+    its three bipyramids: 27 calls.  Row 9's 50 random polygons read Pick's
+    polynomial from their recipe."""
+    calls = []
+    interpolate = ehrhart.interpolate
+
+    def counted(values):
+        calls.append(len(values))
+        return interpolate(values)
+
+    monkeypatch.setattr(ehrhart, "interpolate", counted)
+    run_all()
+    assert len(calls) == 27
 
 
 def test_row9_draws_the_points_of_a_randint_loop(monkeypatch):
