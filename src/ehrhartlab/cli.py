@@ -17,7 +17,9 @@ Polytopes come either from the family grammar
 
 or from a JSON file (see README for the schema).  Exact values are always
 rendered as fraction strings; decimals appear only for roots, printed to
-12 significant digits but not certified (cross:60 is off by 1.4e-6).
+12 significant digits.  Roots proved to lie on their mean line print it as
+their real part; imaginary parts, and the real parts of other roots, are
+not certified.
 Exit status: 0 success, 1 a check reported a violation (a finding, not
 an error), 2 a usage or input error, with one ``error: ...`` line on
 stderr that shortens long values.
@@ -29,9 +31,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .counting import dilation_counter, scan_counter
 from .ehrhart import EhrhartPolynomial, ehrhart_from_recipe, ehrhart_of
@@ -72,8 +73,7 @@ EXIT_USAGE = 2
 _MAX_LISTED = 2**17
 
 
-@dataclass(frozen=True)
-class CommandRequest:
+class CommandRequest(NamedTuple):
     subcommand: str
     family_spec: str | None = None
     json_path: str | None = None
@@ -469,13 +469,17 @@ def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any
     mean = ehr.poly.mean
     on_mean = common_real_part(rs, -mean)
     parity = parity_necessary_check(ehr, req.a)
+    # Roots proved to lie on their mean print that exact line as real part.
+    line = _round12(float(mean)) if on_mean else None
     return {
         # By printed pairs: float noise below 12 digits sets no order.
-        "roots": sorted([_round12(z.real), _round12(z.imag)] for z in rs.roots),
+        "roots": sorted(
+            [_round12(z.real) if line is None else line, _round12(z.imag)] for z in rs.roots
+        ),
         "residual_bound": _round12(rs.residual_bound),
         "real_part_target": str(-1 / req.a),
         "common_real_part": on_mean and parity,
-        "detected_common_real_part": _round12(float(mean)) if on_mean else None,
+        "detected_common_real_part": line,
         "parity_necessary_check": parity,
         "braun_disc_check": braun_disc_check(rs, ehr.dimension),
     }

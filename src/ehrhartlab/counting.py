@@ -33,10 +33,9 @@ allocates once, and takes half-space dot products over Python ints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, partial
 from math import comb
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .ehrhart import ehrhart_from_recipe, ehrhart_of
 from .polytopes import FamilyTag, LatticePolytope, dilate, pick_sums
@@ -56,8 +55,7 @@ _BLOCK = 2**17
 _MAX_BOX = 2**60
 
 
-@dataclass(frozen=True, slots=True)
-class MembershipOracle:
+class MembershipOracle(NamedTuple):
     """Membership predicate plus a box that certainly contains the polytope.
 
     ``contains`` reads coordinates from the last axis of an integer array

@@ -20,10 +20,9 @@ which equals 2(n-1) for even n and grows like +-(n/(pi e))^n for odd n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
 from .exact import (
     Polynomial,
@@ -36,8 +35,9 @@ from .exact import (
 from .polytopes import FamilyTag, LatticePolytope, pick_sums
 
 
-@dataclass(frozen=True, slots=True)
-class EhrhartPolynomial:
+class EhrhartPolynomial(
+    NamedTuple("EhrhartPolynomial", [("dimension", int), ("poly", Polynomial)])
+):
     """Ehrhart polynomial of a polytope of dimension ``dimension``.
 
     Invariants checked at construction, on the integer form N/d: degree
@@ -45,22 +45,26 @@ class EhrhartPolynomial:
     leading coefficient (the volume) is positive (N_n > 0).
     """
 
-    dimension: int
-    poly: Polynomial
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.poly.degree != self.dimension:
+    def __new__(cls, dimension: int, poly: Polynomial) -> EhrhartPolynomial:
+        if poly.degree != dimension:
             raise ValueError(
-                f"degree {self.poly.degree} does not match dimension "
-                f"{self.dimension}; the underlying counter is inconsistent"
+                f"degree {poly.degree} does not match dimension "
+                f"{dimension}; the underlying counter is inconsistent"
             )
-        if self.poly.numerators[0] != self.poly.denominator:
+        if poly.numerators[0] != poly.denominator:
             raise ValueError(
                 "constant coefficient must be 1 (dilation 0 contains exactly "
                 "the origin)"
             )
-        if self.poly.numerators[-1] <= 0:
+        if poly.numerators[-1] <= 0:
             raise ValueError("leading coefficient (volume) must be positive")
+        return tuple.__new__(cls, (dimension, poly))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> EhrhartPolynomial:  # _replace validates too
+        return cls(*iterable)
 
     def coefficient(self, i: int) -> Fraction:
         return self.poly.coefficient(i)

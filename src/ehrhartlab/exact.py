@@ -26,12 +26,13 @@ bipyramid coefficient, so double-check before "fixing" a sign here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
 from operator import ne
 from typing import Iterable, Sequence
+
+from ._frozen import Frozen
 
 RationalLike = Fraction | int
 _BERNOULLI: list[Fraction] = []  # B_0, B_1, ... as far as bernoulli() was asked
@@ -84,8 +85,7 @@ def bernoulli_magnitude_bounds(j: int) -> tuple[Fraction, Fraction]:
     return lower, upper / (1 - Fraction(1, 2 ** (e - 1)))
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     """Dense univariate polynomial with exact rational coefficients: the
     coefficient of t^i is numerators[i] / denominator.  The form is
     canonical (a positive denominator sharing no factor with all the
@@ -97,6 +97,7 @@ class Polynomial:
     are immutable and safe to share across threads.
     """
 
+    _fields = ("numerators", "denominator")
     numerators: tuple[int, ...]
     denominator: int
 
@@ -112,8 +113,9 @@ class Polynomial:
         while len(nums) > 1 and not nums[-1]:
             nums.pop()
         g = gcd(*nums, denominator) if denominator > 0 else -gcd(*nums, denominator)
-        object.__setattr__(self, "numerators", tuple(x // g for x in nums) or (0,))
-        object.__setattr__(self, "denominator", denominator // g)
+        vars(self).update(
+            numerators=tuple(x // g for x in nums) or (0,), denominator=denominator // g
+        )
 
     @cached_property
     def coefficients(self) -> tuple[Fraction, ...]:

@@ -16,13 +16,14 @@ oracle.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
 from operator import index as _index, mul
 from typing import Iterable, NamedTuple, Sequence, SupportsIndex
+
+from ._frozen import Frozen
 
 IntVector = tuple[int, ...]
 
@@ -83,8 +84,7 @@ class Halfspace(NamedTuple("Halfspace", [("normal", IntVector), ("rhs", int)])):
 _Lists = tuple[tuple[IntVector, ...], tuple[Halfspace, ...] | None]
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(Frozen):
     """A family recipe, or explicit vertices and optional facet half-spaces.
 
     ``LatticePolytope(n, family=...)`` stores nothing else: each read of its
@@ -99,56 +99,25 @@ class LatticePolytope:
     half-spaces x <= max and -x <= -min, given exactly or derived.
     """
 
+    _fields = ("dimension", "_vertices", "_halfspaces", "family")
     dimension: int
-    _vertices: tuple[IntVector, ...] | None = None
-    _halfspaces: tuple[Halfspace, ...] | None = None
-    family: Family | None = None
+    _vertices: tuple[IntVector, ...] | None
+    _halfspaces: tuple[Halfspace, ...] | None
+    family: Family | None
 
-    def __post_init__(self) -> None:
-        if self.family is not None:
-            return
-        try:  # a float or a Fraction is refused, not truncated
-            verts = tuple([tuple(map(_index, v)) for v in self._vertices or ()])
-        except TypeError:
-            raise ValueError("vertex coordinates must be integers") from None
-        halfspaces = None if self._halfspaces is None else tuple(self._halfspaces)
-        if not verts:
-            raise ValueError("polytope needs at least one vertex")
-        for v in verts:
-            if len(v) != self.dimension:
-                raise ValueError(
-                    f"vertex {v} has {len(v)} coordinates, expected {self.dimension}"
-                )
-        if self.dimension <= 2:
-            # Half-spaces other than the hull's facets may cut out a polygon
-            # with rational vertices, whose counts are no polynomial, or
-            # leave a segment's box scan unbounded on one side.
-            if self.dimension == 1:
-                verts, facets = _segment(verts)
-            else:
-                verts = _hull_chain(verts)
-                facets = tuple(map(_edge, verts, verts[1:] + verts[:1]))
-            if halfspaces is not None and set(halfspaces) != set(facets):
-                kind = "ends" if self.dimension == 1 else "edges"
-                raise ValueError(f"half-spaces are not the {kind} of the vertices' hull")
-            halfspaces = halfspaces or facets
-        else:
-            for hs in halfspaces or ():
-                if len(hs.normal) != self.dimension:
-                    raise ValueError("half-space dimension mismatch")
-                values = [sum(map(mul, hs.normal, v)) for v in verts]
-                top = max(values)
-                if top > hs.rhs:
-                    v = verts[next(i for i, x in enumerate(values) if x > hs.rhs)]
-                    raise ValueError(
-                        f"vertex {v} violates half-space {hs.normal}.x <= {hs.rhs}"
-                    )
-                if top != hs.rhs:
-                    raise ValueError(
-                        f"half-space {hs.normal}.x <= {hs.rhs} is tight at no vertex"
-                    )
-        object.__setattr__(self, "_vertices", verts)
-        object.__setattr__(self, "_halfspaces", halfspaces)
+    def __init__(
+        self,
+        dimension: int,
+        _vertices: Iterable[Sequence[SupportsIndex]] | None = None,
+        _halfspaces: Iterable[Halfspace] | None = None,
+        family: Family | None = None,
+    ) -> None:
+        if family is None:
+            _vertices, _halfspaces = _validated(dimension, _vertices, _halfspaces)
+        vars(self).update(
+            dimension=dimension, _vertices=_vertices, _halfspaces=_halfspaces,
+            family=family,
+        )
 
     @property
     def vertices(self) -> tuple[IntVector, ...]:
@@ -157,6 +126,55 @@ class LatticePolytope:
     @property
     def halfspaces(self) -> tuple[Halfspace, ...] | None:
         return self._halfspaces if self.family is None else _family_halfspaces(self)
+
+
+def _validated(
+    dimension: int,
+    vertices: Iterable[Sequence[SupportsIndex]] | None,
+    halfspaces: Iterable[Halfspace] | None,
+) -> _Lists:
+    """Explicit lists as :class:`LatticePolytope` stores them, checked."""
+    try:  # a float or a Fraction is refused, not truncated
+        verts = tuple([tuple(map(_index, v)) for v in vertices or ()])
+    except TypeError:
+        raise ValueError("vertex coordinates must be integers") from None
+    halfspaces = None if halfspaces is None else tuple(halfspaces)
+    if not verts:
+        raise ValueError("polytope needs at least one vertex")
+    for v in verts:
+        if len(v) != dimension:
+            raise ValueError(
+                f"vertex {v} has {len(v)} coordinates, expected {dimension}"
+            )
+    if dimension <= 2:
+        # Half-spaces other than the hull's facets may cut out a polygon
+        # with rational vertices, whose counts are no polynomial, or
+        # leave a segment's box scan unbounded on one side.
+        if dimension == 1:
+            verts, facets = _segment(verts)
+        else:
+            verts = _hull_chain(verts)
+            facets = tuple(map(_edge, verts, verts[1:] + verts[:1]))
+        if halfspaces is not None and set(halfspaces) != set(facets):
+            kind = "ends" if dimension == 1 else "edges"
+            raise ValueError(f"half-spaces are not the {kind} of the vertices' hull")
+        halfspaces = halfspaces or facets
+    else:
+        for hs in halfspaces or ():
+            if len(hs.normal) != dimension:
+                raise ValueError("half-space dimension mismatch")
+            values = [sum(map(mul, hs.normal, v)) for v in verts]
+            top = max(values)
+            if top > hs.rhs:
+                v = verts[next(i for i, x in enumerate(values) if x > hs.rhs)]
+                raise ValueError(
+                    f"vertex {v} violates half-space {hs.normal}.x <= {hs.rhs}"
+                )
+            if top != hs.rhs:
+                raise ValueError(
+                    f"half-space {hs.normal}.x <= {hs.rhs} is tight at no vertex"
+                )
+    return verts, halfspaces
 
 
 def _family_vertices(p: LatticePolytope) -> tuple[IntVector, ...]:

@@ -38,9 +38,9 @@ be an implementation bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .ehrhart import EhrhartPolynomial
 from .polytopes import (
@@ -53,8 +53,7 @@ from .polytopes import (
 from .roots import RootSet, _mean_on_line, common_real_part
 
 
-@dataclass(frozen=True, slots=True)
-class ReflexivityReport:
+class ReflexivityReport(NamedTuple):
     """Three-way l-reflexivity verdict for one polytope.
 
     ``coefficient_identity`` is the bare identity c_{n-1} == (n/2l) vol,

@@ -38,12 +38,12 @@ have roots off that line (the degree-9 bipyramid is such a case).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, log2
 from typing import Iterable, NamedTuple
 
+from ._frozen import Frozen
 from .ehrhart import EhrhartPolynomial
 from .exact import (
     Polynomial,
@@ -56,8 +56,7 @@ from .exact import (
 _FLOAT_BITS = 1000  # log2 of the largest float allowed, with room for a factor n
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(Frozen):
     """All complex roots of ``poly`` with multiplicity, sorted by (real,
     imag); ``residual_bound`` is their largest backward error.  Both are
     computed on first read: :func:`find_roots` reads both before it
@@ -66,7 +65,11 @@ class RootSet:
     Exact squarefree splitting comes first, so multiple roots (the
     dilated-cube polynomials) come out exact instead of scattered."""
 
+    _fields = ("poly",)
     poly: Polynomial
+
+    def __init__(self, poly: Polynomial) -> None:
+        vars(self).update(poly=poly)
 
     @cached_property
     def roots(self) -> tuple[complex, ...]:
@@ -143,8 +146,7 @@ def _bound_verdict(p: int, q: int, r: int, s: int) -> BoundVerdict:
     return BoundVerdict(left <= right, left == right, (p, q), (r, s))
 
 
-@dataclass(frozen=True, slots=True)
-class WillsIndexVerdict:
+class WillsIndexVerdict(NamedTuple):
     """Row i: the verdict on c_i <= 2^i C(n, i)."""
 
     index: int
@@ -155,8 +157,7 @@ class WillsIndexVerdict:
     bound = property(lambda self: self.verdict.rhs)
 
 
-@dataclass(frozen=True, slots=True)
-class WillsVerdict:
+class WillsVerdict(NamedTuple):
     """Per-coefficient comparison against the cube bound 2^i C(n, i)."""
 
     dimension: int

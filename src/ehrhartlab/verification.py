@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import ehrhart, polytopes, reflexivity
 from .counting import (
@@ -77,8 +76,7 @@ RANDOM_POLYGON_SEED = 1729
 RANDOM_POLYGON_SAMPLES = 50
 
 
-@dataclass(frozen=True, slots=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -552,10 +552,11 @@ def test_cli_printed_roots_are_pinned(capsys, spec):
     assert roots == ROOTS_EXPECTED[spec]
 
 
-@pytest.mark.parametrize("n", range(1, 24))
+@pytest.mark.parametrize("n", [*range(1, 25), 40, 60, 100])
 def test_cli_cross_roots_print_on_their_line(capsys, n):
-    """Every root of cross:n has real part -1/2; up to n = 23 all 12
-    printed digits say so (from n = 24 they do not)."""
+    """Every root of cross:n has real part -1/2, and roots proved to lie on
+    their line print it: the float real parts of cross:24, 40, 60 and 100
+    are off by up to 1e-12, 1.1e-10, 1.4e-6 and 2.7."""
     code, out = run_cli(capsys, "roots", "--family", f"cross:{n}", "--format", "json")
     assert code == EXIT_OK
     assert {re for re, _ in json.loads(out)["roots"]} == {-0.5}
@@ -970,14 +971,19 @@ def test_cli_count_one_step_past_the_nodes_stays_closed_form(capsys, family, k):
         (("ehrhart", "--family", "pn:300", "--format", "json"), 1.0),
         (("ehrhart", "--family", "cube:800", "--format", "json"), 0.5),
         (("count", "--family", "cross:3000", "-k", "3001"), 0.3),
+        # About 0.14 s on the first call, 0.025 s and 0.006 s.
+        (("roots", "--family", "pn:40", "--format", "json"), 1.0),
+        (("count", "--family", "qn:6", "-k", "8", "--method", "box"), 0.5),
+        (("ehrhart", "--family", "pn:120", "--format", "json"), 0.2),
     ],
-    ids=["pn:300", "cube:800", "cross:3000"],
+    ids=["pn:300", "cube:800", "cross:3000", "roots pn:40", "box qn:6", "pn:120"],
 )
 def test_cli_time_bound_steps_in_process(capsys, argv, bound):
-    """In-process twins of CI's ``timeout 3 ... pn:300`` and ``timeout 2
-    ... cube:800`` steps, and of the crosspolytope count that a ``comb`` per
-    term of ``count_minkowski_dp`` held at about 1 s: exit 0, no stderr,
-    inside the bound (seconds, 2-vCPU VM)."""
+    """In-process twins of CI's ``timeout`` steps on pn:300, cube:800,
+    ``roots`` of pn:40, the qn:6 box scan and pn:120, and of the
+    crosspolytope count that a ``comb`` per term of ``count_minkowski_dp``
+    held at about 1 s: exit 0, no stderr, inside the bound (seconds,
+    2-vCPU VM)."""
     start = time.perf_counter()
     code = main(list(argv))
     elapsed = time.perf_counter() - start
@@ -1275,8 +1281,11 @@ def test_main_reads_sys_argv(monkeypatch, capsys, argv):
 
 
 def test_cli_import_loads_no_argparse():
+    """Nor dataclasses and the inspect, ast, dis and tokenize it imports,
+    nor NumPy: a fresh ``import ehrhartlab.cli`` loads none of them."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, ehrhartlab.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext", "numpy"}
+    code = f"import sys, ehrhartlab.cli; print(sorted({heavy!r} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout == "[]\n"
