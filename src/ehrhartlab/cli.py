@@ -469,7 +469,8 @@ def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any
     mean = ehr.poly.mean
     on_mean = common_real_part(rs, -mean)
     parity = parity_necessary_check(ehr, req.a)
-    # Roots proved to lie on their mean print that exact line as real part.
+    # Roots proved to lie on their mean print that line as real part, and
+    # the report names it exactly.
     line = _round12(float(mean)) if on_mean else None
     return {
         # By printed pairs: float noise below 12 digits sets no order.
@@ -479,7 +480,7 @@ def _roots_payload(req: CommandRequest, ehr: EhrhartPolynomial) -> dict[str, Any
         "residual_bound": _round12(rs.residual_bound),
         "real_part_target": str(-1 / req.a),
         "common_real_part": on_mean and parity,
-        "detected_common_real_part": line,
+        "detected_common_real_part": str(mean) if on_mean else None,
         "parity_necessary_check": parity,
         "braun_disc_check": braun_disc_check(rs, ehr.dimension),
     }

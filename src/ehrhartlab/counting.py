@@ -1,6 +1,6 @@
 """Lattice point enumeration in dilates.
 
-Three layers, from slow-and-universal to fast-and-specialized:
+Two layers, from slow-and-universal to fast-and-specialized:
 
 * :func:`count_box_scan` - scan the bounding box in lexicographic order,
   one array predicate per block of at most 2^17 bytes of coordinates; a
@@ -9,19 +9,16 @@ Three layers, from slow-and-universal to fast-and-specialized:
   of a flat index.  Ground truth for everything
   else (verify-all row 5 checks the closed form below against such a scan
   of its deficiency predicate); kept to desk scale, and the automatic counter
-  only for JSON polytopes of dimension 1 or >= 3.
-* :func:`count_minkowski_dp` - a closed form (the name is older) for the
+  only for JSON polytopes of dimension >= 3.
+* closed forms - :func:`count_minkowski_dp` (the name is older) for the
   Minkowski sums a*C_m + b*C_m* that are the slices of the
-  cube-crosspolytope hybrid: O(m) terms, so O(m * k) at dilation k.
-* closed forms - :func:`count_qn_closed` for the bipyramid family, and
-  Pick's theorem L(k) = A k^2 + (B/2) k + 1 for every lattice polygon
-  (area A, B lattice points on its boundary), read off its vertices, which
-  are its hull chain.
+  cube-crosspolytope hybrid: O(m) terms, so O(m * k) at dilation k; and
+  :func:`count_qn_closed` for the bipyramid family.
 
-:func:`dilation_counter` picks among them and holds the one node rule:
-closed forms answer at every dilation, while the sums and a segment's box
-scan, whose cost grows with the dilation, count only while s k <= n and
-past that read the Ehrhart polynomial.
+:func:`dilation_counter` picks among them and the Ehrhart recipes of
+:mod:`ehrhart`, and holds the one node rule: closed forms answer at every
+dilation, while the hybrid's and bipyramid's sums, whose cost grows with
+the dilation, count only while s k <= n and past that read the recipe.
 
 All counts are exact Python ints; (2k+1)^(n-1) at n = 13 already exceeds
 64-bit ranges, so nothing here ever touches floats.  A box scan holds
@@ -33,12 +30,12 @@ allocates once, and takes half-space dot products over Python ints.
 from __future__ import annotations
 
 import itertools
-from functools import cache, partial
+from functools import cache
 from math import comb
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .ehrhart import ehrhart_from_recipe, ehrhart_of
-from .polytopes import FamilyTag, LatticePolytope, dilate, pick_sums
+from .ehrhart import ehrhart_from_recipe
+from .polytopes import FamilyTag, LatticePolytope, dilate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -349,7 +346,7 @@ def scan_counter(
 
     def counter(k: int) -> int:
         if k == 0:
-            return 1  # every polytope here contains the origin
+            return 1  # 0P = {0}, whatever P is
         return count_box_scan(oracle_for(dilate(p, k)), max_points=max_box_points)
 
     return counter
@@ -360,30 +357,27 @@ def dilation_counter(
 ) -> Callable[[int], int]:
     """Exact counter k -> #(kP cap Z^n), with the one node rule.
 
-    Closed forms answer at every k: cubes, crosspolytopes, polygons by
-    Pick's theorem, and products of these.  A counter whose cost grows with
-    the dilation it counts (the hybrid's and bipyramid's sums, the box scan
-    of a JSON segment) counts only while s k <= n, s the family scale; past
-    that it reads p's Ehrhart polynomial, from p's recipe or else
-    interpolated through its own counts at k = 0..n.  A JSON polytope of
+    Closed forms answer at every k: cubes, crosspolytopes, segments and
+    polygons (their Ehrhart recipes evaluated), and products of these.  The
+    hybrid's and bipyramid's sums, whose cost grows with the dilation they
+    count, count only while s k <= n, s the family scale; past that they
+    read p's Ehrhart polynomial from its recipe.  A JSON polytope of
     dimension >= 3 is scanned at every k (guarded by ``max_box_points``):
     half-spaces given there may cut out a rational polytope, whose counts
     are no polynomial.
     """
     fam, n = p.family, p.dimension
-    s = 1 if fam is None else fam.scale
     if fam is None:
-        if n == 2:
-            boundary, twice_area = pick_sums(p)
-            return lambda k: (twice_area * k * k + boundary * k) // 2 + 1
-        count = scan_counter(p, max_box_points)
         if n >= 3:
-            return count
-    elif fam.tag is FamilyTag.CUBE:
+            return scan_counter(p, max_box_points)
+        ehr = ehrhart_from_recipe(p)
+        return lambda k: int(ehr(k))
+    s = fam.scale
+    if fam.tag is FamilyTag.CUBE:
         return lambda k: (2 * s * k + 1) ** n
-    elif fam.tag is FamilyTag.CROSSPOLYTOPE:
+    if fam.tag is FamilyTag.CROSSPOLYTOPE:
         return lambda k: count_minkowski_dp(n, 0, s * k)
-    elif fam.tag is FamilyTag.PRODUCT:
+    if fam.tag is FamilyTag.PRODUCT:
         subs = [
             dilation_counter(dilate(f, s) if s > 1 else f, max_box_points)
             for f in fam.factors
@@ -396,17 +390,14 @@ def dilation_counter(
             return total
 
         return counter
-    else:
-        closed = count_pn_sliced if fam.tag is FamilyTag.PN_FAMILY else count_qn_closed
-        count = partial(closed, n)  # of the unscaled body, at dilation s k
+    closed = count_pn_sliced if fam.tag is FamilyTag.PN_FAMILY else count_qn_closed
     polynomial = None
 
     def node_rule(k: int) -> int:
         nonlocal polynomial
         if s * k <= n:
-            return count(s * k)
-        # Only a body with no recipe is interpolated, and its scale s is 1.
-        polynomial = polynomial or ehrhart_from_recipe(p) or ehrhart_of(p, count)
+            return closed(n, s * k)  # of the unscaled body, at dilation s k
+        polynomial = polynomial or ehrhart_from_recipe(p)
         return int(polynomial(k))
 
     return node_rule

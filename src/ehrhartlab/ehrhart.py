@@ -21,7 +21,7 @@ which equals 2(n-1) for even n and grows like +-(n/(pi e))^n for odd n.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .exact import (
@@ -32,7 +32,7 @@ from .exact import (
     from_differences,
     interpolate,
 )
-from .polytopes import FamilyTag, LatticePolytope, pick_sums
+from .polytopes import FamilyTag, LatticePolytope
 
 
 class EhrhartPolynomial(
@@ -101,12 +101,22 @@ def ehrhart_of(
 
 
 def ehrhart_from_recipe(p: LatticePolytope) -> EhrhartPolynomial | None:
-    """From p's recipe, the Ehrhart polynomial of a family or polygon; else None."""
+    """From p's recipe, the Ehrhart polynomial of a family, segment or
+    polygon, or of their products and dilates; else None."""
     fam, n = p.family, p.dimension
-    if fam is None:  # a polygon by Pick's theorem: L(k) = (2A k^2 + B k + 2)/2
+    if fam is None:
+        if n == 1:  # a segment, its ends lowest first: L(k) = (hi - lo) k + 1
+            (lo,), (hi,) = p.vertices
+            return EhrhartPolynomial(1, Polynomial([1, hi - lo], 1))
         if n != 2:
             return None
-        return EhrhartPolynomial(2, Polynomial([2, *pick_sums(p)], 2))
+        # Pick's theorem, L(k) = (2A k^2 + B k + 2)/2: twice the area, 2A,
+        # and the B boundary points read off the hull chain.
+        hull, boundary, twice_area = p.vertices, 0, 0
+        for (ux, uy), (vx, vy) in zip(hull, hull[1:] + hull[:1]):
+            twice_area += ux * vy - vx * uy
+            boundary += gcd(vx - ux, vy - uy)
+        return EhrhartPolynomial(2, Polynomial([2, boundary, twice_area], 2))
     if fam.tag is FamilyTag.CUBE:  # (2k + 1)^n
         poly = Polynomial([c << i for i, c in enumerate(_binomial_row(n))], 1)
     elif fam.tag is FamilyTag.CROSSPOLYTOPE:  # h* = (1 + t)^n
@@ -122,8 +132,10 @@ def ehrhart_from_recipe(p: LatticePolytope) -> EhrhartPolynomial | None:
         if None in factors:
             return None
         poly = product_coefficients(*factors).poly
-    scaled = [c * fam.scale**i for i, c in enumerate(poly.numerators)]  # L(sk)
-    return EhrhartPolynomial(n, Polynomial(scaled, poly.denominator))
+    if fam.scale > 1:  # L(sk)
+        scaled = [c * fam.scale**i for i, c in enumerate(poly.numerators)]
+        poly = Polynomial(scaled, poly.denominator)
+    return EhrhartPolynomial(n, poly)
 
 
 def _binomial_row(n: int) -> list[int]:

@@ -396,15 +396,6 @@ def hull2d(points: Iterable[Sequence[int]]) -> LatticePolytope:
     return LatticePolytope(2, tuple(points))
 
 
-def pick_sums(p: LatticePolytope) -> tuple[int, int]:
-    """(B, 2A): a polygon's boundary points and twice its area, from its hull."""
-    hull, boundary, twice_area = p.vertices, 0, 0
-    for (ux, uy), (vx, vy) in zip(hull, hull[1:] + hull[:1]):
-        twice_area += ux * vy - vx * uy
-        boundary += gcd(vx - ux, vy - uy)
-    return boundary, twice_area
-
-
 def _edge(u: IntVector, v: IntVector) -> Halfspace:
     """The half-space of the counterclockwise hull edge u -> v: its outward
     normal made primitive, tight at u and v.  Built as a bare tuple: the

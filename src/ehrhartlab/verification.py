@@ -2,9 +2,10 @@
 library is built around, recomputed from scratch and checked exactly.
 
 Each row is independent; exceptions are caught and reported as failures
-so the table always completes.  Rows share only two caches, each living
-for one :func:`run_all` call: one for the ``qn`` closed forms and one for
-the Ehrhart polynomials, so no body's polynomial is built twice in a run.
+so the table always completes.  Rows share only one cache, living for
+one :func:`run_all` call: the Ehrhart polynomials read off the bodies'
+recipes, so no body's polynomial is built twice in a run.  Rows 1 and 2
+alone interpolate counts, to check them against reference values.
 The CLI exposes this as ``verify-all`` and the acceptance test suite
 asserts every row.
 """
@@ -30,7 +31,6 @@ from .counting import (
 from .ehrhart import (
     ehrhart_of,
     product_coefficients,
-    qn_coefficients,
     qn_first_coefficient,
     qn_growth_check,
 )
@@ -69,7 +69,6 @@ HYBRID7_COEFFICIENTS = (
 
 EXCEPTIONAL_TRIANGLE = ((-1, -1), (-1, 2), (2, -1))
 
-_QnCoefficients = Callable[[int], ehrhart.EhrhartPolynomial]
 _EhrhartOf = Callable[[polytopes.LatticePolytope], ehrhart.EhrhartPolynomial]
 
 RANDOM_POLYGON_SEED = 1729
@@ -91,15 +90,16 @@ def _row(number: int, name: str, fn, *args) -> CheckRow:
     return CheckRow(number, name, bool(passed), detail)
 
 
-def check_hybrid7_reproduction(ehr_of: _EhrhartOf) -> tuple[bool, str]:
+def check_hybrid7_reproduction() -> tuple[bool, str]:
     start = time.perf_counter()
-    ehr = ehr_of(pn_family(7))  # row 1 runs first: this computes it
+    p = pn_family(7)
+    ehr = ehrhart_of(p, dilation_counter(p))
     elapsed = time.perf_counter() - start
     ok = ehr.coefficients == HYBRID7_COEFFICIENTS and elapsed <= 10.0
     return ok, f"coefficients {'match' if ok else 'MISMATCH'}, {elapsed:.3f}s"
 
 
-def check_bipyramid_coefficients(qn: _QnCoefficients) -> tuple[bool, str]:
+def check_bipyramid_coefficients(ehr_of: _EhrhartOf) -> tuple[bool, str]:
     start = time.perf_counter()
     targets = {
         (9, 1): Fraction(494, 15),
@@ -108,7 +108,7 @@ def check_bipyramid_coefficients(qn: _QnCoefficients) -> tuple[bool, str]:
     }
     ok = True
     for (n, i), expected in targets.items():
-        closed = qn(n)
+        closed = ehr_of(qn_family(n))
         interp = ehrhart_of(qn_family(n), lambda k, n=n: count_qn_closed(n, k))
         ok &= closed.coefficient(i) == expected
         ok &= closed.poly == interp.poly
@@ -117,11 +117,11 @@ def check_bipyramid_coefficients(qn: _QnCoefficients) -> tuple[bool, str]:
     return ok, f"three reference coefficients + interpolation, {elapsed:.3f}s"
 
 
-def check_first_coefficient_closed_form(qn: _QnCoefficients) -> tuple[bool, str]:
+def check_first_coefficient_closed_form(ehr_of: _EhrhartOf) -> tuple[bool, str]:
     ok = True
     for n in range(2, 21):
         value = qn_first_coefficient(n)
-        ok &= value == qn(n).coefficient(1)
+        ok &= value == ehr_of(qn_family(n)).coefficient(1)
         if n % 2 == 0:
             ok &= value == 2 * (n - 1)
     return ok, "n = 2..20, even dimensions collapse to 2(n-1)"
@@ -171,7 +171,7 @@ def _deficiency_brute(m: int, a: int, b: int) -> int:
     return count_box_scan(inside)
 
 
-def check_wills_verdicts(qn: _QnCoefficients, ehr_of: _EhrhartOf) -> tuple[bool, str]:
+def check_wills_verdicts(ehr_of: _EhrhartOf) -> tuple[bool, str]:
     ok = True
     for n in range(1, 11):
         verdict = wills_check(ehr_of(cube(n)))
@@ -179,7 +179,7 @@ def check_wills_verdicts(qn: _QnCoefficients, ehr_of: _EhrhartOf) -> tuple[bool,
     hybrid = wills_check(ehr_of(pn_family(7)))
     ok &= hybrid.violations == (1,)
     for n, idx in ((9, 1), (11, 3), (13, 5)):
-        verdict = wills_check(qn(n))
+        verdict = wills_check(ehr_of(qn_family(n)))
         ok &= idx in verdict.violations
         ok &= 0 not in verdict.violations and n not in verdict.violations
     return ok, "cube all-equality; violations at the known indices"
@@ -275,11 +275,11 @@ def check_growth_bounds() -> tuple[bool, str]:
     return ok, "signed first coefficient inside exact bounds for n = 5..15 odd"
 
 
-def check_braun_disc(qn: _QnCoefficients, ehr_of: _EhrhartOf) -> tuple[bool, str]:
+def check_braun_disc(ehr_of: _EhrhartOf) -> tuple[bool, str]:
     cases = [(ehr_of(pn_family(7)), 7)]
     for n in range(1, 9):
         cases += [(ehr_of(cube(n)), n), (ehr_of(crosspolytope(n)), n)]
-    cases += [(qn(n), n) for n in (9, 11, 13)]
+    cases += [(ehr_of(qn_family(n)), n) for n in (9, 11, 13)]
     cases.append((ehr_of(hull2d(EXCEPTIONAL_TRIANGLE)), 2))
     cases.append((ehr_of(dilate(cube(2), 2)), 2))
     cases.append((ehr_of(product(pn_family(3), cube(2))), 5))
@@ -289,19 +289,18 @@ def check_braun_disc(qn: _QnCoefficients, ehr_of: _EhrhartOf) -> tuple[bool, str
 
 def run_all() -> list[CheckRow]:
     """Run the whole verification table in order."""
-    qn = cache(qn_coefficients)  # rows 2, 3, 6 and 11: once per n in this call
-    # Rows 1, 4, 6, 7, 8, 9 and 11: each body's polynomial once in this call.
-    ehr_of = cache(lambda body: ehrhart_of(body, dilation_counter(body)))
+    # Rows 2, 3, 4, 6, 7, 8, 9 and 11: each body's polynomial once in this call.
+    ehr_of = cache(ehrhart.ehrhart_from_recipe)
     return [
-        _row(1, "degree-7 hybrid coefficients", check_hybrid7_reproduction, ehr_of),
-        _row(2, "bipyramid coefficients", check_bipyramid_coefficients, qn),
-        _row(3, "first-coefficient closed form", check_first_coefficient_closed_form, qn),
+        _row(1, "degree-7 hybrid coefficients", check_hybrid7_reproduction),
+        _row(2, "bipyramid coefficients", check_bipyramid_coefficients, ehr_of),
+        _row(3, "first-coefficient closed form", check_first_coefficient_closed_form, ehr_of),
         _row(4, "counterexample propagation", check_counterexample_propagation, ehr_of),
         _row(5, "oracle equivalence", check_oracle_equivalence),
-        _row(6, "coefficient bound verdicts", check_wills_verdicts, qn, ehr_of),
+        _row(6, "coefficient bound verdicts", check_wills_verdicts, ehr_of),
         _row(7, "inequality suite", check_inequality_suite, ehr_of),
         _row(8, "bounds for the root-line class", check_wills_for_root_line_class, ehr_of),
         _row(9, "reflexivity equivalence", check_reflexivity, ehr_of),
         _row(10, "growth bounds", check_growth_bounds),
-        _row(11, "root disc sanity", check_braun_disc, qn, ehr_of),
+        _row(11, "root disc sanity", check_braun_disc, ehr_of),
     ]

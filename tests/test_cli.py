@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ehrhartlab import cli, counting, polytopes, reflexivity, verification
+from ehrhartlab import cli, counting, ehrhart, polytopes, reflexivity, verification
 from ehrhartlab.cli import (
     EXIT_FINDING,
     EXIT_OK,
@@ -316,7 +316,8 @@ def test_cli_count_runs_counters_only_at_nodes(monkeypatch, tmp_path, capsys, so
 
 def test_cli_segment_given_by_its_ends(monkeypatch, tmp_path, capsys):
     """A JSON segment given by vertices alone is stored as its hull, with
-    the half-spaces x <= 3 and -x <= 2; its count scans no dilate past k = 1."""
+    the half-spaces x <= 3 and -x <= 2; its count reads L(k) = 5k + 1 off
+    its ends and scans no dilate."""
     path = tmp_path / "segment.json"
     path.write_text(json.dumps({"dimension": 1, "vertices": [[3], [0], [-2]]}))
     code, out = run_cli(capsys, "ehrhart", "--json", str(path), "--format", "json")
@@ -327,14 +328,13 @@ def test_cli_segment_given_by_its_ends(monkeypatch, tmp_path, capsys):
     assert payload["polytope"]["halfspaces"] == [
         {"normal": [1], "rhs": 3}, {"normal": [-1], "rhs": 2}
     ]
-    radii = []
+    scans = []
     box_scan = counting.count_box_scan
     monkeypatch.setattr(counting, "count_box_scan",
-                        lambda oracle, **kw: radii.append(oracle.bounding_radius)
-                        or box_scan(oracle, **kw))
+                        lambda oracle, **kw: scans.append(oracle) or box_scan(oracle, **kw))
     code, out = run_cli(capsys, "count", "--json", str(path), "-k", "7", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["count"] == 36
-    assert radii and max(radii) <= 3
+    assert not scans
 
 
 @pytest.mark.parametrize(
@@ -348,11 +348,18 @@ def test_cli_family_and_polygon_polynomials_come_from_the_recipe(
 
     path = tmp_path / "pentagon.json"
     path.write_text(json.dumps({"dimension": 2, "vertices": [list(v) for v in PENTAGON]}))
+    segment = tmp_path / "segment.json"
+    segment.write_text(json.dumps({"dimension": 1, "vertices": [[-1], [2]]}))
+    product_path = tmp_path / "product.json"
+    factor = polytopes.LatticePolytope(1, ((-1,), (2,)))
+    product_path.write_text(json.dumps(polytope_to_json(dilate(product(factor, qn_family(2)), 2))))
     monkeypatch.setattr(cli, "ehrhart_of", refuse)
     for source in (
         ["--family", "product(dilate(pn:3,2),cross:2)"],
         ["--family", "dilate(qn:4,3)"],
         ["--json", str(path)],
+        ["--json", str(segment)],
+        ["--json", str(product_path)],
     ):
         assert main([*cmd, *source]) in (EXIT_OK, EXIT_FINDING)
     capsys.readouterr()
@@ -365,15 +372,18 @@ def test_cli_interpolates_json_polytopes_off_the_plane(monkeypatch, tmp_path, ca
         seen.append(p.dimension)
         return ehrhart_of(p, counter)
 
-    path = tmp_path / "segment.json"
-    halfspaces = [{"normal": [1], "rhs": 2}, {"normal": [-1], "rhs": 1}]
-    path.write_text(
-        json.dumps({"dimension": 1, "vertices": [[-1], [2]], "halfspaces": halfspaces})
-    )
+    path = tmp_path / "simplex.json"
+    halfspaces = [{"normal": [-1, 0, 0], "rhs": 0}, {"normal": [0, -1, 0], "rhs": 0},
+                  {"normal": [0, 0, -1], "rhs": 0}, {"normal": [1, 1, 1], "rhs": 1}]
+    path.write_text(json.dumps({
+        "dimension": 3,
+        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "halfspaces": halfspaces,
+    }))
     monkeypatch.setattr(cli, "ehrhart_of", recording)
     code, out = run_cli(capsys, "ehrhart", "--json", str(path), "--format", "json")
-    assert code == EXIT_OK and json.loads(out)["coefficients"] == ["1", "3"]
-    assert seen == [1]
+    assert code == EXIT_OK and json.loads(out)["coefficients"] == ["1", "11/6", "1", "1/6"]
+    assert seen == [3]
 
 
 def test_cli_count_beyond_nodes_needs_only_the_node_boxes(tmp_path, capsys):
@@ -593,7 +603,7 @@ def test_cli_roots_reports_common_real_part(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["common_real_part"] is True
-    assert payload["detected_common_real_part"] == -0.25
+    assert payload["detected_common_real_part"] == "-1/4"
     assert payload["parity_necessary_check"] is True
     assert payload["braun_disc_check"] is True
     assert payload["roots"] == [[-0.25, 0.0], [-0.25, 0.0]]
@@ -603,10 +613,10 @@ def test_cli_roots_reports_common_real_part(capsys):
 @pytest.mark.parametrize(
     "argv,verdicts",
     [
-        (("--family", "cross:8"), (True, -0.5, True)),
+        (("--family", "cross:8"), (True, "-1/2", True)),
         (("--family", "qn:9"), (False, None, True)),
         (("--family", "pn:7"), (False, None, False)),
-        (("--family", "cross:3", "-a", "4"), (False, -0.5, False)),
+        (("--family", "cross:3", "-a", "4"), (False, "-1/2", False)),
     ],
 )
 def test_cli_roots_root_line_verdicts(capsys, argv, verdicts):
@@ -975,12 +985,17 @@ def test_cli_count_one_step_past_the_nodes_stays_closed_form(capsys, family, k):
         (("roots", "--family", "pn:40", "--format", "json"), 1.0),
         (("count", "--family", "qn:6", "-k", "8", "--method", "box"), 0.5),
         (("ehrhart", "--family", "pn:120", "--format", "json"), 0.2),
+        (("ehrhart", "--family", "cube:40", "--format", "json"), 1.0),
+        # About 0.4 s: 2^17 facets, the most reflexive lists.
+        (("reflexive", "--family", "cross:17", "--format", "json"), 5.0),
     ],
-    ids=["pn:300", "cube:800", "cross:3000", "roots pn:40", "box qn:6", "pn:120"],
+    ids=["pn:300", "cube:800", "cross:3000", "roots pn:40", "box qn:6", "pn:120", "cube:40",
+         "reflexive cross:17"],
 )
 def test_cli_time_bound_steps_in_process(capsys, argv, bound):
-    """In-process twins of CI's ``timeout`` steps on pn:300, cube:800,
-    ``roots`` of pn:40, the qn:6 box scan and pn:120, and of the
+    """Time-bound probes, once CI's ``timeout`` steps: pn:300 and cube:800
+    (interpolating counts, pn:300 ran past 10 s), ``roots`` of pn:40, the
+    qn:6 box scan, pn:120, cube:40, ``reflexive`` on cross:17, and the
     crosspolytope count that a ``comb`` per term of ``count_minkowski_dp``
     held at about 1 s: exit 0, no stderr, inside the bound (seconds,
     2-vCPU VM)."""
@@ -1319,6 +1334,14 @@ def test_cli_refuses_a_half_space_box_scan_before_numpy_loads(tmp_path):
     assert _loads_numpy(argv[:4] + ["3"] + argv[5:])
 
 
+def test_cli_segment_reports_load_no_numpy(tmp_path):
+    """A JSON segment's polynomial and counts come from its ends: no box scan."""
+    segment = tmp_path / "segment.json"
+    segment.write_text(json.dumps({"dimension": 1, "vertices": [[-2], [3]]}))
+    for argv in (["ehrhart"], ["count", "-k", "7"]):
+        assert not _loads_numpy(argv + ["--json", str(segment)])
+
+
 def _loads_numpy(argv):
     """Run the CLI on argv in a fresh interpreter; whether NumPy got loaded."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -1332,35 +1355,35 @@ def _loads_numpy(argv):
 
 
 def test_run_all_computes_each_bipyramid_closed_form_once(monkeypatch):
-    """Rows 2, 3, 6 and 11 read 28 closed forms for 19 distinct n; the
-    cache lives for one run_all call."""
+    """Rows 2, 3, 6 and 11 read 28 bipyramid polynomials for 19 distinct n,
+    each from its recipe through run_all's one cache, which lives for one
+    run_all call."""
     calls = []
 
     def counted(n):
         calls.append(n)
         return qn_coefficients(n)
 
-    monkeypatch.setattr(verification, "qn_coefficients", counted)
+    monkeypatch.setattr(ehrhart, "qn_coefficients", counted)
     for runs in (1, 2):
         assert all(row.passed for row in verification.run_all())
         assert len(calls) == 19 * runs and sorted(set(calls)) == list(range(2, 21))
 
 
 def test_run_all_computes_each_ehrhart_polynomial_once(monkeypatch):
-    """Rows 1, 4, 6, 7, 8, 9 and 11 share one cache of polynomials, so no
-    body reaches ehrhart_of twice in a run (27 calls, 71 without it; row 9's
-    random polygons read Pick's recipe); the cache lives for one run_all
-    call."""
+    """Rows 2, 3, 4, 6, 7, 8, 9 and 11 share one cache of recipe
+    polynomials, so no body's recipe is read twice in a run: 43 bodies
+    through the cache, row 9's 50 random polygons once each, and the two
+    factors of row 11's product inside its recipe, cube:2 among them,
+    which the cache also holds (95 reads, 94 bodies).  The cache lives for
+    one run_all call."""
     calls = []
-
-    def counted(body, counter):
-        calls.append(body)
-        return ehrhart_of(body, counter)
-
-    monkeypatch.setattr(verification, "ehrhart_of", counted)
+    recipe = ehrhart.ehrhart_from_recipe
+    monkeypatch.setattr(ehrhart, "ehrhart_from_recipe",
+                        lambda body: calls.append(body) or recipe(body))
     for runs in (1, 2):
         assert all(row.passed for row in verification.run_all())
-        assert len(calls) == 27 * runs and len(set(calls[-27:])) == 27
+        assert len(calls) == 95 * runs and len(set(calls[-95:])) == 94
 
 
 SQUARE_HALFSPACES = [

@@ -246,6 +246,8 @@ bodies = st.recursive(
         st.builds(pn_family, st.integers(2, 12)),
         st.builds(qn_family, st.integers(2, 12)),
         polygons(),
+        st.builds(lambda lo, length: LatticePolytope(1, ((lo,), (lo + length,))),
+                  st.integers(-5, 5), st.integers(1, 6)),
     ),
     lambda inner: st.one_of(
         st.builds(dilate, inner, st.integers(1, 4)), st.builds(product, inner, inner)
@@ -256,9 +258,11 @@ bodies = st.recursive(
 
 def recipe_free_count(p, k):
     """#(kP cap Z^n) at s k from the sums, the Minkowski closed form,
-    (2sk+1)^n and Pick's theorem: never through a polynomial, so past the
-    nodes it is no recipe read back."""
+    (2sk+1)^n, a segment's box scan and Pick's theorem: never through a
+    polynomial, so past the nodes it is no recipe read back."""
     fam, n = p.family, p.dimension
+    if fam is None and n == 1:
+        return count_box_scan(oracle_for(dilate(p, k))) if k else 1
     if fam is None:  # a polygon: 2A by the shoelace sum, B by edge gcds
         edges = list(zip(p.vertices, p.vertices[1:] + p.vertices[:1]))
         twice_area = sum(ux * vy - vx * uy for (ux, uy), (vx, vy) in edges)
@@ -320,6 +324,11 @@ def test_h_star_nonnegative_and_palindromic_where_reflexive():
 def test_no_recipe_for_json_polytopes_off_the_plane():
     segment = LatticePolytope(1, ((-1,), (2,)), (Halfspace((1,), 2), Halfspace((-1,), 1)))
     simplex = LatticePolytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    for p in (segment, simplex, product(cube(2), segment), dilate(product(simplex, cube(1)), 2)):
+    for p in (simplex, product(simplex, segment), dilate(product(simplex, cube(1)), 2)):
         assert ehrhart_from_recipe(p) is None
-    assert ehrhart_from_recipe(product(segment, hull2d([(0, 0), (1, 0), (0, 1)]))) is None
+    # A segment's recipe is its length: L(k) = 3k + 1 here.
+    assert ehrhart_from_recipe(segment).coefficients == (1, 3)
+    # (4k + 1)^2 (6k + 1): the doubled square times the doubled segment.
+    assert ehrhart_from_recipe(dilate(product(cube(2), segment), 2)).coefficients == (
+        1, 14, 64, 96
+    )
