@@ -32,7 +32,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, NoReturn
 
 from .counting import dilation_counter, scan_counter
 from .ehrhart import EhrhartPolynomial, ehrhart_from_recipe, ehrhart_of
@@ -88,6 +88,11 @@ class SpecError(ValueError):
     pass
 
 
+def _past_digit_limit(digits: int) -> str:
+    """Why an integer of that many digits is refused: int() reads no more."""
+    return f"{digits} digits, past Python's limit of {sys.get_int_max_str_digits()} digits"
+
+
 def _brief(text: str, show=repr) -> str:
     """``show(text)`` for a message; past 40 characters, its start and length."""
     if len(text) <= 40:
@@ -109,7 +114,7 @@ class _SpecParser:
         self.text = text
         self.pos = 0
 
-    def fail(self, message: str) -> None:
+    def fail(self, message: str) -> NoReturn:
         raise SpecError(f"spec error at position {self.pos}: {message}")
 
     def skip_ws(self) -> None:
@@ -138,7 +143,11 @@ class _SpecParser:
             self.pos += 1
         if start == self.pos:
             self.fail("expected a positive integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # well formed, but longer than int() reads
+            digits, self.pos = self.pos - start, start
+            self.fail(_past_digit_limit(digits))
 
     def parse(self) -> LatticePolytope:
         poly = self.parse_spec()
@@ -174,7 +183,6 @@ class _SpecParser:
                 self.fail(f"'{name}' requires a parameter >= {minimum}")
             return ctor(n)
         self.fail(f"unknown family {_brief(name)}")
-        raise AssertionError  # unreachable
 
 
 def parse_polytope_spec(text: str) -> LatticePolytope:
@@ -434,16 +442,29 @@ def _load_polytope(req: CommandRequest) -> LatticePolytope:
     path = _brief(req.json_path, str)
     try:
         with open(req.json_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         if exc.filename is None:  # a read error, whose text names no path
             raise
         raise OSError(f"[Errno {exc.errno}] {exc.strerror}: {_brief(req.json_path)}") from None
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError:
         raise ValueError(f"JSON in {path} is nested too deeply") from None
+    except ValueError:  # int()'s own error past its digit limit, raised bare
+        json.loads(text, parse_int=lambda digits: _json_int(digits, path))  # names it
+        raise
     return polytope_from_json(data)
+
+
+def _json_int(text: str, path: str) -> int:
+    """A JSON integer as json reads it, or the digit limit named for ``path``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"JSON in {path}: {_past_digit_limit(len(text.lstrip('-')))}") from None
 
 
 def _ehrhart_for(req: CommandRequest, p: LatticePolytope) -> EhrhartPolynomial:
@@ -546,11 +567,11 @@ def _cmd_bounds(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
 
 def _cmd_reflexive(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
     n_vertices, n_halfspaces = list_sizes(p)
-    if n_halfspaces is None and p.dimension != 2:
-        raise SpecError(
-            "reflexivity needs a half-space representation (2D hulls are "
-            "built automatically; higher dimensions must supply halfspaces)"
-        )
+    if n_halfspaces is None and p.dimension != 2:  # no input gives pn half-spaces
+        raise SpecError("reflexivity needs a half-space representation" + (
+            ", and the pn family lists no half-spaces" if _has_pn_factor(p) else
+            " (2D hulls are built automatically; higher dimensions must supply halfspaces)"
+        ))
     if max(n_vertices, n_halfspaces or 0) > _MAX_LISTED:
         raise SpecError(f"reflexivity would list over {_MAX_LISTED} vertices/facets")
     ehr = _ehrhart_for(req, p)
@@ -571,6 +592,14 @@ def _cmd_reflexive(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
         "agree": report_obj.agree,
     }
     return report, EXIT_OK if report_obj.def_check else EXIT_FINDING
+
+
+def _has_pn_factor(p: LatticePolytope) -> bool:
+    """Whether p is a pn body, or a product with one as a factor."""
+    fam = p.family
+    return fam is not None and (
+        fam.tag is FamilyTag.PN_FAMILY or any(map(_has_pn_factor, fam.factors))
+    )
 
 
 def _cmd_verify_all(req: CommandRequest) -> tuple[dict, int]:
@@ -635,8 +664,7 @@ def _nonnegative_int(text: str) -> int:
     except ValueError:
         digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", text)
         if digits:  # well formed, but longer than int() reads
-            raise ValueError(f"{len(digits[1])} digits, past Python's limit of "
-                             f"{sys.get_int_max_str_digits()} digits") from None
+            raise ValueError(_past_digit_limit(len(digits[1]))) from None
         raise ValueError(f"not an integer: {_brief(text)}") from None
     if value < 0:
         raise ValueError(f"must be nonnegative: {_brief(text)}")

@@ -55,48 +55,23 @@ _MAX_BOX = 2**60
 class MembershipOracle(NamedTuple):
     """Membership predicate plus a box that certainly contains the polytope.
 
-    ``contains`` reads coordinates from the last axis of an integer array
-    (``x[..., i]``), so it answers for one point, ``contains((1, 1))``, and
-    for a block of points at once, returning one boolean per point.
-
-    A box scan hands it views of one buffer that the scan owns: each
-    coordinate ``x[..., i]`` is a contiguous row, in the narrowest signed
-    integer type that holds ``dimension * bounding_radius``.  So a sum of up
-    to ``dimension`` absolute coordinates fits that type; a predicate that
-    needs more range casts up itself.  When ``scratch_rows`` is positive the
-    scan calls ``contains(x, scratch, out)``: ``scratch`` is a
-    ``(scratch_rows, len(x))`` array of x's type for the predicate's
-    temporaries, written through ``out=``, and ``out`` a boolean array of
-    ``len(x)`` that receives the answers and is returned.  The predicate
-    must keep none of the three, nor assume what they hold on entry: the
-    next block overwrites them.
+    ``contains(x, scratch, out)`` answers for a block of points at once.  A
+    box scan hands it views of buffers that the scan owns: ``x`` holds one
+    point per row, and each coordinate ``x[..., i]`` is a contiguous row, in
+    the narrowest signed integer type that holds ``dimension *
+    bounding_radius``.  So a sum of up to ``dimension`` absolute coordinates
+    fits that type; a predicate that needs more range casts up itself.
+    ``scratch`` is a ``(scratch_rows, len(x))`` array of x's type for the
+    predicate's temporaries, written through ``out=`` (``scratch_rows`` may
+    be 0), and ``out`` a boolean array of ``len(x)`` that receives the
+    answers and is returned.  The predicate must keep none of the three,
+    nor assume what they hold on entry: the next block overwrites them.
     """
 
     dimension: int
-    contains: Callable[..., np.ndarray]
+    contains: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     bounding_radius: int
     scratch_rows: int = 0
-
-
-def _family_oracle(
-    dim: int, radius: int, rows: int, test: Callable[..., np.ndarray]
-) -> MembershipOracle:
-    """Oracle whose predicate ``test(x, scratch, out)`` needs ``rows`` scratch
-    rows; a call without them, like ``contains((1, 1))``, gets its own."""
-
-    def contains(
-        x: np.ndarray, scratch: np.ndarray | None = None, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        if scratch is not None:
-            return test(x, scratch, out)
-        import numpy as np
-
-        x = np.asarray(x)
-        points = x.reshape(-1, dim)
-        scratch = np.empty((rows, len(points)), points.dtype)
-        return test(points, scratch, np.empty(len(points), bool)).reshape(x.shape[:-1])
-
-    return MembershipOracle(dim, contains, radius, rows)
 
 
 def oracle_for(p: LatticePolytope) -> MembershipOracle:
@@ -104,7 +79,7 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
 
     Family oracles account for the accumulated dilation scale, so the
     oracle of ``dilate(pn_family(3), 2)`` answers for the dilated body, and
-    they take scratch from a box scan.  Building one touches no array:
+    they work in the scan's scratch rows.  Building one touches no array:
     NumPy loads when ``contains`` first runs, so a box scan refused for its
     size never loads it.
     """
@@ -120,7 +95,7 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
                 m = np.maximum.reduce(a, axis=-1, out=scratch[dim])
                 return np.less_equal(m, s, out=out)
 
-            return _family_oracle(dim, s, dim + 1, inside_cube)
+            return MembershipOracle(dim, inside_cube, s, dim + 1)
         if fam.tag is FamilyTag.CROSSPOLYTOPE:
 
             def inside_cross(x, scratch, out) -> np.ndarray:
@@ -130,7 +105,7 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
                 total = np.add.reduce(a, axis=-1, dtype=a.dtype, out=scratch[dim])
                 return np.less_equal(total, s, out=out)
 
-            return _family_oracle(dim, s, dim + 1, inside_cross)
+            return MembershipOracle(dim, inside_cross, s, dim + 1)
         if fam.tag is FamilyTag.PN_FAMILY:
 
             def inside_pn(x, scratch, out) -> np.ndarray:
@@ -151,7 +126,7 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
                 np.minimum(slack, t, out=slack)
                 return np.greater_equal(slack, 0, out=out)
 
-            return _family_oracle(dim, s, dim + 2, inside_pn)
+            return MembershipOracle(dim, inside_pn, s, dim + 2)
         if fam.tag is FamilyTag.QN_FAMILY:
 
             def inside_qn(x, scratch, out) -> np.ndarray:
@@ -162,7 +137,7 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
                 np.add(m, a[..., -1], out=m)
                 return np.less_equal(m, s, out=out)
 
-            return _family_oracle(dim, s, dim + 1, inside_qn)
+            return MembershipOracle(dim, inside_qn, s, dim + 1)
         if fam.tag is FamilyTag.PRODUCT:
             sub = [oracle_for(dilate(f, s) if s > 1 else f) for f in fam.factors]
             ends = list(itertools.accumulate(o.dimension for o in sub))
@@ -175,13 +150,13 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
                 count = scratch[0]
                 count.fill(0)
                 for o, e in zip(sub, ends):
-                    buffers = (scratch[1:], out) if o.scratch_rows else ()
-                    np.add(count, o.contains(x[..., e - o.dimension : e], *buffers), out=count)
+                    inside = o.contains(x[..., e - o.dimension : e], scratch[1:], out)
+                    np.add(count, inside, out=count)
                 return np.equal(count, len(sub), out=out)
 
             radius = max(o.bounding_radius for o in sub)
             rows = 1 + max(o.scratch_rows for o in sub)
-            return _family_oracle(dim, radius, rows, inside_product)
+            return MembershipOracle(dim, inside_product, radius, rows)
     if p.halfspaces is not None:
         halfspaces = p.halfspaces
 
@@ -193,9 +168,9 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
             normals = np.array([h.normal for h in halfspaces], dtype=object).T
             return normals, np.array([h.rhs for h in halfspaces], dtype=object)
 
-        def inside_halfspaces(x: np.ndarray) -> np.ndarray:
+        def inside_halfspaces(x, scratch, out) -> np.ndarray:
             normals, rhs = arrays()
-            return (x @ normals <= rhs).all(-1)
+            return (x @ normals <= rhs).all(-1, out=out)
 
         radius = max(abs(c) for v in p.vertices for c in v)
         return MembershipOracle(p.dimension, inside_halfspaces, radius)
@@ -245,7 +220,7 @@ def count_box_scan(oracle: MembershipOracle, max_points: int | None = None) -> i
             box[i] = axis[(...,) + (None,) * (dim - 1 - i)]
         flat = box.reshape(dim + rows, -1)
         x = flat[:dim].T
-        inside = contains(x, flat[dim:], np.empty(points, bool)) if rows else contains(x)
+        inside = contains(x, flat[dim:], np.empty(points, bool))
         return int(np.count_nonzero(inside))
     # Otherwise a block holds the leading d coordinates constant, steps
     # coordinate d through a run of c values, and pairs each value with the
@@ -276,7 +251,7 @@ def count_box_scan(oracle: MembershipOracle, max_points: int | None = None) -> i
             n = min(c, r + 1 - lo) * inner
             np.add(run[:n], lo, out=block[d, :n])
             x = block[:dim, :n].T
-            inside = contains(x, block[dim:, :n], answers[:n]) if rows else contains(x)
+            inside = contains(x, block[dim:, :n], answers[:n])
             total += int(np.count_nonzero(inside))
     return total
 

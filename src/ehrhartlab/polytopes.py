@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from copy import copy
 from enum import Enum
-from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
 from operator import index as _index, mul
@@ -160,6 +159,13 @@ def _validated(
             raise ValueError(f"half-spaces are not the {kind} of the vertices' hull")
         halfspaces = halfspaces or facets
     else:
+        # m <= n half-spaces leave a nonzero x with every normal . x <= 0, a
+        # direction along which their intersection is unbounded.
+        if halfspaces is not None and len(halfspaces) <= dimension:
+            raise ValueError(
+                f"a polytope in dimension {dimension} needs at least "
+                f"{dimension + 1} half-spaces, not {len(halfspaces)}"
+            )
         for hs in halfspaces or ():
             if len(hs.normal) != dimension:
                 raise ValueError("half-space dimension mismatch")
@@ -332,21 +338,16 @@ def index(p: LatticePolytope) -> int:
     return lcm(*(h.rhs for h in hs))
 
 
-class PolarScaled(NamedTuple):
-    is_lattice: bool
-    vertices: tuple[tuple[int | Fraction, ...], ...]
-
-
-def _polar_scaled(hs: Sequence[Halfspace], l: int) -> PolarScaled:
-    """Vertices of l * (polar): the point l*u_i/l_i per facet (not
-    deduplicated).  A normal is primitive, so that point is integral iff l_i
-    divides l: its coordinates are then ints, else Fractions."""
-    verts, lattice = [], True
+def _polar_scaled(hs: Sequence[Halfspace], l: int) -> tuple[IntVector, ...]:
+    """Vertices of l * (polar): the integer point (l/l_i)*u_i per facet
+    u_i . x <= l_i (not deduplicated).  Every l_i must divide l."""
+    verts = []
     for normal, rhs in hs:
         q, r = divmod(l, rhs)
-        verts.append(tuple([Fraction(l * c, rhs) if r else q * c for c in normal]))
-        lattice = lattice and not r
-    return PolarScaled(lattice, tuple(verts))
+        if r:
+            raise ValueError(f"facet distance {rhs} does not divide l = {l}")
+        verts.append(tuple([q * c for c in normal]))
+    return tuple(verts)
 
 
 def _segment(points: Sequence[IntVector]) -> _Lists:

@@ -13,14 +13,14 @@ a polar-side test, and an Ehrhart-coefficient test.  Two subtleties make
 the naive versions of the last two non-equivalent, and both are handled
 (and kept visible in the report) here:
 
-* With l the lcm of the l_i, the scaled polar candidate vertices
-  l*u_i/l_i are *always* integral, so bare latticeness of the scaled
-  polar distinguishes nothing.  The faithful polar-side test also needs
-  the polar's vertices primitive (that is exactly "all l_i = l") and the
-  polar's facets at distance l.  The polar's facets are dual to the
-  vertices of the original: a vertex v = c*w (w primitive, c the content)
-  gives the polar facet {w . x <= l/c}, at integral distance l exactly
-  when c = 1.  So the dual-side distance condition is vertex primitivity
+* With l the lcm of the l_i, the scaled polar's vertices (l/l_i)*u_i
+  are *always* integral (``_polar_scaled`` takes no other l), so
+  latticeness of the scaled polar distinguishes nothing.  The polar-side
+  test asks instead that the polar's vertices be primitive (that is
+  exactly "all l_i = l") and its facets lie at distance l.  The polar's
+  facets are dual to the vertices of the original: a vertex v = c*w (w
+  primitive, c the content) gives the polar facet {w . x <= l/c}, at
+  integral distance l exactly when c = 1.  So the dual-side distance condition is vertex primitivity
   of the original, the same test the coefficient check conjoins.
 
 * The coefficient identity  c_{n-1} = (n/2l) * vol  holds exactly when
@@ -100,14 +100,9 @@ def reflexivity_equivalence(
     # Equal facet distances are their own lcm, so they all equal l.
     def_check = vertices_primitive and rhs.count(l) == len(rhs)
 
-    polar = _polar_scaled(hs, l)
     # Dual facet distances: vertex v = content * w gives the polar facet
     # {w . x <= l/content}; all are l  iff  every vertex is primitive.
-    polar_check = (
-        polar.is_lattice
-        and all(map(is_primitive, polar.vertices))
-        and vertices_primitive
-    )
+    polar_check = all(map(is_primitive, _polar_scaled(hs, l))) and vertices_primitive
 
     coefficient_identity = _mean_on_line(ehr.poly, Fraction(1, 2 * l))
     coefficient_check = coefficient_identity and vertices_primitive

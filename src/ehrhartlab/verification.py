@@ -165,7 +165,9 @@ def _deficiency_brute(m: int, a: int, b: int) -> int:
     # radius, so the sum stays in the scan's type.
     inside = MembershipOracle(
         m,
-        lambda x: np.add.reduce(np.maximum(np.abs(x), a), axis=-1, dtype=x.dtype) <= b + m * a,
+        lambda x, scratch, out: np.less_equal(
+            np.add.reduce(np.maximum(np.abs(x), a), axis=-1, dtype=x.dtype), b + m * a, out=out
+        ),
         a + b,
     )
     return count_box_scan(inside)

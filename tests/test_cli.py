@@ -522,6 +522,23 @@ def test_cli_count_scans_at_k_when_halfspaces_are_unchecked(tmp_path, capsys):
         assert code == EXIT_OK and json.loads(out)["count"] == 57
 
 
+@pytest.mark.parametrize("halfspaces", [[((1, 1, 1), 1)], []], ids=["one", "none"])
+def test_cli_refuses_fewer_half_spaces_than_bound_a_polytope(tmp_path, capsys, halfspaces):
+    """n half-spaces or fewer leave a direction along which their cut is
+    unbounded: the unit simplex with x+y+z <= 1 alone counted 23 points at
+    k = 1 (4 is right), and with none NumPy refused a matmul."""
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"dimension": 3,
+                                "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                "halfspaces": halfspaces_json(*halfspaces)}))
+    line = f"error: $: a polytope in dimension 3 needs at least 4 half-spaces, not {len(halfspaces)}\n"
+    for cmd in (["count", "-k", "1"], ["ehrhart"], ["roots"], ["wills"], ["bounds"],
+                ["reflexive"]):
+        assert main([*cmd, "--json", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", line)
+    assert not _loads_numpy(["roots", "--json", str(path)])
+
+
 def test_cli_wills_violation_exit_code(capsys):
     code, out = run_cli(
         capsys, "wills", "--family", "qn:13", "--format", "json"
@@ -906,6 +923,23 @@ def test_cli_reflexive_refuses_slow_family_lists(capsys):
     )
 
 
+def test_cli_reflexive_names_the_family_without_half_spaces(tmp_path, capsys):
+    """A family spec cannot supply half-spaces, so the refusal names the pn
+    family; a JSON polytope could have, and is told so."""
+    for spec in ("pn:3", "product(pn:2,cube:1)", "dilate(pn:4,2)"):
+        assert main(["reflexive", "--family", spec]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: reflexivity needs a half-space "
+                                       "representation, and the pn family lists no "
+                                       "half-spaces\n")
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"dimension": 3,
+                                "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    assert main(["reflexive", "--json", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: reflexivity needs a half-space "
+                                   "representation (2D hulls are built automatically; "
+                                   "higher dimensions must supply halfspaces)\n")
+
+
 def test_cli_verify_all_passes(capsys):
     code, out = run_cli(capsys, "verify-all", "--format", "json")
     assert code == EXIT_OK
@@ -957,6 +991,23 @@ def test_cli_answer_past_the_digit_limit_exits_2(capsys, fmt, family, k):
     assert code == EXIT_USAGE and captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: Exceeds the limit")
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="needs Python's default digit limit")
+def test_cli_integers_past_the_digit_limit_are_named_as_k_names_them(tmp_path, monkeypatch,
+                                                                     capsys):
+    """A spec integer and a JSON coordinate of 5,000 digits are refused in
+    the words of ``-k``, not with advice to call a Python function."""
+    monkeypatch.chdir(tmp_path)
+    Path("big.json").write_text('{"dimension": 2, "vertices": [[0, 0], [1, 0], [0, -1%s]]}'
+                                % ("0" * 4999))
+    limit = "5000 digits, past Python's limit of 4300 digits\n"
+    for argv, line in ((["--family", "cube:1" + "0" * 4999], "spec error at position 5: "),
+                       (["--family", "dilate(cube:2, 1" + "0" * 4999 + ")"],
+                        "spec error at position 15: "),
+                       (["--json", "big.json"], "JSON in big.json: ")):
+        assert main(["ehrhart", *argv]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: " + line + limit)
 
 
 @pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 4504, reason="needs Python's int-to-str digit limit")
@@ -1321,17 +1372,50 @@ def test_cli_loads_numpy_only_for_float_roots_and_box_scans(argv, loads_numpy):
     assert _loads_numpy(argv.split()) is loads_numpy
 
 
+UNIT_CUBE = {
+    "dimension": 3,
+    "vertices": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+    "halfspaces": [{"normal": [s * (i == j) for j in range(3)], "rhs": int(s > 0)}
+                   for i in range(3) for s in (1, -1)],
+}
+
+
 def test_cli_refuses_a_half_space_box_scan_before_numpy_loads(tmp_path):
     unit = tmp_path / "unit.json"
-    unit.write_text(json.dumps({
-        "dimension": 3,
-        "vertices": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],
-        "halfspaces": [{"normal": [s * (i == j) for j in range(3)], "rhs": int(s > 0)}
-                       for i in range(3) for s in (1, -1)],
-    }))
+    unit.write_text(json.dumps(UNIT_CUBE))
     argv = ["count", "--json", str(unit), "-k", "1" + "0" * 1000, "--method", "box"]
     assert not _loads_numpy(argv)
     assert _loads_numpy(argv[:4] + ["3"] + argv[5:])
+
+
+@pytest.mark.parametrize("source, side", [(["--family", "cube:4000"], "^4000"),
+                                          (["--json", "unit.json"], "^3")])
+def test_cli_refuses_a_box_of_a_1001_digit_side_at_once(tmp_path, monkeypatch, capsys,
+                                                         source, side):
+    """The (2*10^1000 + 1)^4000 box of cube:4000, and the box of the unit
+    cube given by half-spaces, at k = 10^1000: exit 2 with one line, well
+    inside 2 s (that power alone takes about 3 s to build)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "unit.json").write_text(json.dumps(UNIT_CUBE))
+    start = time.perf_counter()
+    code = main(["count", *source, "-k", "1" + "0" * 1000, "--method", "box"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err == (f"error: box scan of (1001-digit number){side} points exceeds "
+                            "the budget of 100000000; use a family counter instead\n")
+    assert elapsed < 2
+
+
+def test_cli_counts_a_triangle_past_a_one_point_box_budget(tmp_path, capsys):
+    """A polygon is counted by Pick's theorem, so a budget that refuses any
+    box scan still lets it answer at k = 10^6: 9/2 k^2 + 9/2 k + 1."""
+    triangle = tmp_path / "tri.json"
+    triangle.write_text(json.dumps({"dimension": 2, "vertices": [[-1, -1], [2, -1], [-1, 2]]}))
+    code = main(["count", "--json", str(triangle), "-k", "1000000", "--max-box-points", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (EXIT_OK, "")
+    assert "count     4500004500001\n" in captured.out
 
 
 def test_cli_segment_reports_load_no_numpy(tmp_path):
