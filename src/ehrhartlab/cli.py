@@ -32,6 +32,8 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Any, NamedTuple, NoReturn
 
 from .counting import dilation_counter, scan_counter
@@ -358,10 +360,18 @@ def _check_consistent(obj: dict, rebuilt: LatticePolytope, path: str) -> None:
         )
 
 
+def _ratio(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for q != 0, built without the Fraction."""
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    p, q = p // g, q // g
+    return f"{p}" if q == 1 else f"{p}/{q}"
+
+
 def ehrhart_to_json(ehr: EhrhartPolynomial) -> dict[str, Any]:
+    d = ehr.poly.denominator
     return {
         "dimension": ehr.dimension,
-        "coefficients": [str(c) for c in ehr.coefficients],
+        "coefficients": [_ratio(c, d) for c in ehr.poly.numerators],
     }
 
 
@@ -405,9 +415,35 @@ def _spec_text(family: dict[str, Any]) -> str | None:
     return text if params["scale"] == 1 else f"dilate({text},{params['scale']})"
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json writes them
+
+
+def _json_text(value: Any, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the values reports are built from:
+    dicts with str keys, lists, tuples, str, bool, None, int and float.  The
+    stdlib runs its pure-Python encoder whenever ``indent`` is set; this
+    calls only its C string encoder, and ``int.__repr__`` raises the same
+    ValueError past the int-to-str digit limit."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{f',{inner}'.join(items)}{indent}}}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        return f"[{inner}{f',{inner}'.join(items)}{indent}]" if items else "[]"
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    text = float.__repr__(value)  # a TypeError for any other type, as json raises
+    return _FLOAT_WORDS.get(text, text)
+
+
 def render_report(report: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2)
+        return _json_text(report)
     if fmt == "plain" and "rows" in report and "overall" in report:
         lines = [
             f"[{row['status']}] {row['number']:2d}  {row['name']:<34} {row['detail']}"
@@ -447,6 +483,8 @@ def _load_polytope(req: CommandRequest) -> LatticePolytope:
         if exc.filename is None:  # a read error, whose text names no path
             raise
         raise OSError(f"[Errno {exc.errno}] {exc.strerror}: {_brief(req.json_path)}") from None
+    except UnicodeDecodeError as exc:  # JSON text is UTF-8 (RFC 8259)
+        raise ValueError(f"malformed JSON in {path}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -519,8 +557,8 @@ def _cmd_wills(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
         "per_index": [
             {
                 "i": row.index,
-                "coefficient": str(row.coefficient),
-                "bound": str(row.bound),
+                "coefficient": _ratio(*row.verdict.lhs_terms),
+                "bound": _ratio(*row.verdict.rhs_terms),
                 "holds": row.holds,
             }
             for row in verdict.per_index
@@ -535,8 +573,8 @@ def _bound_json(verdict) -> dict[str, Any]:
     return {
         "holds": verdict.holds,
         "is_equality": verdict.is_equality,
-        "lhs": str(verdict.lhs),
-        "rhs": str(verdict.rhs),
+        "lhs": _ratio(*verdict.lhs_terms),
+        "rhs": _ratio(*verdict.rhs_terms),
     }
 
 

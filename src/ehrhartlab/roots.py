@@ -125,16 +125,13 @@ class RootSet(Frozen):
 
 class BoundVerdict(NamedTuple):
     """Outcome of one exact inequality lhs <= rhs between lhs = p/q and
-    rhs = r/s, decided on integers; ``lhs`` and ``rhs`` build their
-    Fractions when read."""
+    rhs = r/s, decided on integers: ``lhs_terms`` is (p, q) and
+    ``rhs_terms`` is (r, s), neither reduced."""
 
     holds: bool
     is_equality: bool
     lhs_terms: tuple[int, int]
     rhs_terms: tuple[int, int]
-
-    lhs = property(lambda self: Fraction(*self.lhs_terms))
-    rhs = property(lambda self: Fraction(*self.rhs_terms))
 
 
 def _bound_verdict(p: int, q: int, r: int, s: int) -> BoundVerdict:
@@ -153,8 +150,6 @@ class WillsIndexVerdict(NamedTuple):
     verdict: BoundVerdict
 
     holds = property(lambda self: self.verdict.holds)
-    coefficient = property(lambda self: self.verdict.lhs)
-    bound = property(lambda self: self.verdict.rhs)
 
 
 class WillsVerdict(NamedTuple):

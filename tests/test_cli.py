@@ -1215,6 +1215,16 @@ def test_json_path_messages_shorten_long_paths(tmp_path, monkeypatch, capsys):
     assert error(".") == "error: [Errno 21] Is a directory: '.'\n"
 
 
+def test_json_file_that_is_not_utf8_is_named(tmp_path, monkeypatch, capsys):
+    """JSON text is UTF-8, so other bytes are malformed JSON in that file."""
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_bytes(b"\xff{}")
+    assert main(["ehrhart", "--json", "bad.json"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: malformed JSON in bad.json: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n")
+
+
 def test_cli_has_no_tolerance_flag(capsys):
     """The root line is decided exactly, so no tolerance can be set."""
     for cmd in ("roots", "bounds", "reflexive"):

@@ -224,8 +224,8 @@ def test_wills_check_hybrid_violation():
     assert verdict.violations == (1,)
     assert not verdict.overall
     row = verdict.per_index[1]
-    assert row.coefficient == Fraction(1534, 105)
-    assert row.bound == 14
+    assert Fraction(*row.verdict.lhs_terms) == Fraction(1534, 105)
+    assert Fraction(*row.verdict.rhs_terms) == 14
 
 
 def test_wills_check_bipyramid_violations():
@@ -257,7 +257,7 @@ def test_ratio_bound_crosspolytope_equality_only_at_top():
     e = ehr(crosspolytope(3))
     verdict = coefficient_ratio_bound(e, 2, 0, 2)
     assert verdict.holds and not verdict.is_equality
-    assert verdict.lhs == 2 and verdict.rhs == 12
+    assert Fraction(*verdict.lhs_terms) == 2 and Fraction(*verdict.rhs_terms) == 12
     top = coefficient_ratio_bound(e, 2, 2, 3)
     assert top.holds and top.is_equality
 
@@ -275,10 +275,11 @@ def test_volume_bound_cases():
     assert cube_case.holds and cube_case.is_equality
     cross_case = volume_bound(ehr(crosspolytope(2)), 2)
     assert cross_case.holds and not cross_case.is_equality
-    assert cross_case.lhs == 2 and cross_case.rhs == Fraction(20, 9)
+    assert Fraction(*cross_case.lhs_terms) == 2
+    assert Fraction(*cross_case.rhs_terms) == Fraction(20, 9)
     segment = volume_bound(ehr(dilate(cube(1), 2)), 4)
     assert segment.holds and segment.is_equality
-    assert segment.lhs == 4
+    assert Fraction(*segment.lhs_terms) == 4
 
 
 def test_point_count_bound_cases():
@@ -286,7 +287,7 @@ def test_point_count_bound_cases():
     assert point_count_bound(ehr(crosspolytope(3)), 2).is_equality
     four = point_count_bound(ehr(cube(4)), 2)
     assert four.holds and four.is_equality
-    assert four.lhs == 81 and four.rhs == 81
+    assert Fraction(*four.lhs_terms) == 81 and Fraction(*four.rhs_terms) == 81
     cross4 = point_count_bound(ehr(crosspolytope(4)), 2)
     assert cross4.holds and not cross4.is_equality
     with pytest.raises(ValueError):
@@ -314,7 +315,8 @@ def test_bound_verdicts_match_fraction_arithmetic(case):
     n = e.dimension
 
     def agrees(verdict, lhs, rhs):
-        return (verdict.lhs, verdict.rhs, verdict.holds, verdict.is_equality) == (
+        sides = (Fraction(*verdict.lhs_terms), Fraction(*verdict.rhs_terms))
+        return (*sides, verdict.holds, verdict.is_equality) == (
             lhs, rhs, lhs <= rhs, lhs == rhs
         )
 
@@ -330,9 +332,11 @@ def test_bound_verdicts_match_fraction_arithmetic(case):
         rhs = (a + 1) ** (n - 2) * ((a + 2) / a ** (n - 1) * volume + 1)
         assert agrees(point_count_bound(e, a), count, rhs)
     for row in wills_check(e).per_index:
-        assert row.coefficient == coeffs[row.index]
-        assert row.bound == 2**row.index * comb(n, row.index)
-        assert row.holds == (row.coefficient <= row.bound)
+        coefficient = Fraction(*row.verdict.lhs_terms)
+        bound = Fraction(*row.verdict.rhs_terms)
+        assert coefficient == coeffs[row.index]
+        assert bound == 2**row.index * comb(n, row.index)
+        assert row.holds == (coefficient <= bound)
 
 
 def test_point_count_equality_matches_nonreal_pair_characterization():
