@@ -31,6 +31,7 @@ from .exact import (
     bernoulli_magnitude_bounds,
     from_differences,
     interpolate,
+    with_factors,
 )
 from .polytopes import FamilyTag, LatticePolytope
 
@@ -103,7 +104,7 @@ def ehrhart_of(
 def ehrhart_from_recipe(p: LatticePolytope) -> EhrhartPolynomial | None:
     """From p's recipe, the Ehrhart polynomial of a family, segment or
     polygon, or of their products and dilates; else None."""
-    fam, n = p.family, p.dimension
+    fam, n, parts = p.family, p.dimension, []
     if fam is None:
         if n == 1:  # a segment, its ends lowest first: L(k) = (hi - lo) k + 1
             (lo,), (hi,) = p.vertices
@@ -132,10 +133,14 @@ def ehrhart_from_recipe(p: LatticePolytope) -> EhrhartPolynomial | None:
         if None in factors:
             return None
         poly = product_coefficients(*factors).poly
+        parts = [part for e in factors for part in e.poly.factors or [(e.poly, 1, 1)]]
     if fam.scale > 1:  # L(sk)
+        parts = [(f, m, s * fam.scale) for f, m, s in parts or [(poly, 1, 1)]]
         scaled = [c * fam.scale**i for i, c in enumerate(poly.numerators)]
         poly = Polynomial(scaled, poly.denominator)
-    return EhrhartPolynomial(n, poly)
+    # The root stage reads a product's factors and a dilate's scale from
+    # the list: L_{PxQ} = L_P L_Q and L_{sP}(k) = L_P(sk).
+    return EhrhartPolynomial(n, with_factors(poly, parts) if parts else poly)
 
 
 def _binomial_row(n: int) -> list[int]:

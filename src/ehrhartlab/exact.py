@@ -10,7 +10,16 @@ sequences (Brown and Traub 1971): a step multiplies by |lc|, never by the
 signed lc, and divides out a positive content, so each member is a positive
 multiple of the true remainder.  By Gauss's lemma, dividing by a primitive
 factor stays exact in Z[t].  A polynomial squarefree modulo a prime skips
-Yun's chain.
+Yun's chain; one symmetric about its roots' mean, q(t) = t^e s(t^2) after
+the shift to the mean, is tested on s, of half the degree.
+
+A polynomial built as a product of dilates, p = lc * prod f(s t)^m (the
+Ehrhart polynomial of a product or dilate, L_{PxQ} = L_P L_Q and
+L_{sP}(k) = L_P(sk)), keeps that list in ``Polynomial.factors``.  Its
+squarefree decomposition runs Yun once per distinct factor f and merges
+the bases of distinct factors by factor refinement (Bach, Driscoll and
+Shallit 1993): equal bases are found by equality, a pair coprime modulo a
+prime skips its gcd.
 
 Bernoulli convention
 --------------------
@@ -30,6 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
 from operator import ne
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from ._frozen import Frozen
@@ -95,11 +105,16 @@ class Polynomial(Frozen):
     The Fraction view, the roots' mean and the one shift to it are cached
     on first read, so every check of one instance shares them.  Instances
     are immutable and safe to share across threads.
+
+    ``factors`` is empty unless :func:`with_factors` recorded that the
+    polynomial is lc * prod f(s t)^m over its (f, m, s); it takes no part
+    in ``==`` and ``hash``.
     """
 
     _fields = ("numerators", "denominator")
     numerators: tuple[int, ...]
     denominator: int
+    factors: tuple[tuple["Polynomial", int, int], ...] = ()
 
     def __init__(
         self, coefficients: Iterable[RationalLike], denominator: int | None = None
@@ -132,7 +147,9 @@ class Polynomial(Frozen):
     def mean_shift(self) -> "Polynomial | None":
         """q(t) = p(t + mean) if q(-t) = (-1)^n q(t), else None: the one
         shift that every root-line test of this polynomial reads."""
-        q = self.shift(self.mean)
+        c, n = self.numerators, self.degree
+        # The mean -c_{n-1}/(n c_n) as an unreduced pair: no Fraction is built.
+        q = self.shift(SimpleNamespace(numerator=-c[n - 1], denominator=n * c[n]) if n else 0)
         return None if any(q.numerators[j] for j in range(q.degree - 1, -1, -2)) else q
 
     @property
@@ -177,7 +194,9 @@ class Polynomial(Frozen):
     def shift(self, c: RationalLike) -> "Polynomial":
         """Return q with q(t) = p(t + c).  With c = u/v and p = A/d, the
         integer polynomial v^n A(s/v) is Taylor-shifted by u in s, in place
-        by Horner's rule, and q_j = (shifted)_j v^j / (d v^n)."""
+        by Horner's rule, and q_j = (shifted)_j v^j / (d v^n).  Only
+        ``c.numerator`` and ``c.denominator`` are read, and v may be any
+        nonzero integer."""
         u, v = c.numerator, c.denominator
         a = self.numerators
         n = len(a) - 1
@@ -191,6 +210,16 @@ class Polynomial(Frozen):
         if self.is_zero:
             raise ValueError("zero polynomial has no monic form")
         return Polynomial(self.numerators, self.numerators[-1])
+
+
+def with_factors(
+    p: Polynomial, factors: Iterable[tuple[Polynomial, int, int]]
+) -> Polynomial:
+    """p, recorded as lc * prod f(s t)^m over ``factors``' (f, m, s), which
+    the caller guarantees.  An (f, s) may repeat; the readers, not the
+    recipe that only prints p, pay for finding equal ones."""
+    vars(p)["factors"] = tuple(factors)
+    return p
 
 
 # The integer kernel works on sequences of Python ints, constant term first,
@@ -261,12 +290,24 @@ def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Yun's algorithm: return [(f_i, m_i)] with p = lead * prod f_i^{m_i},
-    the f_i monic, squarefree, and pairwise coprime.  A p that is squarefree
-    modulo a prime skips the integer chain."""
+    the f_i monic, squarefree, and pairwise coprime, by ascending m_i.  A p
+    squarefree modulo a prime skips the integer chain, tested on s for a p
+    that is t^e s(t^2) after its shift to the mean.  A p with ``factors``
+    runs Yun once per distinct factor and merges by :func:`coprime_bases`."""
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree decomposition")
+    if p.factors:
+        distinct = dict.fromkeys(f for f, _, _ in p.factors)
+        yun = {f: squarefree_decomposition(f) for f in distinct}
+        merged: dict[int, Polynomial] = {}
+        for h, k, s in coprime_bases(
+            (g, j * m, s) for f, m, s in p.factors for g, j in yun[f]
+        ):
+            g = _dilated(h, s)
+            merged[k] = merged[k] * g if k in merged else g
+        return [(g, k) for k, g in sorted(merged.items())]
     b = p.numerators
-    if len(b) > 1 and _squarefree_mod_prime(b):
+    if len(b) > 1 and _squarefree(p):
         return [(p.monic(), 1)]
     c = _derivative(b)
     a = _gcd(b, c)
@@ -285,19 +326,80 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
+def _squarefree(p: Polynomial) -> bool:
+    """True when p is squarefree modulo a prime; False decides nothing.  With
+    q(t) = p(t + mean) = t^e s(t^2), p is squarefree iff s(0) != 0 and s is,
+    so the test runs on s, of half the degree."""
+    if (q := p.mean_shift) is None:
+        return _squarefree_mod_prime(p.numerators)
+    s = q.numerators[q.degree % 2 :: 2]
+    return bool(s[0]) and _squarefree_mod_prime(s)
+
+
+def _dilated(f: Polynomial, s: int) -> Polynomial:
+    """f(s t), made monic."""
+    a = f.numerators
+    return Polynomial([x * s**j for j, x in enumerate(a)], a[-1] * s ** (len(a) - 1))
+
+
+def coprime_bases(
+    parts: Iterable[tuple[Polynomial, int, int]],
+) -> list[tuple[Polynomial, int, int]]:
+    """Factor refinement (Bach, Driscoll and Shallit 1993) of monic
+    squarefree bases: from parts (g, m, s), each standing for g(s t)^m,
+    the (h, k, s) whose h(s t) are pairwise coprime, each h monic and
+    squarefree, with the same product of h(s t)^k.  The comparison works
+    on the integer vectors of g(s t): equal bases are merged, a pair
+    coprime modulo a prime skips its gcd, and otherwise a gcd c splits a
+    and b into a/c, c (multiplicities added) and b/c."""
+    done: list[list] = []  # [primitive h(s t), k, s, h or None once split]
+    for g, m, s in parts:
+        b, whole, new = list(_dilated(g, s).numerators), True, []
+        for entry in done:
+            if len(b) == 1:
+                break
+            a, k = entry[0], entry[1]
+            if a == b:
+                entry[1], b = k + m, [1]
+            elif not _coprime_mod_prime(a, b):
+                c = _gcd(a, b)
+                if c[-1] < 0:  # every vector here leads with a positive term
+                    c = [-x for x in c]
+                if len(c) > 1:
+                    entry[0], entry[3] = _exact_quotient(a, c), None
+                    new.append([c, k + m, entry[2], None])
+                    b, whole = _exact_quotient(b, c), False
+        if len(b) > 1:
+            new.append([b, m, s, g if whole else None])
+        done += new
+    out = []
+    for a, k, s, h in done:
+        if len(a) > 1:  # a split base is h(u) = a(u / s), made monic
+            n = len(a) - 1
+            out.append((h or Polynomial([x * s ** (n - j) for j, x in enumerate(a)], a[-1]), k, s))
+    return out
+
+
 # A prime below 2^31, so that every product modulo it fits in 62 bits.
 _PRIME = 2**31 - 1
 
 
 def _squarefree_mod_prime(a: Sequence[int]) -> bool:
-    """True when p = _PRIME does not divide lc(a) and gcd(a, a') = 1 modulo
-    p.  Then a is squarefree over Q: a square factor g^2 of a keeps its
-    degree modulo p, since lc(g) divides lc(a), and g divides a' too.  False
-    decides nothing."""
+    """True when a and a' are coprime modulo _PRIME, lc(a) nonzero there:
+    then a is squarefree over Q, since a square factor g^2 of a leaves g
+    dividing a' (:func:`_coprime_mod_prime`).  False decides nothing."""
+    return _coprime_mod_prime(a, _derivative(a))
+
+
+def _coprime_mod_prime(a: Sequence[int], b: Sequence[int]) -> bool:
+    """True when p = _PRIME does not divide lc(a) and gcd(a, b) = 1 modulo
+    p.  Then a and b are coprime over Q: a common factor g keeps its degree
+    modulo p, since lc(g) divides lc(a), and divides both.  False decides
+    nothing."""
     p = _PRIME
     if not a[-1] % p:
         return False
-    f, g = [x % p for x in a], [x % p for x in _derivative(a)]
+    f, g = [x % p for x in a], [x % p for x in b]
     while any(g):  # Euclid over GF(p): f, g = g, f mod g
         while not g[-1]:
             g.pop()

@@ -2,16 +2,29 @@
 
 Root finding is multiplicity-safe: the polynomial is first split into
 squarefree factors by exact rational arithmetic (Yun's algorithm), each
-factor's roots come from the companion-matrix eigenvalues, and Newton
-steps polish every simple root, one Horner pass for p and p' per step,
-until a step is at most 2^-50 max(1, |z|) (four ulps), 8 steps at most.
-The residual is the componentwise backward error max |p(z)| /
-sum |c_j| |z|^j (Higham), one Horner pass per root.  Where a float
-could leave its range (high degree or huge coefficients), all of this runs
-on the monic factor in t = 2^e y, e read off the coefficients' sizes,
-which leaves the backward error unchanged; otherwise nothing is scaled.
-Roots that no one scale brings into float range (2^e itself past it, or
-sizes that differ by more than floats span) raise a ValueError.
+factor's roots come from the eigenvalues of the companion matrix that
+``np.roots`` would build, and Newton steps polish every simple root, one
+Horner pass for p and p' per step, until a step is at most
+2^-50 max(1, |z|) (four ulps), 8 steps at most.  The residual is the
+componentwise backward error max |p(z)| / sum |c_j| |z|^j (Higham), one
+Horner pass per root.  Where a float could leave its range (high degree
+or huge coefficients), all of this runs on the monic factor in
+t = 2^e y, e read off the coefficients' sizes, which leaves the backward
+error unchanged; otherwise nothing is scaled.  Roots that no one scale
+brings into float range (2^e itself past it, or sizes that differ by more
+than floats span) raise a ValueError.
+
+A product's or a dilate's polynomial keeps its factors f(s t)^m
+(``Polynomial.factors``; L_{PxQ} = L_P L_Q and L_{sP}(k) = L_P(sk)), and
+the root stage reads them.  Yun runs once per distinct f, and factor
+refinement makes the bases of distinct factors coprime
+(:func:`exact.coprime_bases`).  The roots of a base h(s t) are h's
+divided by s, each base with a scale 2^e of its own, so roots whose sizes
+differ by more than floats span are found apart.  The line test runs per
+factor, f at s times the target.  Parity holds if each factor's does, and
+otherwise the product's own shift decides it, since roots can pair across
+factors.  ``braun_disc_check`` and ``residual_bound`` read the product's
+own coefficients.
 
 Whether all roots have real part -1/a is decided exactly.  Roots on one
 line lie on their mean m = -c_{n-1}/(n c_n), so any other line is refused
@@ -47,8 +60,10 @@ from ._frozen import Frozen
 from .ehrhart import EhrhartPolynomial
 from .exact import (
     Polynomial,
+    _dilated,
     _taylor_shift,
     _unit_disc_exterior,
+    coprime_bases,
     distinct_root_counts,
     squarefree_decomposition,
 )
@@ -63,7 +78,8 @@ class RootSet(Frozen):
     returns, and the exact checks, which read only ``poly`` and the shift
     it caches, take a ``RootSet(poly)`` and never pay for the floats.
     Exact squarefree splitting comes first, so multiple roots (the
-    dilated-cube polynomials) come out exact instead of scattered."""
+    dilated-cube polynomials) come out exact instead of scattered; a
+    polynomial with ``factors`` is split factor by factor."""
 
     _fields = ("poly",)
     poly: Polynomial
@@ -73,54 +89,126 @@ class RootSet(Frozen):
 
     @cached_property
     def roots(self) -> tuple[complex, ...]:
-        import numpy as np
-
-        e = self._scale_exponent
         roots: list[complex] = []
-        for factor, multiplicity in squarefree_decomposition(self.poly):
-            if factor.degree == 1:
-                # -c0 of the monic factor; its rounding is the only loss.
-                value = complex(-factor.numerators[0] / factor.denominator)
-                roots.extend([value] * multiplicity)
-                continue
-            coeffs = _floats(factor if e is None else _scaled(factor, e))[::-1]
-            for y in _newton_polish(coeffs, np.roots(coeffs)):
-                roots.extend([y if e is None else y * 2.0**e] * multiplicity)
+        for _, ys, multiplicity, unit in self._pieces:
+            for y in ys:  # unit 1 leaves y as it is, signed zeros included
+                roots.extend([y if unit == 1 else y * unit] * multiplicity)
         roots.sort(key=lambda z: (z.real, z.imag))
         return tuple(roots)
 
     @cached_property
     def residual_bound(self) -> float:
-        if (e := self._scale_exponent) is None:
-            return _backward_error(self.poly, self.roots)
-        return _backward_error(_scaled(self.poly, e), [z * 2.0**-e for z in self.roots])
+        roots = self.roots
+        try:
+            if (e := self._scale_exponent) is None:
+                return _backward_error(self.poly, roots)
+            return _backward_error(_scaled(self.poly, e), [z * 2.0**-e for z in roots])
+        except ValueError:
+            if not self.poly.factors:
+                raise
+        # No one scale brings the product's coefficients into float range,
+        # but each base's does: the largest backward error of a base.
+        return max(_backward_error(f, ys) for f, ys, _, _ in self._pieces)
+
+    @cached_property
+    def _pieces(self) -> list[tuple[Polynomial, list[complex], int, float]]:
+        """(f, ys, m, unit) per squarefree base: the ys are the roots of the
+        monic f, the roots of ``poly`` are ys * unit, m times each.  A
+        polynomial with ``factors`` runs Yun once per distinct factor and
+        refines the bases (``coprime_bases``); a base h(s t) is found as h,
+        with a scale of its own, and its roots are h's divided by s."""
+        import numpy as np
+
+        p = self.poly
+        if p.factors:
+            distinct = dict.fromkeys(f for f, _, _ in p.factors)
+            yun = {f: squarefree_decomposition(f) for f in distinct}
+            bases = [
+                (h, k, s, _scale_exponent(h))
+                for h, k, s in coprime_bases(
+                    (g, j * m, s) for f, m, s in p.factors for g, j in yun[f]
+                )
+            ]
+        else:
+            e = self._scale_exponent
+            bases = [(f, m, 1, e) for f, m in squarefree_decomposition(p)]
+        pieces = []
+        for factor, multiplicity, s, e in bases:
+            if factor.degree == 1:
+                # -c0 of the monic factor over s; its rounding is the only loss.
+                value = _quotient(-factor.numerators[0], factor.denominator * s)
+                factor = factor if s == 1 else _dilated(factor, s)
+                pieces.append((factor, [complex(value)], multiplicity, 1))
+                continue
+            if e is not None:
+                factor = _scaled(factor, e)
+            coeffs = _floats(factor)[::-1]
+            ys = _newton_polish(coeffs, _eigenvalues(np, coeffs))
+            e = e or 0  # the roots are ys 2^e / s
+            unit = _quotient(1 << e, s) if e >= 0 else _quotient(1, s << -e)
+            pieces.append((factor, ys, multiplicity, unit))
+        return pieces
 
     @cached_property
     def _scale_exponent(self) -> int | None:
-        """None when no float met in finding the roots can leave float range,
-        else the e that brings the geometric mean of the nonzero roots near
-        |y| = 1 in t = 2^e y.  Every root lies in |z| <= R = 2 max_j
-        |c_j/c_n|^(1/(n-j)) (Fujiwara), so the coefficients and values at the
-        roots of ``poly``, of a monic factor and of its derivative stay
-        below n max(|c_n|, 1) (2 max(R, 1))^n.  ``roots`` and
-        ``residual_bound`` share this one reading; a ValueError, before any
-        float is computed, when 2^e or 2^-e is past float range."""
-        n, d = self.poly.degree, self.poly.denominator
-        logs = []
-        for j, c in enumerate(self.poly.numerators):
-            if c:  # log2 |c_j| from c_j in lowest terms
-                g = gcd(c, d)
-                logs.append((log2(abs(c) // g) - log2(d // g), j))
-        lead = logs[-1][0]
-        r = 1 + max(((l - lead) / (n - j) for l, j in logs[:-1]), default=0)
-        largest = max(lead, 0) + n * (max(r, 0) + 1)
-        if largest < _FLOAT_BITS and min(l for l, _ in logs) > -_FLOAT_BITS:
-            return None
-        low, j = logs[0]
-        e = round((low - lead) / (n - j)) if j < n else 0
-        if abs(e) >= sys.float_info.max_exp:  # 2.0**e or 2.0**-e overflows
-            raise ValueError(f"roots past float range: their size is about 2^{e}")
-        return e
+        """``_scale_exponent(poly)``, read once by ``roots`` and
+        ``residual_bound``."""
+        return _scale_exponent(self.poly)
+
+
+def _scale_exponent(p: Polynomial) -> int | None:
+    """None when no float met in finding the roots of p can leave float
+    range, else the e that brings the geometric mean of the nonzero roots
+    near |y| = 1 in t = 2^e y.  Every root lies in |z| <= R = 2 max_j
+    |c_j/c_n|^(1/(n-j)) (Fujiwara), so the coefficients and values at the
+    roots of p, of a monic factor and of its derivative stay below
+    n max(|c_n|, 1) (2 max(R, 1))^n.  With b the largest bit length of the
+    numerators and the denominator, log2 |c_j| lies in [-b, b], so
+    b + n (2b + 2) below the limit settles None from bit lengths alone.
+    A ValueError, before any float is computed, when 2^e or 2^-e is past
+    float range."""
+    n, d = p.degree, p.denominator
+    bits = max(d.bit_length(), *map(int.bit_length, p.numerators))
+    if bits + n * (2 * bits + 2) < _FLOAT_BITS:
+        return None
+    logs = []
+    for j, c in enumerate(p.numerators):
+        if c:  # log2 |c_j| from c_j in lowest terms
+            g = gcd(c, d)
+            logs.append((log2(abs(c) // g) - log2(d // g), j))
+    lead = logs[-1][0]
+    r = 1 + max(((l - lead) / (n - j) for l, j in logs[:-1]), default=0)
+    largest = max(lead, 0) + n * (max(r, 0) + 1)
+    if largest < _FLOAT_BITS and min(l for l, _ in logs) > -_FLOAT_BITS:
+        return None
+    low, j = logs[0]
+    e = round((low - lead) / (n - j)) if j < n else 0
+    if abs(e) >= sys.float_info.max_exp:  # 2.0**e or 2.0**-e overflows
+        raise ValueError(f"roots past float range: their size is about 2^{e}")
+    return e
+
+
+def _quotient(u: int, v: int) -> float:
+    """u / v correctly rounded; a ValueError when u/v is not 0 but rounds to 0."""
+    value = u / v
+    if u and not value:
+        raise ValueError(
+            f"roots past float range: their size is about 2^{u.bit_length() - v.bit_length()}"
+        )
+    return value
+
+
+def _eigenvalues(np, coeffs: list[float]) -> list[complex]:
+    """The roots of a monic polynomial (float coefficients, leading first)
+    as the eigenvalues of the companion matrix that ``np.roots`` builds,
+    trailing zero coefficients taken off as zero roots: bitwise its
+    answer, without its checks and conversions."""
+    n = len(coeffs) - 1
+    while not coeffs[n]:
+        n -= 1
+    matrix = np.diag(np.ones(n - 1), -1)
+    matrix[0] = [-c for c in coeffs[1 : n + 1]]
+    return np.linalg.eigvals(matrix).tolist() + [0j] * (len(coeffs) - 1 - n)
 
 
 class BoundVerdict(NamedTuple):
@@ -250,8 +338,23 @@ def _mean_on_line(p: Polynomial, target: Fraction | int) -> bool:
 
 def common_real_part(rs: RootSet, target: Fraction | int) -> bool:
     """True iff every root of ``rs.poly`` has real part exactly -target
-    (callers pass 1/a), decided as the module docstring describes."""
-    if not _mean_on_line(rs.poly, target) or (q := rs.poly.mean_shift) is None:
+    (callers pass 1/a), decided as the module docstring describes; for a
+    polynomial with ``factors``, on each factor f(s t) as f at s target."""
+    p = rs.poly
+    if not _mean_on_line(p, target):
+        return False
+    if p.factors:
+        return all(_on_line(f, target * s) for f, s in _distinct(p.factors))
+    return _on_line(p, target)
+
+
+def _distinct(factors: tuple[tuple[Polynomial, int, int], ...]) -> list[tuple[Polynomial, int]]:
+    """The distinct (f, s) of a ``Polynomial.factors`` list."""
+    return list(dict.fromkeys((f, s) for f, _, s in factors))
+
+
+def _on_line(p: Polynomial, target: Fraction | int) -> bool:
+    if not _mean_on_line(p, target) or (q := p.mean_shift) is None:
         return False
     n = q.degree
     r = Polynomial(
@@ -268,11 +371,23 @@ def parity_necessary_check(ehr: EhrhartPolynomial, a: Fraction | int) -> bool:
     Refuses -1/a unless it is the roots' mean, then tests the polynomial's
     one shift to it for q(-t) == (-1)^n q(t) coefficient-wise.  Roots on
     the line force this symmetry; the converse fails, so
-    :func:`common_real_part` decides sufficiency.
+    :func:`common_real_part` decides sufficiency.  A polynomial with
+    ``factors`` is symmetric if each factor f(s t) is, f about -s/a.  The
+    converse fails (the roots -1 and -1/3 of two segments are symmetric
+    about -2/3, neither alone), so when a factor is not, the polynomial's
+    own shift decides.
     """
     if a <= 0:
         raise ValueError("a must be positive")
-    return _mean_on_line(ehr.poly, 1 / Fraction(a)) and ehr.poly.mean_shift is not None
+    p, target = ehr.poly, 1 / Fraction(a)
+    if not _mean_on_line(p, target):
+        return False
+    if p.factors and all(
+        _mean_on_line(f, target * s) and f.mean_shift is not None
+        for f, s in _distinct(p.factors)
+    ):
+        return True
+    return p.mean_shift is not None
 
 
 def braun_disc_check(rs: RootSet, n: int) -> bool:

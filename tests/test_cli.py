@@ -566,7 +566,9 @@ def test_cli_roots_residual_is_a_backward_error(capsys, spec):
 # Sorted printed root pairs of ``roots --format json``: cube, cross, pn and
 # qn with n <= 16, their dilates by 2, and two products, recorded under the
 # older Newton stop |step| <= 1e-16 max(1, |z|): the four-ulp stop must not
-# move a printed digit.
+# move a printed digit.  A dilate's roots are its factor's divided by s, so
+# dilate(qn:14,2) prints qn:14's halved: 0.00301929263304 where the product
+# had given ...309 (the true imaginary part is 0.003019292633071).
 ROOTS_EXPECTED = json.loads(Path(__file__).with_name("roots_expected.json").read_text())
 
 
@@ -776,15 +778,32 @@ def test_cli_box_budget_guard(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["roots", "--family", f"dilate(cube:1,{10**308})"],  # one root near 2^-1025
+        ["roots", "--family", f"dilate(cube:1,{10**400})"],  # one root near 2^-1330
         ["bounds", "--family", f"dilate(cross:2,{10**400})"],
-        ["roots", "--family", f"product(cube:2,dilate(cube:2,{10**308}))"],  # roots 2^1024 apart
+        ["roots", "--family", f"product(cube:2,dilate(cube:2,{10**400}))"],
     ],
 )
 def test_cli_roots_past_float_range_exit_2(capsys, argv):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: roots past float range") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "spec,expected",
+    [
+        (f"dilate(cube:1,{10**308})", [[-5e-309, 0.0]]),
+        # Roots 2^1024 apart: each factor gets a float scale of its own.
+        (f"product(cube:2,dilate(cube:2,{10**308}))", [[-0.5, 0.0]] * 2 + [[-5e-309, 0.0]] * 2),
+    ],
+    ids=["dilate", "product"],
+)
+def test_cli_roots_of_a_factor_dilated_by_10_to_308(capsys, spec, expected):
+    code, out = run_cli(capsys, "roots", "--family", spec, "--format", "json")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["roots"] == expected
+    assert report["residual_bound"] <= 1e-15
 
 
 @pytest.mark.parametrize("k", ["1000000000000000000", "10000000000000000000"])
@@ -1039,17 +1058,20 @@ def test_cli_count_one_step_past_the_nodes_stays_closed_form(capsys, family, k):
         (("ehrhart", "--family", "cube:40", "--format", "json"), 1.0),
         # About 0.4 s: 2^17 facets, the most reflexive lists.
         (("reflexive", "--family", "cross:17", "--format", "json"), 5.0),
+        # About 0.02 s from the factor cross:60; 0.17 s on the product.
+        (("roots", "--family", "product(cross:60,cross:60)", "--format", "json"), 0.1),
     ],
     ids=["pn:300", "cube:800", "cross:3000", "roots pn:40", "box qn:6", "pn:120", "cube:40",
-         "reflexive cross:17"],
+         "reflexive cross:17", "roots product(cross:60,cross:60)"],
 )
 def test_cli_time_bound_steps_in_process(capsys, argv, bound):
     """Time-bound probes, once CI's ``timeout`` steps: pn:300 and cube:800
     (interpolating counts, pn:300 ran past 10 s), ``roots`` of pn:40, the
-    qn:6 box scan, pn:120, cube:40, ``reflexive`` on cross:17, and the
+    qn:6 box scan, pn:120, cube:40, ``reflexive`` on cross:17, the
     crosspolytope count that a ``comb`` per term of ``count_minkowski_dp``
-    held at about 1 s: exit 0, no stderr, inside the bound (seconds,
-    2-vCPU VM)."""
+    held at about 1 s, and ``roots`` of a product, whose root stage had
+    run on the multiplied polynomial: exit 0, no stderr, inside the bound
+    (seconds, 2-vCPU VM)."""
     start = time.perf_counter()
     code = main(list(argv))
     elapsed = time.perf_counter() - start

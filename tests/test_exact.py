@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ehrhartlab import exact
@@ -297,6 +297,15 @@ def test_squarefree_decomposition_recovers_multiplicities():
     assert rebuilt == p.monic()
 
 
+def power_product(scale, factors):
+    """scale * prod f^m over factors' (coefficients of f, m)."""
+    p = Polynomial([scale])
+    for coeffs, m in factors:
+        for _ in range(m):
+            p = p * Polynomial(coeffs)
+    return p
+
+
 integer_factors_st = st.lists(
     st.tuples(
         st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda c: c[-1]),
@@ -305,14 +314,28 @@ integer_factors_st = st.lists(
     min_size=1,
     max_size=4,
 )
+scales_st = st.integers(-50, 50).filter(bool)
+
+# t^e prod (t^2 + c)^m shifted by a rational: symmetric about the roots'
+# mean, so squarefreeness is tested on s with q(t) = t^e s(t^2).
+parity_polynomials_st = st.builds(
+    lambda e, factors, shift, scale: power_product(
+        scale, [([0, 1], e)] + [([c, 0, 1], m) for c, m in factors]
+    ).shift(shift),
+    st.integers(0, 2),
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 2)), max_size=4),
+    fractions_st,
+    scales_st,
+).filter(lambda p: p.degree > 0)
 
 
-@given(integer_factors_st, st.integers(-50, 50).filter(bool))
-def test_squarefree_decomposition_matches_fraction_yun(factors, scale):
-    p = Polynomial([scale])
-    for coeffs, m in factors:
-        for _ in range(m):
-            p = p * Polynomial(coeffs)
+@given(
+    st.one_of(
+        st.builds(power_product, scales_st, integer_factors_st), parity_polynomials_st
+    )
+)
+@example(Polynomial([0, 0, 1, 0, 1]))  # t^2 (t^2 + 1): s(0) = 0 sends it to Yun
+def test_squarefree_decomposition_matches_fraction_yun(p):
     parts = squarefree_decomposition(p)
     assert parts == fraction_yun(p)
     rebuilt = Polynomial([1])
@@ -321,6 +344,64 @@ def test_squarefree_decomposition_matches_fraction_yun(factors, scale):
         for _ in range(m):
             rebuilt = rebuilt * f
     assert rebuilt == p.monic()
+
+
+def dilated(f, s):
+    """f(s t), by the Fraction view."""
+    return Polynomial([c * s**j for j, c in enumerate(f.coefficients)])
+
+
+# Parts (f, m, s) with f = prod (t - r)^k over small r: the roots r/s of
+# distinct parts meet, as in 2/2 = 1/1.
+factor_parts_st = st.lists(
+    st.tuples(
+        st.dictionaries(st.integers(-4, 4), st.integers(1, 2), min_size=1, max_size=3),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    ),
+    min_size=1,
+    max_size=4,
+).map(
+    lambda parts: [
+        (power_product(1, [([-r, 1], k) for r, k in roots.items()]), m, s)
+        for roots, m, s in parts
+    ]
+)
+
+
+def dilated_product(parts):
+    p = Polynomial([1])
+    for f, m, s in parts:
+        for _ in range(m):
+            p = p * dilated(f, s)
+    return p
+
+
+@given(factor_parts_st)
+def test_coprime_bases_are_coprime_with_the_same_product(parts):
+    """Factor refinement of each part's Yun output keeps the product and
+    leaves pairwise coprime monic squarefree bases."""
+    bases = [(g, j * m, s) for f, m, s in parts for g, j in squarefree_decomposition(f)]
+    refined = exact.coprime_bases(bases)
+    assert dilated_product(refined).monic() == dilated_product(bases).monic()
+    for h, k, s in refined:
+        assert h.leading_coefficient == 1 and k >= 1
+        assert squarefree_decomposition(h) == [(h, 1)]
+    scaled = [dilated(h, s) for h, _, s in refined]
+    for i, a in enumerate(scaled):
+        assert all(fraction_gcd(a, b).degree == 0 for b in scaled[:i])
+
+
+@given(factor_parts_st)
+def test_squarefree_decomposition_reads_the_factors(parts):
+    """A polynomial built from its factors gets, through them, Yun's
+    decomposition of the polynomial itself."""
+    p = dilated_product(parts)
+    plain = Polynomial(p.numerators, p.denominator)
+    factored = exact.with_factors(p, parts)
+    assert factored.factors and not plain.factors and factored == plain
+    assert squarefree_decomposition(factored) == squarefree_decomposition(plain)
+    assert squarefree_decomposition(plain) == fraction_yun(plain)
 
 
 def sturm_case(roots, quadratics, scale):

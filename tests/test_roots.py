@@ -2,18 +2,32 @@
 
 import cmath
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, log2
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ehrhartlab import cli, roots, verification
 from ehrhartlab.counting import dilation_counter
-from ehrhartlab.ehrhart import EhrhartPolynomial, ehrhart_of, qn_coefficients
+from ehrhartlab.ehrhart import (
+    EhrhartPolynomial,
+    ehrhart_from_recipe,
+    ehrhart_of,
+    qn_coefficients,
+)
 from ehrhartlab.exact import Polynomial
-from ehrhartlab.polytopes import crosspolytope, cube, dilate, hull2d, pn_family
+from ehrhartlab.polytopes import (
+    LatticePolytope,
+    crosspolytope,
+    cube,
+    dilate,
+    hull2d,
+    pn_family,
+    product,
+    qn_family,
+)
 from ehrhartlab.roots import (
     RootSet,
     braun_disc_check,
@@ -582,3 +596,125 @@ def test_parity_and_line_test_share_one_shift(monkeypatch, make, on_line, parity
     verdicts = {name: checks[name]() for name in order}
     assert len(calls) == 1
     assert verdicts == {"parity": True, "line": on_line}
+
+
+# Products and dilates of families, segments and polygons, total dimension
+# at most 12: their polynomials carry their factors (Polynomial.factors).
+leaf_bodies_st = st.one_of(
+    st.builds(cube, st.integers(1, 4)),
+    st.builds(crosspolytope, st.integers(1, 4)),
+    st.builds(pn_family, st.integers(2, 4)),
+    st.builds(qn_family, st.integers(2, 4)),
+    st.builds(
+        lambda lo, length: LatticePolytope(1, [(lo,), (lo + length,)]),
+        st.integers(-3, 0),
+        st.integers(1, 4),
+    ),
+    st.builds(
+        lambda points: hull2d([(0, 0), (1, 0), (0, 1), *points]),
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=4),
+    ),
+)
+factored_bodies_st = st.recursive(
+    leaf_bodies_st,
+    lambda inner: st.one_of(
+        st.builds(product, inner, inner), st.builds(dilate, inner, st.integers(2, 3))
+    ),
+    max_leaves=4,
+).filter(lambda body: body.dimension <= 12)
+
+
+def assert_same_roots(mine, theirs, tol=1e-9):
+    """Each root of ``mine`` is paired with its nearest unpaired root of
+    ``theirs`` within tol max(1, |z|)."""
+    pending = list(theirs)
+    assert len(mine) == len(pending)
+    for z in mine:
+        w = min(pending, key=lambda w: abs(w - z))
+        assert abs(w - z) <= tol * max(1.0, abs(z))
+        pending.remove(w)
+
+
+@given(factored_bodies_st)
+def test_factors_give_the_verdicts_and_roots_of_the_multiplied_polynomial(body):
+    """Line, parity and Braun verdicts read off a product's or a dilate's
+    factors are those of the multiplied polynomial, and so are its roots."""
+    e = ehrhart_from_recipe(body)
+    plain = EhrhartPolynomial(e.dimension, Polynomial(e.poly.numerators, e.poly.denominator))
+    assert not plain.poly.factors
+    n = e.dimension
+    for target in {-e.poly.mean, Fraction(1, 2), Fraction(1, 3)}:
+        line = common_real_part(RootSet(e.poly), target)
+        assert line == common_real_part(RootSet(plain.poly), target)
+        parity = parity_necessary_check(e, 1 / target)
+        q = plain.poly.shift(-target)  # the line onto the imaginary axis
+        assert parity == (not any(q.numerators[j] for j in range(n - 1, -1, -2)))
+        assert parity == parity_necessary_check(plain, 1 / target)
+    assert braun_disc_check(RootSet(e.poly), n) == braun_disc_check(RootSet(plain.poly), n)
+    assert_same_roots(find_roots(e.poly).roots, find_roots(plain.poly).roots)
+
+
+def test_parity_of_a_product_can_pair_roots_across_factors():
+    """The roots -1/2 of cube:1 and -1/6 of its 3-dilate are symmetric about
+    -1/3 together, though neither factor is: parity holds at a = 3, the
+    line test refuses it."""
+    e = ehrhart_from_recipe(product(cube(1), dilate(cube(1), 3)))
+    assert [s for _, _, s in e.poly.factors] == [1, 3]
+    assert parity_necessary_check(e, 3)
+    assert not common_real_part(RootSet(e.poly), Fraction(1, 3))
+
+
+def test_yun_runs_once_per_distinct_factor(monkeypatch):
+    calls = []
+    yun = roots.squarefree_decomposition
+
+    def counted(p):
+        calls.append(p)
+        return yun(p)
+
+    monkeypatch.setattr(roots, "squarefree_decomposition", counted)
+    assert cli.main(["roots", "--family", "product(cross:6,product(cross:6,cross:6))"]) == 0
+    assert calls == [ehrhart_from_recipe(crosspolytope(6)).poly]
+
+
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=14),
+    st.integers(0, 2),
+)
+def test_eigenvalues_are_bitwise_those_of_np_roots(coefficients, zeros):
+    """The companion matrix is built as np.roots builds it, so the
+    eigenvalues are its roots bit for bit, trailing zeros and all."""
+    coeffs = [1.0, *coefficients, *[0.0] * zeros]
+    assume(coeffs[1:].count(0.0) < len(coeffs) - 1)
+    expected = [repr(complex(z)) for z in np.roots(coeffs)]
+    assert [repr(complex(z)) for z in roots._eigenvalues(np, coeffs)] == expected
+
+
+def scale_exponent_from_logs(p):
+    """The exponent read off every coefficient's log2, with no shortcut on
+    bit lengths: the reference for ``roots._scale_exponent``."""
+    n, d = p.degree, p.denominator
+    logs = [(log2(abs(c) // gcd(c, d)) - log2(d // gcd(c, d)), j)
+            for j, c in enumerate(p.numerators) if c]
+    lead = logs[-1][0]
+    r = 1 + max(((l - lead) / (n - j) for l, j in logs[:-1]), default=0)
+    if max(lead, 0) + n * (max(r, 0) + 1) < 1000 and min(l for l, _ in logs) > -1000:
+        return None
+    low, j = logs[0]
+    return round((low - lead) / (n - j)) if j < n else 0
+
+
+sized_integers_st = st.integers(0, 1100).flatmap(lambda b: st.integers(-(2**b), 2**b))
+
+
+@given(
+    st.lists(sized_integers_st, min_size=2, max_size=20).filter(lambda c: c[-1]),
+    sized_integers_st.filter(bool).map(abs),
+)
+# t^10 + 2^98 t^9 + 1: bit lengths 99 and below, yet its roots reach 2^98
+@example([1] + [0] * 8 + [2**98, 1], 1)
+def test_scale_exponent_shortcut_changes_no_exponent(numerators, denominator):
+    p = Polynomial(numerators, denominator)
+    expected = scale_exponent_from_logs(p)
+    assume(expected is None or abs(expected) < 1024)
+    assert roots._scale_exponent(p) == expected
