@@ -46,7 +46,6 @@ from .polytopes import (
     crosspolytope,
     cube,
     dilate,
-    hull2d,
     list_sizes,
     pn_family,
     product,
@@ -208,10 +207,7 @@ def polytope_to_json(p: LatticePolytope) -> dict[str, Any]:
     fam = p.family
     if fam is None:
         out["vertices"] = [list(v) for v in p.vertices]
-        if p.halfspaces is not None:
-            out["halfspaces"] = [
-                {"normal": list(h.normal), "rhs": h.rhs} for h in p.halfspaces
-            ]
+        out["halfspaces"] = [{"normal": list(h.normal), "rhs": h.rhs} for h in p.halfspaces]
         return out
     if fam.tag is FamilyTag.PRODUCT:
         factors = [polytope_to_json(f) for f in fam.factors]
@@ -352,8 +348,7 @@ def _check_consistent(obj: dict, rebuilt: LatticePolytope, path: str) -> None:
             )
     halfspaces = _halfspaces_from_json(obj.get("halfspaces"), dimension, path)
     if halfspaces is not None and (
-        len(halfspaces) != (n_halfspaces or 0)
-        or set(halfspaces) != set(rebuilt.halfspaces or ())
+        len(halfspaces) != n_halfspaces or set(halfspaces) != set(rebuilt.halfspaces)
     ):
         raise ValueError(
             f"{path}.halfspaces: inconsistent with the family construction"
@@ -604,18 +599,11 @@ def _cmd_bounds(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
 
 
 def _cmd_reflexive(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
-    n_vertices, n_halfspaces = list_sizes(p)
-    if n_halfspaces is None and p.dimension != 2:  # no input gives pn half-spaces
-        raise SpecError("reflexivity needs a half-space representation" + (
-            ", and the pn family lists no half-spaces" if _has_pn_factor(p) else
-            " (2D hulls are built automatically; higher dimensions must supply halfspaces)"
-        ))
-    if max(n_vertices, n_halfspaces or 0) > _MAX_LISTED:
+    if max(list_sizes(p)) > _MAX_LISTED:
         raise SpecError(f"reflexivity would list over {_MAX_LISTED} vertices/facets")
     ehr = _ehrhart_for(req, p)
-    body = p if n_halfspaces is not None else hull2d(p.vertices)  # pn:2: its hull
     try:
-        report_obj = reflexivity_equivalence(body, ehr)
+        report_obj = reflexivity_equivalence(p, ehr)
     except OriginNotInteriorError as exc:
         raise SpecError(f"hypothesis failure: {exc}") from exc
     report = {
@@ -630,14 +618,6 @@ def _cmd_reflexive(req: CommandRequest, p: LatticePolytope) -> tuple[dict, int]:
         "agree": report_obj.agree,
     }
     return report, EXIT_OK if report_obj.def_check else EXIT_FINDING
-
-
-def _has_pn_factor(p: LatticePolytope) -> bool:
-    """Whether p is a pn body, or a product with one as a factor."""
-    fam = p.family
-    return fam is not None and (
-        fam.tag is FamilyTag.PN_FAMILY or any(map(_has_pn_factor, fam.factors))
-    )
 
 
 def _cmd_verify_all(req: CommandRequest) -> tuple[dict, int]:

@@ -75,7 +75,7 @@ class MembershipOracle(NamedTuple):
 
 
 def oracle_for(p: LatticePolytope) -> MembershipOracle:
-    """Membership oracle for a family polytope or one with half-spaces.
+    """Membership oracle: a family's own predicate, else the half-spaces.
 
     Family oracles account for the accumulated dilation scale, so the
     oracle of ``dilate(pn_family(3), 2)`` answers for the dilated body, and
@@ -157,26 +157,22 @@ def oracle_for(p: LatticePolytope) -> MembershipOracle:
             radius = max(o.bounding_radius for o in sub)
             rows = 1 + max(o.scratch_rows for o in sub)
             return MembershipOracle(dim, inside_product, radius, rows)
-    if p.halfspaces is not None:
-        halfspaces = p.halfspaces
+    halfspaces = p.halfspaces
 
-        @cache
-        def arrays() -> tuple[np.ndarray, np.ndarray]:
-            import numpy as np
+    @cache
+    def arrays() -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
 
-            # Object dtype: exact Python-int dot products for any JSON normal.
-            normals = np.array([h.normal for h in halfspaces], dtype=object).T
-            return normals, np.array([h.rhs for h in halfspaces], dtype=object)
+        # Object dtype: exact Python-int dot products for any JSON normal.
+        normals = np.array([h.normal for h in halfspaces], dtype=object).T
+        return normals, np.array([h.rhs for h in halfspaces], dtype=object)
 
-        def inside_halfspaces(x, scratch, out) -> np.ndarray:
-            normals, rhs = arrays()
-            return (x @ normals <= rhs).all(-1, out=out)
+    def inside_halfspaces(x, scratch, out) -> np.ndarray:
+        normals, rhs = arrays()
+        return (x @ normals <= rhs).all(-1, out=out)
 
-        radius = max(abs(c) for v in p.vertices for c in v)
-        return MembershipOracle(p.dimension, inside_halfspaces, radius)
-    raise ValueError(
-        "no membership oracle: polytope has neither a family tag nor half-spaces"
-    )
+    radius = max(abs(c) for v in p.vertices for c in v)
+    return MembershipOracle(p.dimension, inside_halfspaces, radius)
 
 
 def count_box_scan(oracle: MembershipOracle, max_points: int | None = None) -> int:

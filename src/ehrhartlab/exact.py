@@ -15,11 +15,12 @@ the shift to the mean, is tested on s, of half the degree.
 
 A polynomial built as a product of dilates, p = lc * prod f(s t)^m (the
 Ehrhart polynomial of a product or dilate, L_{PxQ} = L_P L_Q and
-L_{sP}(k) = L_P(sk)), keeps that list in ``Polynomial.factors``.  Its
-squarefree decomposition runs Yun once per distinct factor f and merges
-the bases of distinct factors by factor refinement (Bach, Driscoll and
+L_{sP}(k) = L_P(sk)), keeps that list in ``Polynomial.factors``.  The root
+stage runs Yun once per distinct factor f and merges the bases of distinct
+factors by factor refinement (:func:`coprime_bases`; Bach, Driscoll and
 Shallit 1993): equal bases are found by equality, a pair coprime modulo a
-prime skips its gcd.
+prime skips its gcd.  :func:`squarefree_decomposition` itself reads only
+the coefficients.
 
 Bernoulli convention
 --------------------
@@ -292,20 +293,9 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Yun's algorithm: return [(f_i, m_i)] with p = lead * prod f_i^{m_i},
     the f_i monic, squarefree, and pairwise coprime, by ascending m_i.  A p
     squarefree modulo a prime skips the integer chain, tested on s for a p
-    that is t^e s(t^2) after its shift to the mean.  A p with ``factors``
-    runs Yun once per distinct factor and merges by :func:`coprime_bases`."""
+    that is t^e s(t^2) after its shift to the mean."""
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree decomposition")
-    if p.factors:
-        distinct = dict.fromkeys(f for f, _, _ in p.factors)
-        yun = {f: squarefree_decomposition(f) for f in distinct}
-        merged: dict[int, Polynomial] = {}
-        for h, k, s in coprime_bases(
-            (g, j * m, s) for f, m, s in p.factors for g, j in yun[f]
-        ):
-            g = _dilated(h, s)
-            merged[k] = merged[k] * g if k in merged else g
-        return [(g, k) for k, g in sorted(merged.items())]
     b = p.numerators
     if len(b) > 1 and _squarefree(p):
         return [(p.monic(), 1)]

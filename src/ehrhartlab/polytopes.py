@@ -1,16 +1,15 @@
 """Lattice polytopes: representations, named families, and constructions.
 
-A family polytope is its recipe (:class:`Family`); its vertex and
-half-space lists are built each time they are read.  For the bipyramid and
-cube-crosspolytope hybrid families the vertex list is the generator list
-(generators may fail to be extreme in low dimensions - route through
-:func:`hull2d` when a minimal polygon description is needed).  Half-space
-representations use primitive integer normals.  A polygon (explicit lists
-in dimension 2) is stored as its hull chain and one half-space per edge, a
-segment (dimension 1) as its two ends and two half-spaces.
-There is deliberately no vertex-to-facet conversion in dimension >= 3:
-every family here has either an explicit H-representation or a membership
-oracle.
+Every polytope has both lists: its vertices and its facet half-spaces,
+with primitive integer normals.  A family polytope is its recipe
+(:class:`Family`); its lists are built each time they are read.  For the
+bipyramid and cube-crosspolytope hybrid families the vertex list is the
+generator list (generators may fail to be extreme in low dimensions - route
+through :func:`hull2d` when a minimal polygon description is needed).  A
+polygon (explicit lists in dimension 2) is stored as its hull chain and one
+half-space per edge, a segment (dimension 1) as its two ends and two
+half-spaces.  There is deliberately no vertex-to-facet conversion in
+dimension >= 3: an explicit polytope there must arrive with its half-spaces.
 """
 
 from __future__ import annotations
@@ -80,11 +79,11 @@ class Halfspace(NamedTuple("Halfspace", [("normal", IntVector), ("rhs", int)])):
         return cls(*iterable)
 
 
-_Lists = tuple[tuple[IntVector, ...], tuple[Halfspace, ...] | None]
+_Lists = tuple[tuple[IntVector, ...], tuple[Halfspace, ...]]
 
 
 class LatticePolytope(Frozen):
-    """A family recipe, or explicit vertices and optional facet half-spaces.
+    """A family recipe, or explicit vertices and facet half-spaces.
 
     ``LatticePolytope(n, family=...)`` stores nothing else: each read of its
     ``vertices`` or ``halfspaces`` builds that one list from the recipe and
@@ -95,7 +94,8 @@ class LatticePolytope(Frozen):
     is given as its vertices, and its half-spaces must be that chain's
     edges (any order, kept as given); without them it gets one per edge.
     A segment (dimension 1) keeps its two ends, lowest first, and the
-    half-spaces x <= max and -x <= -min, given exactly or derived.
+    half-spaces x <= max and -x <= -min, given exactly or derived.  In
+    dimension >= 3 the half-spaces are required.
     """
 
     _fields = ("dimension", "_vertices", "_halfspaces", "family")
@@ -123,21 +123,21 @@ class LatticePolytope(Frozen):
         return self._vertices if self.family is None else _family_vertices(self)
 
     @property
-    def halfspaces(self) -> tuple[Halfspace, ...] | None:
+    def halfspaces(self) -> tuple[Halfspace, ...]:
         return self._halfspaces if self.family is None else _family_halfspaces(self)
 
 
 def _validated(
     dimension: int,
     vertices: Iterable[Sequence[SupportsIndex]] | None,
-    halfspaces: Iterable[Halfspace] | None,
+    given: Iterable[Halfspace] | None,
 ) -> _Lists:
-    """Explicit lists as :class:`LatticePolytope` stores them, checked."""
+    """Explicit lists as :class:`LatticePolytope` stores them, checked.  A
+    polygon or a segment given no half-spaces gets its hull's."""
     try:  # a float or a Fraction is refused, not truncated
         verts = tuple([tuple(map(_index, v)) for v in vertices or ()])
     except TypeError:
         raise ValueError("vertex coordinates must be integers") from None
-    halfspaces = None if halfspaces is None else tuple(halfspaces)
     if not verts:
         raise ValueError("polytope needs at least one vertex")
     for v in verts:
@@ -154,32 +154,36 @@ def _validated(
         else:
             verts = _hull_chain(verts)
             facets = tuple(map(_edge, verts, verts[1:] + verts[:1]))
-        if halfspaces is not None and set(halfspaces) != set(facets):
+        if given is None:
+            return verts, facets
+        halfspaces = tuple(given)
+        if set(halfspaces) != set(facets):
             kind = "ends" if dimension == 1 else "edges"
             raise ValueError(f"half-spaces are not the {kind} of the vertices' hull")
-        halfspaces = halfspaces or facets
-    else:
-        # m <= n half-spaces leave a nonzero x with every normal . x <= 0, a
-        # direction along which their intersection is unbounded.
-        if halfspaces is not None and len(halfspaces) <= dimension:
+        return verts, halfspaces
+    # Nothing derives them here, and m <= n half-spaces leave a nonzero x
+    # with every normal . x <= 0, a direction along which their
+    # intersection is unbounded.
+    halfspaces = tuple(given or ())
+    if len(halfspaces) <= dimension:
+        raise ValueError(
+            f"a polytope in dimension {dimension} needs at least "
+            f"{dimension + 1} half-spaces, not {len(halfspaces)}"
+        )
+    for hs in halfspaces:
+        if len(hs.normal) != dimension:
+            raise ValueError("half-space dimension mismatch")
+        values = [sum(map(mul, hs.normal, v)) for v in verts]
+        top = max(values)
+        if top > hs.rhs:
+            v = verts[next(i for i, x in enumerate(values) if x > hs.rhs)]
             raise ValueError(
-                f"a polytope in dimension {dimension} needs at least "
-                f"{dimension + 1} half-spaces, not {len(halfspaces)}"
+                f"vertex {v} violates half-space {hs.normal}.x <= {hs.rhs}"
             )
-        for hs in halfspaces or ():
-            if len(hs.normal) != dimension:
-                raise ValueError("half-space dimension mismatch")
-            values = [sum(map(mul, hs.normal, v)) for v in verts]
-            top = max(values)
-            if top > hs.rhs:
-                v = verts[next(i for i, x in enumerate(values) if x > hs.rhs)]
-                raise ValueError(
-                    f"vertex {v} violates half-space {hs.normal}.x <= {hs.rhs}"
-                )
-            if top != hs.rhs:
-                raise ValueError(
-                    f"half-space {hs.normal}.x <= {hs.rhs} is tight at no vertex"
-                )
+        if top != hs.rhs:
+            raise ValueError(
+                f"half-space {hs.normal}.x <= {hs.rhs} is tight at no vertex"
+            )
     return verts, halfspaces
 
 
@@ -200,11 +204,11 @@ def _family_vertices(p: LatticePolytope) -> tuple[IntVector, ...]:
             verts += [v + (h,) for h in (-1, 1) for v in tips]
         else:  # apexes +-e_n
             verts += [_unit(n, n - 1, 1), _unit(n, n - 1, -1)]
-    return _scaled(verts, None, fam.scale)[0]
+    return _scaled(verts, (), fam.scale)[0]
 
 
-def _family_halfspaces(p: LatticePolytope) -> tuple[Halfspace, ...] | None:
-    """The recipe's facet half-spaces, scale applied; None for pn."""
+def _family_halfspaces(p: LatticePolytope) -> tuple[Halfspace, ...]:
+    """The recipe's facet half-spaces, scale applied."""
     n, fam = p.dimension, p.family
     if fam.tag is FamilyTag.CUBE:
         hs = [Halfspace(_unit(n, i, s), 1) for i in range(n) for s in (1, -1)]
@@ -213,33 +217,34 @@ def _family_halfspaces(p: LatticePolytope) -> tuple[Halfspace, ...] | None:
     elif fam.tag is FamilyTag.QN_FAMILY:  # facets sigma_i e_i + sigma_n e_n . x <= 1
         signs = iter_product(range(n - 1), (1, -1), (1, -1))
         hs = [Halfspace(_unit(n - 1, i, si) + (sn,), 1) for i, si, sn in signs]
-    elif fam.tag is FamilyTag.PRODUCT:  # half-spaces lift if both factors have them
-        (p1, p2), (h1, h2) = fam.factors, (f.halfspaces for f in fam.factors)
-        if h1 is None or h2 is None:
-            return None
-        hs = [Halfspace(h.normal + (0,) * p2.dimension, h.rhs) for h in h1]
-        hs += [Halfspace((0,) * p1.dimension + h.normal, h.rhs) for h in h2]
-    else:
-        return None
+    elif fam.tag is FamilyTag.PRODUCT:  # the factors' half-spaces, lifted
+        p1, p2 = fam.factors
+        hs = [Halfspace(h.normal + (0,) * p2.dimension, h.rhs) for h in p1.halfspaces]
+        hs += [Halfspace((0,) * p1.dimension + h.normal, h.rhs) for h in p2.halfspaces]
+    else:  # pn: the facets pn_family's docstring lists
+        hs = [Halfspace(_unit(n, n - 1, t), 1) for t in (1, -1)]
+        for sigma in iter_product((1, -1, 0), repeat=n - 1):
+            if size := n - 1 - sigma.count(0):  # |S|; both tau give one facet at |S| = 1
+                hs += [Halfspace(sigma + (c,), size) for c in dict.fromkeys((size - 1, 1 - size))]
     return _scaled((), hs, fam.scale)[1]
 
 
-def list_sizes(p: LatticePolytope) -> tuple[int, int | None]:
-    """``(len(p.vertices), len(p.halfspaces))``, None for no half-spaces; in
-    closed form for a family, so its lists can be refused before they exist."""
+def list_sizes(p: LatticePolytope) -> tuple[int, int]:
+    """``(len(p.vertices), len(p.halfspaces))``, in closed form for a family,
+    so its lists can be refused before they exist."""
     fam, n = p.family, p.dimension
     if fam is None:  # explicit lists are stored
-        return len(p.vertices), None if p.halfspaces is None else len(p.halfspaces)
+        return len(p.vertices), len(p.halfspaces)
     if fam.tag is FamilyTag.CUBE:
         return 2**n, 2 * n
     if fam.tag is FamilyTag.CROSSPOLYTOPE:
         return 2 * n, 2**n
     if fam.tag is FamilyTag.PN_FAMILY:
-        return 2 ** (n - 1) + 4 * (n - 1), None
+        return 2 ** (n - 1) + 4 * (n - 1), 2 * 3 ** (n - 1) - 2 * n + 2
     if fam.tag is FamilyTag.QN_FAMILY:
         return 2 ** (n - 1) + 2, 4 * (n - 1)
     (vp, hp), (vq, hq) = map(list_sizes, fam.factors)
-    return vp * vq, None if hp is None or hq is None else hp + hq
+    return vp * vq, hp + hq
 
 
 def _unit(n: int, i: int, sign: int = 1) -> IntVector:
@@ -248,13 +253,11 @@ def _unit(n: int, i: int, sign: int = 1) -> IntVector:
     return tuple(v)
 
 
-def _scaled(
-    verts: Iterable[IntVector], hs: Iterable[Halfspace] | None, k: int
-) -> _Lists:
+def _scaled(verts: Iterable[IntVector], hs: Iterable[Halfspace], k: int) -> _Lists:
     if k > 1:
         verts = (tuple(k * c for c in v) for v in verts)
-        hs = None if hs is None else (Halfspace(h.normal, k * h.rhs) for h in hs)
-    return tuple(verts), None if hs is None else tuple(hs)
+        hs = (Halfspace(h.normal, k * h.rhs) for h in hs)
+    return tuple(verts), tuple(hs)
 
 
 def cube(n: int) -> LatticePolytope:
@@ -276,8 +279,11 @@ def pn_family(n: int) -> LatticePolytope:
     heights -1 and +1.
 
     The vertex list holds all generator points (for n = 2 the cube
-    generators are not extreme).  No H-representation; membership goes
-    through the slice oracle in :mod:`ehrhartlab.counting`.
+    generators are not extreme).  Its 2*3^(n-1) - 2n + 2 facets are
+    +-x_n <= 1 and sigma . x' + (|S| - 1) tau x_n <= |S| over sign vectors
+    sigma with nonempty support S, and tau = +-1 when |S| >= 2, so its facet
+    distances are 1..n-1.  Membership goes through the slice oracle in
+    :mod:`ehrhartlab.counting`.
     """
     if n < 2:
         raise ValueError("this family requires dimension >= 2")
@@ -292,7 +298,7 @@ def qn_family(n: int) -> LatticePolytope:
 
 
 def product(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
-    """Cartesian product; half-spaces are lifted when both factors have them."""
+    """Cartesian product; the factors' half-spaces are lifted."""
     return LatticePolytope(
         p.dimension + q.dimension, family=Family(FamilyTag.PRODUCT, factors=(p, q))
     )
@@ -323,8 +329,6 @@ def is_primitive(v: Sequence[int]) -> bool:
 
 def _require_interior_halfspaces(p: LatticePolytope) -> tuple[Halfspace, ...]:
     hs = p.halfspaces
-    if hs is None:
-        raise ValueError("operation requires a half-space representation")
     if any(h.rhs < 1 for h in hs):
         raise OriginNotInteriorError(
             "origin is not strictly interior (some facet rhs < 1)"

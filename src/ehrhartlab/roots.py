@@ -117,8 +117,6 @@ class RootSet(Frozen):
         polynomial with ``factors`` runs Yun once per distinct factor and
         refines the bases (``coprime_bases``); a base h(s t) is found as h,
         with a scale of its own, and its roots are h's divided by s."""
-        import numpy as np
-
         p = self.poly
         if p.factors:
             distinct = dict.fromkeys(f for f, _, _ in p.factors)
@@ -143,7 +141,7 @@ class RootSet(Frozen):
             if e is not None:
                 factor = _scaled(factor, e)
             coeffs = _floats(factor)[::-1]
-            ys = _newton_polish(coeffs, _eigenvalues(np, coeffs))
+            ys = _newton_polish(coeffs, _eigenvalues(coeffs))
             e = e or 0  # the roots are ys 2^e / s
             unit = _quotient(1 << e, s) if e >= 0 else _quotient(1, s << -e)
             pieces.append((factor, ys, multiplicity, unit))
@@ -198,11 +196,14 @@ def _quotient(u: int, v: int) -> float:
     return value
 
 
-def _eigenvalues(np, coeffs: list[float]) -> list[complex]:
+def _eigenvalues(coeffs: list[float]) -> list[complex]:
     """The roots of a monic polynomial (float coefficients, leading first)
     as the eigenvalues of the companion matrix that ``np.roots`` builds,
     trailing zero coefficients taken off as zero roots: bitwise its
-    answer, without its checks and conversions."""
+    answer, without its checks and conversions.  NumPy loads here, so
+    bases that are all linear never load it."""
+    import numpy as np
+
     n = len(coeffs) - 1
     while not coeffs[n]:
         n -= 1

@@ -191,14 +191,14 @@ def test_polytope_json_family_vertex_consistency_checked():
     assert polytope_from_json(
         {**square, "halfspaces": SQUARE_HALFSPACES[::-1]}
     ) == cube(2)
-    # pn has no half-spaces, so any given one is inconsistent.
-    with pytest.raises(ValueError, match=r"\$\.halfspaces: inconsistent"):
-        polytope_from_json(
-            {
-                "family": {"tag": "pn", "params": {"n": 2}},
-                "halfspaces": [{"normal": [1, 0], "rhs": 1}],
-            }
-        )
+    # pn lists its facets too: pn:3's 14, in any order, and no others.
+    pn3 = {"family": {"tag": "pn", "params": {"n": 3}}}
+    facets = [{"normal": list(h.normal), "rhs": h.rhs} for h in pn_family(3).halfspaces]
+    assert polytope_from_json({**pn3, "halfspaces": facets[::-1]}) == pn_family(3)
+    for halfspaces in (facets[1:], [{"normal": [1, 0, 0], "rhs": 2}, *facets[1:]]):
+        with pytest.raises(ValueError, match=r"^\$\.halfspaces: inconsistent with the "
+                                             r"family construction$"):
+            polytope_from_json({**pn3, "halfspaces": halfspaces})
 
 
 def test_ehrhart_json_round_trip():
@@ -713,13 +713,23 @@ def test_cli_reflexive_reports(capsys):
 
 
 @pytest.mark.parametrize("spec,status,index_l", [("pn:2", EXIT_OK, 1), ("dilate(pn:2,3)", EXIT_FINDING, 3)])
-def test_cli_reflexive_builds_the_hull_of_a_plane_family(capsys, spec, status, index_l):
-    """pn:2 lists no half-spaces, but it is the square [-1, 1]^2 (h* = (1, 6, 1)):
-    the report reads its hull."""
+def test_cli_reflexive_builds_the_hull_of_a_plane_family(tmp_path, capsys, spec, status,
+                                                          index_l):
+    """pn:2 is the square [-1, 1]^2 (h* = (1, 6, 1)): its facets are its
+    hull's edges, though its vertex list holds the generators (+-1, 0), so
+    its report is its hull's but for the polytope it names."""
     code, out = run_cli(capsys, "reflexive", "--family", spec, "--format", "json")
     payload = json.loads(out)
     assert code == status and payload["index_l"] == index_l
     assert payload["def_check"] is (status == EXIT_OK) and payload["agree"] is True
+    path = tmp_path / "hull.json"
+    path.write_text(json.dumps(polytope_to_json(hull2d(parse_polytope_spec(spec).vertices))))
+    reports = [run_cli(capsys, "reflexive", *source)
+               for source in (["--family", spec], ["--json", str(path)])]
+    assert [code for code, _ in reports] == [status, status]
+    lines = [out.splitlines() for _, out in reports]
+    assert lines[0][0] == f"polytope              {spec}, dimension 2"
+    assert lines[0][1:] == lines[1][1:] and len(lines[0]) == 10
 
 
 def test_cli_json_file_input(tmp_path, capsys):
@@ -932,31 +942,46 @@ def test_cli_reflexive_builds_each_family_list_once(monkeypatch, capsys, spec, l
                      "common_real_part": 0}
 
 
-def test_cli_reflexive_refuses_slow_family_lists(capsys):
+def test_cli_reflexive_refuses_slow_family_lists(monkeypatch, capsys):
     code, _ = run_cli(capsys, "reflexive", "--family", "cross:3")
     assert code == EXIT_OK
-    code = main(["reflexive", "--family", "cross:18"])  # 2^18 facets
-    assert code == EXIT_USAGE
-    assert capsys.readouterr().err == (
-        f"error: reflexivity would list over {cli._MAX_LISTED} vertices/facets\n"
-    )
+    for name in ("_family_vertices", "_family_halfspaces"):
+        monkeypatch.setattr(polytopes, name, None)  # refused unbuilt: a build raises
+    for spec in ("cross:18", "pn:12"):  # 2^18 facets; 2 * 3^11 - 22 = 354,272
+        code = main(["reflexive", "--family", spec])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: reflexivity would list over {cli._MAX_LISTED} vertices/facets\n"
+        )
 
 
-def test_cli_reflexive_names_the_family_without_half_spaces(tmp_path, capsys):
-    """A family spec cannot supply half-spaces, so the refusal names the pn
-    family; a JSON polytope could have, and is told so."""
-    for spec in ("pn:3", "product(pn:2,cube:1)", "dilate(pn:4,2)"):
-        assert main(["reflexive", "--family", spec]) == EXIT_USAGE
-        assert capsys.readouterr() == ("", "error: reflexivity needs a half-space "
-                                       "representation, and the pn family lists no "
-                                       "half-spaces\n")
+def test_cli_json_off_the_plane_needs_half_spaces(tmp_path, capsys):
+    """Nothing derives the facets of a JSON polytope of dimension >= 3, so
+    one given without them is refused at load, by every subcommand alike."""
     path = tmp_path / "simplex.json"
     path.write_text(json.dumps({"dimension": 3,
                                 "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
-    assert main(["reflexive", "--json", str(path)]) == EXIT_USAGE
-    assert capsys.readouterr() == ("", "error: reflexivity needs a half-space "
-                                   "representation (2D hulls are built automatically; "
-                                   "higher dimensions must supply halfspaces)\n")
+    for cmd in (["ehrhart"], ["count", "-k", "0"], ["roots"], ["wills"], ["bounds"],
+                ["reflexive"]):
+        assert main([*cmd, "--json", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: $: a polytope in dimension 3 needs at "
+                                       "least 4 half-spaces, not 0\n")
+
+
+@pytest.mark.parametrize("spec, index_l", [
+    ("pn:3", 2), ("pn:4", 6), ("pn:5", 12), ("pn:6", 60), ("pn:7", 60),
+    ("product(pn:3,cube:2)", 2), ("dilate(pn:4,2)", 12),
+])
+def test_cli_reflexive_reads_pn_facets(capsys, spec, index_l):
+    """pn:n's facet distances are 1..n-1, so its index is their lcm and,
+    past n = 2, it is not l-reflexive; the three verdicts agree, well inside
+    50 ms (pn:7, 1,446 facets: about 4 ms in process on a 2-vCPU VM)."""
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "reflexive", "--family", spec, "--format", "json")
+    assert time.perf_counter() - start < 0.05
+    payload = json.loads(out)
+    assert (code, payload["index_l"], payload["agree"]) == (EXIT_FINDING, index_l, True)
+    assert payload["def_check"] is False
 
 
 def test_cli_verify_all_passes(capsys):
@@ -1394,7 +1419,11 @@ def test_cli_import_loads_no_argparse():
     ("wills --family pn:7", False),
     ("reflexive --family cross:4", False),
     ("count --family qn:5 -k 9", False),
-    ("roots --family cube:3", True),
+    # Every root of a cube or its dilate is rational: no eigenvalues.
+    ("roots --family cube:3", False),
+    ("bounds --family cube:3", False),
+    ("roots --family dilate(cube:2,2) -a 4", False),
+    ("roots --family pn:7", True),
     ("count --family qn:3 --method box", True),
     # A box scan refused for its size, before any oracle array is built.
     pytest.param("count --family cube:4000 -k 1" + "0" * 1000 + " --method box", False,

@@ -75,9 +75,10 @@ def test_bipyramid_oracle_membership():
 
 
 def test_oracle_for_bare_polytope_raises():
-    bare = LatticePolytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    with pytest.raises(ValueError):
-        oracle_for(bare)
+    """No polytope lacks an oracle: one off the plane without half-spaces
+    is refused when it is built, before any oracle is asked for."""
+    with pytest.raises(ValueError, match="needs at least 4 half-spaces, not 0"):
+        LatticePolytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_box_scan_examples():

@@ -323,7 +323,10 @@ def test_h_star_nonnegative_and_palindromic_where_reflexive():
 
 def test_no_recipe_for_json_polytopes_off_the_plane():
     segment = LatticePolytope(1, ((-1,), (2,)), (Halfspace((1,), 2), Halfspace((-1,), 1)))
-    simplex = LatticePolytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    simplex = LatticePolytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)), (
+        Halfspace((-1, 0, 0), 0), Halfspace((0, -1, 0), 0), Halfspace((0, 0, -1), 0),
+        Halfspace((1, 1, 1), 1),
+    ))
     for p in (simplex, product(simplex, segment), dilate(product(simplex, cube(1)), 2)):
         assert ehrhart_from_recipe(p) is None
     # A segment's recipe is its length: L(k) = 3k + 1 here.

@@ -394,13 +394,10 @@ def test_coprime_bases_are_coprime_with_the_same_product(parts):
 
 @given(factor_parts_st)
 def test_squarefree_decomposition_reads_the_factors(parts):
-    """A polynomial built from its factors gets, through them, Yun's
-    decomposition of the polynomial itself."""
+    """A product of dilates gets the Fraction Yun decomposition from its
+    coefficients; the root stage splits such a product factor by factor."""
     p = dilated_product(parts)
     plain = Polynomial(p.numerators, p.denominator)
-    factored = exact.with_factors(p, parts)
-    assert factored.factors and not plain.factors and factored == plain
-    assert squarefree_decomposition(factored) == squarefree_decomposition(plain)
     assert squarefree_decomposition(plain) == fraction_yun(plain)
 
 

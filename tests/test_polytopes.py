@@ -1,13 +1,15 @@
 """Polytope representations, family constructors, hulls, and polarity."""
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ehrhartlab.counting import dilation_counter
+from ehrhartlab.counting import count_pn_sliced, dilation_counter
 from ehrhartlab.ehrhart import ehrhart_of
 from ehrhartlab.polytopes import (
     Halfspace,
@@ -90,7 +92,7 @@ def test_family_constructors_reject_degenerate_dimensions():
 def test_hybrid_generator_counts():
     p7 = pn_family(7)
     assert len(p7.vertices) == 64 + 2 * 12
-    assert p7.halfspaces is None
+    assert len(p7.halfspaces) == 2 * 3**6 - 2 * 7 + 2 == 1446
 
 
 def test_bipyramid_generators_and_facets():
@@ -115,10 +117,12 @@ def test_product_of_segments_is_square():
     }
 
 
-def test_product_without_halfspaces():
+def test_product_lifts_pn_halfspaces():
     pr = product(pn_family(3), cube(2))
     assert pr.dimension == 5
-    assert pr.halfspaces is None
+    assert len(pr.halfspaces) == 14 + 4
+    assert set(pr.halfspaces) >= {Halfspace(h.normal + (0, 0), h.rhs)
+                                  for h in pn_family(3).halfspaces}
     assert len(pr.vertices) == len(pn_family(3).vertices) * 4
 
 
@@ -214,8 +218,11 @@ def test_index_examples():
 
 
 def test_index_requires_halfspaces_and_interior_origin():
-    with pytest.raises(ValueError):
-        index(pn_family(3))
+    """Every polytope has its half-spaces: a 3-D one without them is refused
+    when it is built, and pn:3's facet distances are 1 and 2."""
+    with pytest.raises(ValueError, match="needs at least 4 half-spaces, not 0"):
+        LatticePolytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert index(pn_family(3)) == 2
     unit_square = hull2d([(0, 0), (1, 0), (0, 1), (1, 1)])
     with pytest.raises(OriginNotInteriorError):
         index(unit_square)
@@ -402,12 +409,9 @@ def test_dilated_family_lists_are_scaled_lists(poly):
         assert scaled.vertices == tuple(
             tuple(s * c for c in v) for v in poly.vertices
         )
-        if poly.halfspaces is None:
-            assert scaled.halfspaces is None
-        else:
-            assert scaled.halfspaces == tuple(
-                Halfspace(h.normal, s * h.rhs) for h in poly.halfspaces
-            )
+        assert scaled.halfspaces == tuple(
+            Halfspace(h.normal, s * h.rhs) for h in poly.halfspaces
+        )
 
 
 def test_family_lists_are_built_per_read_and_not_kept():
@@ -424,16 +428,45 @@ def test_list_sizes_match_the_built_lists():
         cube(3), crosspolytope(4), pn_family(2), pn_family(4), qn_family(4),
         triangle, dilate(triangle, 2), product(triangle, cube(2)),
         product(pn_family(3), cube(1)), dilate(product(qn_family(3), cube(2)), 2),
+        *map(pn_family, range(2, 9)), product(pn_family(3), cube(2)),
+        dilate(pn_family(4), 2),
     ):
-        hs = poly.halfspaces
-        assert list_sizes(poly) == (len(poly.vertices), hs and len(hs))
+        assert list_sizes(poly) == (len(poly.vertices), len(poly.halfspaces))
 
 
 def test_list_sizes_of_huge_families_build_no_lists():
     big = dilate(product(cube(40), crosspolytope(40)), 3)  # 2^40 * 80 vertices
     assert big.dimension == 80 and big.family.scale == 3
     assert list_sizes(big) == (2**40 * 80, 80 + 2**40)
-    assert list_sizes(pn_family(60)) == (2**59 + 4 * 59, None)
+    assert list_sizes(pn_family(60)) == (2**59 + 4 * 59, 2 * 3**59 - 118)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pn_facets_cut_out_the_sliced_counts(n):
+    """pn's half-spaces, read as a membership test on the box [-k, k]^n,
+    admit exactly the lattice points that the slice formula counts."""
+    for k in (1, 2, 3):
+        hs = dilate(pn_family(n), k).halfspaces
+        normals = np.array([h.normal for h in hs]).T
+        rhs = np.array([h.rhs for h in hs])
+        box = np.array(list(itertools.product(range(-k, k + 1), repeat=n)))
+        inside = sum(np.count_nonzero((block @ normals <= rhs).all(-1))
+                     for block in np.array_split(box, len(box) // 2048 + 1))
+        assert inside == count_pn_sliced(n, k)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pn_halfspaces_are_facets(n):
+    """Each listed half-space holds on every vertex and is tight on a vertex
+    set of affine rank n, so it is a facet; no facet is listed twice."""
+    p = pn_family(n)
+    vertices, hs = p.vertices, p.halfspaces
+    assert len(set(hs)) == len(hs) == 2 * 3 ** (n - 1) - 2 * n + 2
+    for h in hs:
+        values = [dot(h.normal, v) for v in vertices]
+        assert max(values) == h.rhs
+        tight = [v + (1,) for v, value in zip(vertices, values) if value == h.rhs]
+        assert np.linalg.matrix_rank(np.array(tight)) == n
 
 
 def test_family_halfspace_normals_are_primitive():

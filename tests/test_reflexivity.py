@@ -49,10 +49,11 @@ def test_is_l_reflexive_examples():
 
 
 def test_is_l_reflexive_requires_halfspaces():
+    """The definition reads the facets, which pn lists too: pn:3's facet
+    distances are 1 and 2, so it is not 2-reflexive."""
     from ehrhartlab.polytopes import pn_family
 
-    with pytest.raises(ValueError, match="half-space representation"):
-        report(pn_family(3))
+    assert definition(pn_family(3)) == (False, 2)
 
 
 def test_bipyramids_are_reflexive():

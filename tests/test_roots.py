@@ -687,7 +687,7 @@ def test_eigenvalues_are_bitwise_those_of_np_roots(coefficients, zeros):
     coeffs = [1.0, *coefficients, *[0.0] * zeros]
     assume(coeffs[1:].count(0.0) < len(coeffs) - 1)
     expected = [repr(complex(z)) for z in np.roots(coeffs)]
-    assert [repr(complex(z)) for z in roots._eigenvalues(np, coeffs)] == expected
+    assert [repr(complex(z)) for z in roots._eigenvalues(coeffs)] == expected
 
 
 def scale_exponent_from_logs(p):
