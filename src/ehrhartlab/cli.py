@@ -236,18 +236,26 @@ _FAMILY_CTORS = {
     "crosspolytope": crosspolytope,
     "pn": pn_family,
     "qn": qn_family,
-    "bipyramid": qn_family,
 }
 
 
 def polytope_from_json(obj: Any, path: str = "$") -> LatticePolytope:
+    """The two forms ``polytope_to_json`` writes: a family recipe, whose
+    tag alone gives the polytope, or explicit lists."""
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected an object")
     if obj.get("family") is not None:
         rebuilt = _polytope_from_family_json(obj["family"], f"{path}.family")
-        if rebuilt is not None:  # None: the tag "generic", which names no family
-            _check_consistent(obj, rebuilt, path)
-            return rebuilt
+        dimension = obj.get("dimension", rebuilt.dimension)
+        if not _is_int(dimension) or dimension != rebuilt.dimension:
+            raise ValueError(
+                f"{path}.dimension: {_brief(repr(dimension), str)} does not match the family "
+                f"({rebuilt.dimension})"
+            )
+        for key in ("vertices", "halfspaces"):
+            if key in obj:
+                raise ValueError(f"{path}.{key}: given beside a family tag, which alone builds it")
+        return rebuilt
     dimension = obj.get("dimension")
     if not _is_int(dimension) or dimension < 1:
         raise ValueError(f"{path}.dimension: expected a positive integer")
@@ -291,15 +299,13 @@ def _halfspaces_from_json(
     return tuple(halfspaces)
 
 
-def _polytope_from_family_json(family: Any, path: str) -> LatticePolytope | None:
+def _polytope_from_family_json(family: Any, path: str) -> LatticePolytope:
     if not isinstance(family, dict) or not isinstance(family.get("tag"), str):
         raise ValueError(f"{path}: expected an object with a string 'tag'")
     tag = family["tag"]
     params = family.get("params", {}) or {}
     if not isinstance(params, dict):
         raise ValueError(f"{path}.params: expected an object")
-    if tag == "generic":
-        return None
     if tag == "product":
         factors = params.get("factors")
         if not isinstance(factors, list) or len(factors) != 2:
@@ -324,35 +330,6 @@ def _polytope_from_family_json(family: Any, path: str) -> LatticePolytope | None
     if scale > 1:
         built = dilate(built, scale)
     return built
-
-
-def _check_consistent(obj: dict, rebuilt: LatticePolytope, path: str) -> None:
-    """Lists given with a family tag must be its lists: lengths first, then sets."""
-    dimension = obj.get("dimension", rebuilt.dimension)
-    if not _is_int(dimension) or dimension != rebuilt.dimension:
-        raise ValueError(
-            f"{path}.dimension: {_brief(repr(dimension), str)} does not match the family "
-            f"({rebuilt.dimension})"
-        )
-    n_vertices, n_halfspaces = list_sizes(rebuilt)
-    if "vertices" in obj:
-        vertices = obj["vertices"]
-        if (
-            not isinstance(vertices, list)
-            or len(vertices) != n_vertices
-            or not all(_is_int_vector(v, dimension) for v in vertices)
-            or {tuple(v) for v in vertices} != set(rebuilt.vertices)
-        ):
-            raise ValueError(
-                f"{path}.vertices: inconsistent with the family construction"
-            )
-    halfspaces = _halfspaces_from_json(obj.get("halfspaces"), dimension, path)
-    if halfspaces is not None and (
-        len(halfspaces) != n_halfspaces or set(halfspaces) != set(rebuilt.halfspaces)
-    ):
-        raise ValueError(
-            f"{path}.halfspaces: inconsistent with the family construction"
-        )
 
 
 def _ratio(p: int, q: int) -> str:

@@ -3,7 +3,9 @@
 Random family specs, JSON documents and flag values.  Every run must end
 with exit 0, 1 or 2 and no traceback; a run that exits 2 prints exactly
 one line of at most 200 characters on stderr; a JSON document with a non-integer
-(a boolean included) in an integer field that the loader reads exits 2;
+(a boolean included) in an integer field that the loader reads exits 2,
+and so does one with lists beside a family tag or with a tag that
+``polytope_to_json`` never writes (``"generic"``, ``"bipyramid"``);
 and ``count`` gives the same answer with ``--method auto`` (which reads
 L(k) off the Ehrhart polynomial beyond the interpolation nodes) as with
 the ``--method box`` scan whenever both answer, on family specs and on
@@ -113,7 +115,8 @@ spec = st.one_of(well_formed_spec, garbage_spec, deep_spec)
 
 # --- JSON documents -------------------------------------------------------
 # Strategies below return (document, bad), where bad says that a
-# non-integer sits in an integer field the loader reads.
+# non-integer sits in an integer field the loader reads, that lists sit
+# beside a family tag, or that the tag is one the writer never emits.
 
 NOT_INT = st.one_of(
     st.booleans(),
@@ -156,6 +159,7 @@ def generic_doc(draw):
             doc["halfspaces"].append({"normal": normal, "rhs": rhs})
     if draw(st.booleans()):
         doc["family"] = {"tag": "generic"}
+        bad = True
     return doc, bad
 
 
@@ -164,7 +168,7 @@ def family_doc(draw, nested=True):
     tags = ["cube", "crosspolytope", "pn", "qn", "bipyramid", "moebius"]
     tag = draw(st.sampled_from(tags + ["product"] if nested else tags))
     params = {}
-    bad = False
+    bad = tag == "bipyramid"
     if tag == "product":
         params["factors"] = []
         for _ in range(draw(st.sampled_from([2, 2, 1]))):
@@ -181,6 +185,10 @@ def family_doc(draw, nested=True):
     if draw(st.booleans()):
         doc["dimension"], b = draw(int_field(0, 12))
         bad |= b
+    key = draw(st.sampled_from([None] * 4 + ["vertices", "halfspaces"]))
+    if key is not None:
+        doc[key] = draw(st.lists(st.lists(st.integers(-1, 1), max_size=3), max_size=2))
+        bad = True
     return doc, bad
 
 
@@ -238,8 +246,18 @@ def test_family_specs_end_cleanly(argv, text):
     check_boundary(argv + ["--family", text])
 
 
+REFUSED_FORMS = [  # each well formed but for a form that polytope_to_json never writes
+    {"dimension": 2, "vertices": [[-1, -1], [2, -1], [-1, 2]], "family": {"tag": "generic"}},
+    {"dimension": 3, "family": {"tag": "bipyramid", "params": {"n": 3}}},
+    {"family": {"tag": "cube", "params": {"n": 1}}, "vertices": [[-1], [1]]},
+]
+
+
 @given(command(), json_text)
 @settings(max_examples=200, deadline=None)
+@example(["ehrhart", "--max-box-points", "0"], (json.dumps(REFUSED_FORMS[0]), True))
+@example(["ehrhart", "--max-box-points", "0"], (json.dumps(REFUSED_FORMS[1]), True))
+@example(["ehrhart", "--max-box-points", "0"], (json.dumps(REFUSED_FORMS[2]), True))
 def test_json_documents_end_cleanly(tmp_path_factory, argv, document):
     text, bad = document
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
